@@ -23,8 +23,8 @@ arithmetic; it raises :class:`TheoremContradictionError` so sweeps can count
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 from .field import FieldElement, PrimeField
 from .poly import (
@@ -44,8 +44,6 @@ from .sets import (
 BOUND_CERTIFIED = "BoundCertified"
 DIRECTLY_SATISFIED = "DirectlySatisfied"
 HYPOTHESIS_UNMET = "HypothesisUnmet"
-
-THEOREMS_WITH_HYPERBOLA_FACTOR = ("mult", "main")
 
 
 @dataclass(frozen=True)
@@ -90,33 +88,53 @@ class Certificate:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        raw_exc = data.get("exceptional")
+    def from_json_dict(cls, data) -> "Certificate":
+        """Parse the JSON form that `to_json_dict` writes.
+
+        Raises ``ValueError("malformed certificate: ...")`` on any other
+        shape: a non-object, a missing or unknown key, or a value of the
+        wrong type.  Integers must be JSON integers, not floats or booleans.
+        """
+        if not isinstance(data, dict):
+            raise _malformed(f"expected a JSON object, got {type(data).__name__}")
+        names = [f.name for f in fields(cls)]
+        for key in names:
+            if key not in data:
+                raise _malformed(f"missing key {key!r}")
+        for key in data:
+            if key not in names:
+                raise _malformed(f"unknown key {key!r}")
+        raw_exc = data["exceptional"]
         if raw_exc is None:
             exceptional: tuple[tuple[int, int], ...] = ()
-        elif raw_exc and isinstance(raw_exc[0], list):
-            exceptional = tuple((int(t), int(s)) for t, s in raw_exc)
+        elif isinstance(raw_exc, list) and raw_exc and isinstance(raw_exc[0], list):
+            if len(raw_exc) < 2:
+                raise _malformed("a single exceptional point is written [t, s]")
+            exceptional = tuple(_ints(pt, "exceptional point", 2) for pt in raw_exc)
         else:
-            exceptional = ((int(raw_exc[0]), int(raw_exc[1])),)
-        summands = data.get("summands")
+            exceptional = (_ints(raw_exc, "exceptional", 2),)
+        if not isinstance(data["lines"], list):
+            raise _malformed("lines must be a list")
+        summands = data["summands"]
+        for key in ("theorem", "mode", "verdict"):
+            if not isinstance(data[key], str):
+                raise _malformed(f"{key} must be a string")
+        if not isinstance(data["tight"], bool):
+            raise _malformed("tight must be true or false")
         return cls(
             theorem=data["theorem"],
-            p=int(data["p"]),
+            p=_int(data["p"], "p"),
             mode=data["mode"],
-            A=tuple(int(v) for v in data["A"]),
-            B=tuple(int(v) for v in data["B"]),
-            c=None if data.get("c") is None else int(data["c"]),
-            lines=tuple(tuple(int(v) for v in line) for line in data.get("lines", [])),
+            A=_ints(data["A"], "A"),
+            B=_ints(data["B"], "B"),
+            c=_int(data["c"], "c", optional=True),
+            lines=tuple(_ints(line, "line", 3) for line in data["lines"]),
             exceptional=exceptional,
-            degree=None if data.get("degree") is None else int(data["degree"]),
-            top_coefficient=(
-                None
-                if data.get("top_coefficient") is None
-                else int(data["top_coefficient"])
-            ),
-            summands=None if summands is None else (int(summands[0]), int(summands[1])),
+            degree=_int(data["degree"], "degree", optional=True),
+            top_coefficient=_int(data["top_coefficient"], "top_coefficient", optional=True),
+            summands=None if summands is None else _ints(summands, "summands", 2),
             verdict=data["verdict"],
-            tight=bool(data.get("tight", False)),
+            tight=data["tight"],
         )
 
     def to_json(self) -> str:
@@ -125,6 +143,24 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         return cls.from_json_dict(json.loads(text))
+
+
+def _malformed(why: str) -> ValueError:
+    return ValueError(f"malformed certificate: {why}")
+
+
+def _int(value, what: str, optional: bool = False) -> int | None:
+    if (value is None and optional) or (
+        isinstance(value, int) and not isinstance(value, bool)
+    ):
+        return value
+    raise _malformed(f"{what} must be an integer{' or null' if optional else ''}")
+
+
+def _ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise _malformed(f"{what} must be a list of {length or 'any number of'} integers")
+    return tuple(_int(v, what) for v in value)
 
 
 class TheoremContradictionError(RuntimeError):
@@ -151,6 +187,12 @@ def _unmet(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
         verdict=HYPOTHESIS_UNMET,
         tight=False,
     )
+
+
+def _target(field: PrimeField, c) -> FieldElement:
+    if c is None:
+        raise ValueError("this certificate needs a target c")
+    return field.element(c)
 
 
 def _factor_profile(
@@ -191,7 +233,7 @@ def additive_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certificate:
     if A.mode is not GroupMode.ADDITIVE or B.mode is not GroupMode.ADDITIVE:
         raise ValueError("additive certificate needs additive-mode sets")
     field = A.field
-    c = field.element(c)
+    c = _target(field, c)
     reps = representations(A, B, c, restricted=True)
     if len(reps) != 1:
         return _unmet("additive", A, B, c)
@@ -235,7 +277,7 @@ def multiplicative_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certifi
     if A.mode is not GroupMode.MULTIPLICATIVE or B.mode is not GroupMode.MULTIPLICATIVE:
         raise ValueError("multiplicative certificate needs multiplicative-mode sets")
     field = A.field
-    c = field.element(c)
+    c = _target(field, c)
     reps = representations(A, B, c, restricted=True)
     if len(reps) != 1:
         return _unmet("mult", A, B, c)
@@ -340,7 +382,7 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
         raise ValueError("symmetric-pair certificate needs a multiplicative-mode set")
     field = A.field
     p = field.p
-    c = field.element(c)
+    c = _target(field, c)
     reps = representations(A, A, c, restricted=True)
     if len(reps) != 2 or (reps[0].a.value, reps[0].b.value) != (
         reps[1].b.value,
@@ -483,135 +525,80 @@ def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
     )
 
 
-def _rebuild_sets(cert: Certificate) -> tuple[ElementSet, ElementSet]:
-    field = PrimeField(cert.p)
-    mode = GroupMode(cert.mode)
-    return ElementSet(field, mode, cert.A), ElementSet(field, mode, cert.B)
+@dataclass(frozen=True)
+class Theorem:
+    """Everything the package needs to know about one bound.
+
+    The bound reads |A o B| >= |A| + |B| - offset, with B = A for a
+    single-set bound; `cover` further subtracts floor(|N|/2).  `build(A, B,
+    c)` writes the bound's certificate (B is ignored by single-set bounds,
+    c by `cover`).
+    """
+
+    mode: GroupMode | None  # None: the caller chooses (ks)
+    pair: bool
+    offset: int
+    restricted: bool = True
+    build: Callable[[ElementSet, ElementSet, object], Certificate] | None = None
+
+    @property
+    def replayed(self) -> bool:
+        """Whether sweeps replay the certificate to classify a violation."""
+        return not self.pair and self.build is not None
+
+
+# The builders are looked up by name at call time, so that a module-level
+# replacement of a builder (a tracer, say) also takes effect here.
+THEOREMS = {
+    "ks": Theorem(None, pair=True, offset=1, restricted=False),
+    "additive": Theorem(
+        GroupMode.ADDITIVE, pair=True, offset=2,
+        build=lambda A, B, c: additive_cover_certificate(A, B, c),
+    ),
+    "mult": Theorem(
+        GroupMode.MULTIPLICATIVE, pair=True, offset=3,
+        build=lambda A, B, c: multiplicative_cover_certificate(A, B, c),
+    ),
+    "cover": Theorem(
+        GroupMode.MULTIPLICATIVE, pair=True, offset=2,
+        build=lambda A, B, c: hyperbola_cover_certificate(A, B),
+    ),
+    "main": Theorem(
+        GroupMode.MULTIPLICATIVE, pair=False, offset=3,
+        build=lambda A, B, c: symmetric_pair_certificate(A, c),
+    ),
+    "corollary-add": Theorem(GroupMode.ADDITIVE, pair=False, offset=3),
+    "corollary-mult": Theorem(GroupMode.MULTIPLICATIVE, pair=False, offset=4),
+}
 
 
 def verify_certificate(cert: Certificate | dict) -> tuple[bool, list[str]]:
-    """Re-check a certificate from its own recorded data.
+    """Re-check a certificate by rebuilding it from its own recorded inputs.
 
-    Returns (ok, problems).  Re-derives the hypothesis from A, B, c, replays
-    the vanishing profile of the recorded factor list over the recorded
-    grid, and re-checks degree bookkeeping, the numeric inequality, and the
-    tight flag.  Needs no context beyond the certificate itself.
+    Returns (ok, problems).  The certificate's builder runs again on the
+    recorded p, mode, A, B and c; it re-derives the hypothesis, lays down
+    the canonical factor list, checks its vanishing profile on the whole
+    grid and checks the bound.  A certificate is valid exactly when the
+    rebuilt one equals it field for field, so padded or reordered factor
+    lists are rejected.  Needs no context beyond the certificate itself.
+    A dict is parsed first and raises ValueError when malformed.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_dict(cert)
-    problems: list[str] = []
+    spec = THEOREMS.get(cert.theorem)
+    if spec is None or spec.build is None:
+        return False, [f"no certificate exists for theorem tag {cert.theorem!r}"]
     try:
-        A, B = _rebuild_sets(cert)
-    except ValueError as exc:
-        return False, [f"unreconstructible inputs: {exc}"]
-    field = A.field
-    p = field.p
-
-    def check(ok: bool, message: str) -> None:
-        if not ok:
-            problems.append(message)
-
-    if cert.theorem in ("additive", "mult"):
-        expected_mode = (
-            GroupMode.ADDITIVE if cert.theorem == "additive" else GroupMode.MULTIPLICATIVE
+        field = PrimeField(cert.p)
+        mode = GroupMode(cert.mode)
+        rebuilt = spec.build(
+            ElementSet(field, mode, cert.A), ElementSet(field, mode, cert.B), cert.c
         )
-        check(A.mode is expected_mode, f"mode {cert.mode} wrong for {cert.theorem}")
-        if cert.c is None:
-            return False, ["missing target c"]
-        reps = representations(A, B, field.element(cert.c), restricted=True)
-        combined = restricted_combine(A, B)
-        if cert.verdict == HYPOTHESIS_UNMET:
-            check(len(reps) != 1, "hypothesis actually holds; verdict wrong")
-        elif cert.verdict == BOUND_CERTIFIED:
-            check(len(reps) == 1, f"target has {len(reps)} restricted reps, not 1")
-            offset = 2 if cert.theorem == "additive" else 3
-            with_hyp = cert.theorem in THEOREMS_WITH_HYPERBOLA_FACTOR
-            yvals = B.values if cert.theorem == "additive" else inverse_set(B).values
-            profile = _factor_profile(p, cert.lines, with_hyp, A.values, yvals)
-            check(
-                profile == [tuple(pt) for pt in cert.exceptional],
-                f"profile {profile} != recorded exceptional {cert.exceptional}",
-            )
-            if reps:
-                a, b = reps[0].a, reps[0].b
-                want = (
-                    (a.value, b.value)
-                    if cert.theorem == "additive"
-                    else (a.value, int(b.inverse()))
-                )
-                check(
-                    cert.exceptional == (want,),
-                    f"exceptional {cert.exceptional} is not the rep point {want}",
-                )
-            expected_degree = len(cert.lines) + (2 if with_hyp else 0)
-            check(cert.degree == expected_degree, "degree != factor count")
-            bound = len(A) + len(B) - offset
-            check(len(combined) >= bound, f"bound fails: {len(combined)} < {bound}")
-            check(cert.tight == (len(combined) == bound), "tight flag wrong")
-        else:
-            check(False, f"verdict {cert.verdict} invalid for {cert.theorem}")
-    elif cert.theorem == "cover":
-        check(A.mode is GroupMode.MULTIPLICATIVE, "cover certificate must be multiplicative")
-        n_set = exceptional_square_set(A, B)
-        combined = restricted_combine(A, B)
-        if cert.verdict == HYPOTHESIS_UNMET:
-            check(len(n_set) == 0, "exceptional set nonempty; verdict wrong")
-        elif cert.verdict == BOUND_CERTIFIED:
-            check(len(n_set) > 0, "exceptional set empty")
-            profile = _factor_profile(p, cert.lines, False, A.values, inverse_set(B).values)
-            check(
-                profile == [tuple(pt) for pt in cert.exceptional],
-                f"profile {profile} != recorded exceptional {cert.exceptional}",
-            )
-            if len(n_set) > 0:
-                a_star = n_set.values[0]
-                check(
-                    cert.exceptional == ((a_star, pow(a_star, -1, p)),),
-                    "exceptional point is not the designated survivor",
-                )
-            check(cert.degree == len(cert.lines), "degree != line count")
-            check(
-                len(cert.lines) == len(combined) + len(n_set) // 2,
-                "line count != |products| + floor(|N|/2)",
-            )
-            bound = len(A) + len(B) - 2 - len(n_set) // 2
-            check(len(combined) >= bound, f"bound fails: {len(combined)} < {bound}")
-            check(cert.tight == (len(combined) == bound), "tight flag wrong")
-        else:
-            check(False, f"verdict {cert.verdict} invalid for cover")
-    elif cert.theorem == "main":
-        check(A.mode is GroupMode.MULTIPLICATIVE, "main certificate must be multiplicative")
-        if cert.c is None:
-            return False, ["missing target c"]
-        reps = representations(A, A, field.element(cert.c), restricted=True)
-        pair_ok = len(reps) == 2 and (reps[0].a.value, reps[0].b.value) == (
-            reps[1].b.value,
-            reps[1].a.value,
-        )
-        n = len(A)
-        m = len(restricted_combine(A, A))
-        bound = 2 * n - 3
-        if cert.verdict == HYPOTHESIS_UNMET:
-            power_tied = pair_ok and pow(reps[0].a.value, n - 2, p) == pow(
-                reps[0].b.value, n - 2, p
-            )
-            check(
-                not pair_ok or (m < bound and power_tied),
-                "hypothesis actually holds with the bound unsettled; verdict wrong",
-            )
-        elif cert.verdict == DIRECTLY_SATISFIED:
-            check(pair_ok, "target lacks the symmetric representation pair")
-            check(m >= bound, f"bound fails: {m} < {bound}")
-            check(cert.tight == (m == bound), "tight flag wrong")
-            if pair_ok:
-                a, b = reps[0].a, reps[0].b
-                want = (
-                    int(symmetric_pair_summand(a, b, A, field.element(cert.c))),
-                    int(symmetric_pair_summand(b, a, A, field.element(cert.c))),
-                )
-                check(cert.summands == want, "recorded summands do not recompute")
-        else:
-            check(False, f"verdict {cert.verdict} invalid for main")
-    else:
-        check(False, f"unknown theorem tag {cert.theorem!r}")
-    return (not problems), problems
+    except (ValueError, TheoremContradictionError) as exc:
+        return False, [f"cannot rebuild: {exc}"]
+    problems = [
+        f"{f.name}: recorded {getattr(cert, f.name)!r}, rebuilt {getattr(rebuilt, f.name)!r}"
+        for f in fields(Certificate)
+        if getattr(cert, f.name) != getattr(rebuilt, f.name)
+    ]
+    return not problems, problems

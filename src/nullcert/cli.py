@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=["json", "csv"], default="json")
 
     cert = sub.add_parser("certificate", help="build one proof certificate")
-    cert.add_argument("--theorem", choices=["additive", "mult", "main", "cover"],
+    cert.add_argument("--theorem",
+                      choices=[tag for tag, spec in certify.THEOREMS.items() if spec.build],
                       help="defaults to 'additive' or 'mult' from --mode")
     cert.add_argument("--mode", required=True, choices=["add", "mult"])
     cert.add_argument("--prime", type=int, required=True)
@@ -142,13 +143,14 @@ def _cmd_verify(args) -> int:
     if args.out:
         text = report.to_json() if args.format == "json" else report.to_csv()
         Path(args.out).write_text(text)
+    replayed = certify.THEOREMS[args.theorem].replayed
     for stats in report.per_prime:
         print(
             f"p={stats.p}: examined={stats.examined} "
             f"hypothesis={stats.hypothesis_satisfying} "
             f"holding={stats.bound_holding} tight={stats.tight_count} "
             f"counterexamples={stats.counterexample_count}"
-            + (f" contradictions={stats.contradictions}" if args.theorem == "main" else "")
+            + (f" contradictions={stats.contradictions}" if replayed else "")
         )
     print(
         f"{'OK' if report.ok() else 'COUNTEREXAMPLE'}: theorem={args.theorem} "
@@ -162,32 +164,20 @@ def _cmd_certificate(args) -> int:
     theorem = args.theorem
     if theorem is None:
         theorem = "additive" if mode is GroupMode.ADDITIVE else "mult"
-    expected_mode = GroupMode.ADDITIVE if theorem == "additive" else GroupMode.MULTIPLICATIVE
-    if mode is not expected_mode:
+    spec = certify.THEOREMS[theorem]
+    if mode is not spec.mode:
         raise ValueError(f"theorem {theorem!r} needs --mode "
-                         f"{'add' if expected_mode is GroupMode.ADDITIVE else 'mult'}")
+                         f"{'add' if spec.mode is GroupMode.ADDITIVE else 'mult'}")
     A = _element_set(args.prime, mode, args.set_a)
-    if theorem == "main":
-        if args.target is None:
-            raise ValueError("--c is required for --theorem main")
-        if args.set_b is not None and _parse_residues(args.set_b) != list(A.values):
-            raise ValueError("--theorem main is a single-set bound; omit --b or repeat --a")
-        cert = certify.symmetric_pair_certificate(A, args.target)
-    else:
+    if spec.pair:
         if args.set_b is None:
             raise ValueError("--b is required for pair certificates")
         B = _element_set(args.prime, mode, args.set_b)
-        if theorem == "cover":
-            cert = certify.hyperbola_cover_certificate(A, B)
-        else:
-            if args.target is None:
-                raise ValueError("--c is required for this certificate")
-            builder = (
-                certify.additive_cover_certificate
-                if theorem == "additive"
-                else certify.multiplicative_cover_certificate
-            )
-            cert = builder(A, B, args.target)
+    else:
+        if args.set_b is not None and _element_set(args.prime, mode, args.set_b) != A:
+            raise ValueError(f"--theorem {theorem} is a single-set bound; omit --b or repeat --a")
+        B = A
+    cert = spec.build(A, B, args.target)
     _write_or_print(cert.to_json(), args.out)
     if args.out:
         print(f"{cert.verdict}: wrote {args.out}")

@@ -268,53 +268,20 @@ def vanishing_profile(f: BivariatePolynomial, X, Y) -> list[tuple[FieldElement, 
     return out
 
 
-def solve_linear_system(
-    rows: list[list[int]], rhs: list[int], p: int
-) -> list[int] | None:
-    """Particular solution of M x = rhs over GF(p), or None if inconsistent.
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(p) and its pivot columns.
 
-    Gaussian elimination with the pivot chosen as the first row holding a
-    nonzero entry in the current column; free variables are set to 0.  The
-    deterministic pivot rule keeps returned solutions reproducible.
+    The pivot of each column is the first remaining row holding a nonzero
+    entry there; the deterministic rule keeps results reproducible.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    aug = [[v % p for v in row] + [r % p] for row, r in zip(rows, rhs)]
+    m = [[v % p for v in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
     pivot_cols: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        row_r = aug[r]
-        for i in range(n_rows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [(vi - factor * vr) % p for vi, vr in zip(aug[i], row_r)]
-        pivot_cols.append(c)
-        r += 1
         if r == n_rows:
             break
-    for i in range(r, n_rows):
-        if aug[i][n_cols]:
-            return None
-    x = [0] * n_cols
-    for idx, c in enumerate(pivot_cols):
-        x[c] = aug[idx][n_cols]
-    return x
-
-
-def nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {x : M x = 0} over GF(p) from the reduced row echelon form."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    m = [[v % p for v in row] for row in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
         pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot is None:
             continue
@@ -328,17 +295,40 @@ def nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
                 m[i] = [(vi - factor * vr) % p for vi, vr in zip(m[i], row_r)]
         pivot_cols.append(c)
         r += 1
-        if r == n_rows:
-            break
-    basis = []
+    return m, pivot_cols
+
+
+def solve_linear_system(
+    rows: list[list[int]], rhs: list[int], p: int
+) -> list[int] | None:
+    """Particular solution of M x = rhs over GF(p), or None if inconsistent.
+
+    Reduces the augmented matrix; a pivot in the right-hand column means an
+    equation 0 = nonzero.  Free variables are set to 0.
+    """
+    n_cols = len(rows[0]) if rows else 0
+    reduced, pivot_cols = _rref([list(row) + [r] for row, r in zip(rows, rhs)], p)
+    if pivot_cols and pivot_cols[-1] == n_cols:
+        return None
+    x = [0] * n_cols
+    for row, c in zip(reduced, pivot_cols):
+        x[c] = row[n_cols]
+    return x
+
+
+def nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {x : M x = 0} over GF(p), one vector per free column."""
+    n_cols = len(rows[0]) if rows else 0
+    reduced, pivot_cols = _rref(rows, p)
     pivot_set = set(pivot_cols)
+    basis = []
     for free in range(n_cols):
         if free in pivot_set:
             continue
         vec = [0] * n_cols
         vec[free] = 1
-        for idx, c in enumerate(pivot_cols):
-            vec[c] = (-m[idx][free]) % p
+        for row, c in zip(reduced, pivot_cols):
+            vec[c] = (-row[free]) % p
         basis.append(vec)
     return basis
 

@@ -36,6 +36,7 @@ import time
 import numpy as np
 
 from .certify import (
+    THEOREMS,
     TheoremContradictionError,
     symmetric_pair_certificate,
 )
@@ -47,22 +48,7 @@ DEFAULT_TIGHT_CAP = 2048
 COUNTEREXAMPLE_LIST_CAP = 1000
 PRNG_ALGORITHM = "splitmix64"
 
-PAIR_THEOREMS = ("ks", "additive", "mult", "cover")
-SINGLE_SET_THEOREMS = ("main", "corollary-add", "corollary-mult")
-ALL_THEOREMS = PAIR_THEOREMS + SINGLE_SET_THEOREMS
-
-_THEOREM_MODE = {
-    "ks": None,  # chosen by config
-    "additive": GroupMode.ADDITIVE,
-    "mult": GroupMode.MULTIPLICATIVE,
-    "cover": GroupMode.MULTIPLICATIVE,
-    "main": GroupMode.MULTIPLICATIVE,
-    "corollary-add": GroupMode.ADDITIVE,
-    "corollary-mult": GroupMode.MULTIPLICATIVE,
-}
-
-# size-offset k in |combine| >= |A| + |B| - k for the unique-representation bounds
-_PAIR_OFFSET = {"ks": 1, "additive": 2, "mult": 3}
+ALL_THEOREMS = tuple(THEOREMS)
 
 
 class SplitMix64:
@@ -101,7 +87,7 @@ class SweepConfig:
     attach_certificates: bool = False
 
     def resolved_mode(self) -> GroupMode:
-        fixed = _THEOREM_MODE[self.theorem]
+        fixed = THEOREMS[self.theorem].mode
         if fixed is not None:
             if self.group_mode is not None and self.group_mode is not fixed:
                 raise ValueError(
@@ -113,7 +99,7 @@ class SweepConfig:
         return self.group_mode
 
     def validate(self) -> None:
-        if self.theorem not in ALL_THEOREMS:
+        if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem tag {self.theorem!r}")
         if not self.primes:
             raise ValueError("at least one prime is required")
@@ -150,8 +136,23 @@ class SweepConfig:
         }
 
 
+# the counters of PrimeStats, in report and CSV column order
+COUNTERS = (
+    "examined",
+    "hypothesis_satisfying",
+    "bound_holding",
+    "tight_count",
+    "counterexample_count",
+    "contradictions",
+)
+
+
 @dataclass
 class PrimeStats:
+    """Counts for one prime.  While a sweep runs, `tight` and
+    `counterexamples` hold raw (amask, bmask) pairs (bmask None for single
+    sets); `_materialize` turns them into report entries."""
+
     p: int
     examined: int = 0
     hypothesis_satisfying: int = 0
@@ -162,15 +163,42 @@ class PrimeStats:
     tight: list = dataclass_field(default_factory=list)
     counterexamples: list = dataclass_field(default_factory=list)
 
+    def count(self, info: dict, key: tuple, tight_cap: int) -> None:
+        """Add one examined instance, described by `_pair_instance` or
+        `_single_instance`, under its (amask, bmask) key."""
+        self.examined += 1
+        units = info["hyp_units"]
+        if not units:
+            return
+        self.hypothesis_satisfying += units
+        if info["bound_ok"]:
+            self.bound_holding += units
+            if info["size"] == info["bound"]:
+                self.tight_count += 1
+                if len(self.tight) < tight_cap:
+                    self.tight.append(key)
+        else:
+            self.counterexample_count += 1
+            if len(self.counterexamples) < COUNTEREXAMPLE_LIST_CAP:
+                self.counterexamples.append(key)
+
+    @classmethod
+    def merge(cls, p: int, parts: list["PrimeStats"], tight_cap: int) -> "PrimeStats":
+        """Sum of partition stats; entry lists concatenate in partition order."""
+        out = cls(p)
+        for part in parts:
+            for name in COUNTERS:
+                setattr(out, name, getattr(out, name) + getattr(part, name))
+            out.tight += part.tight
+            out.counterexamples += part.counterexamples
+        del out.tight[tight_cap:]
+        del out.counterexamples[COUNTEREXAMPLE_LIST_CAP:]
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
-            "examined": self.examined,
-            "hypothesis_satisfying": self.hypothesis_satisfying,
-            "bound_holding": self.bound_holding,
-            "tight_count": self.tight_count,
-            "counterexample_count": self.counterexample_count,
-            "contradictions": self.contradictions,
+            **{name: getattr(self, name) for name in COUNTERS},
             "tight": self.tight,
             "counterexamples": self.counterexamples,
         }
@@ -209,14 +237,8 @@ class Report:
             "prng": self.prng,
             "per_prime": [s.to_json_dict() for s in self.per_prime],
             "totals": {
-                "examined": sum(s.examined for s in self.per_prime),
-                "hypothesis_satisfying": sum(
-                    s.hypothesis_satisfying for s in self.per_prime
-                ),
-                "bound_holding": sum(s.bound_holding for s in self.per_prime),
-                "tight_count": sum(s.tight_count for s in self.per_prime),
-                "counterexample_count": self.counterexample_total,
-                "contradictions": self.contradiction_total,
+                name: sum(getattr(s, name) for s in self.per_prime)
+                for name in COUNTERS
             },
         }
 
@@ -224,17 +246,10 @@ class Report:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        header = (
-            "theorem,p,examined,hypothesis_satisfying,bound_holding,"
-            "tight_count,counterexample_count,contradictions"
-        )
-        rows = [header]
+        rows = [",".join(("theorem", "p") + COUNTERS)]
         for s in self.per_prime:
-            rows.append(
-                f"{self.config['theorem']},{s.p},{s.examined},"
-                f"{s.hypothesis_satisfying},{s.bound_holding},{s.tight_count},"
-                f"{s.counterexample_count},{s.contradictions}"
-            )
+            values = [self.config["theorem"], s.p] + [getattr(s, name) for name in COUNTERS]
+            rows.append(",".join(str(v) for v in values))
         return "\n".join(rows) + "\n"
 
 
@@ -312,51 +327,39 @@ def _mask_bits(mask: int) -> list[int]:
 
 def _pair_instance(universe: _Universe, theorem: str, amask: int, bmask: int) -> dict:
     """Hypothesis and bound data for one (A, B) pair, from first principles."""
+    spec = THEOREMS[theorem]
     m = universe.m
     a_bits = _mask_bits(amask)
-    size_a = len(a_bits)
-    size_b = bin(bmask).count("1")
-    restricted = theorem != "ks"
     once = twice = 0
     for a in a_bits:
-        shifted = _cyclic_shift(bmask & ~(1 << a) if restricted else bmask, a, m)
+        shifted = _cyclic_shift(bmask & ~(1 << a) if spec.restricted else bmask, a, m)
         twice |= once & shifted
         once |= shifted
     size_s = bin(once).count("1")
-    out = {
-        "amask": amask,
-        "bmask": bmask,
-        "size_a": size_a,
-        "size_b": size_b,
-        "size": size_s,
-    }
+    bound = len(a_bits) + bin(bmask).count("1") - spec.offset
+    c_indices: list[int] = []
+    n_indices: list[int] = []
     if theorem == "cover":
         n_indices = [
             a
             for a in a_bits
             if bmask >> a & 1 and not once >> (2 * a % m) & 1
         ]
-        n_len = len(n_indices)
-        bound = size_a + size_b - 2 - n_len // 2
-        out.update(
-            hyp_units=1 if n_len else 0,
-            bound=bound,
-            bound_ok=size_s >= bound,
-            c_indices=[],
-            n_indices=n_indices,
-        )
+        bound -= len(n_indices) // 2
+        hyp_units = 1 if n_indices else 0
     else:
-        unique = once & ~twice
-        c_indices = _mask_bits(unique)
-        bound = size_a + size_b - _PAIR_OFFSET[theorem]
-        out.update(
-            hyp_units=len(c_indices),
-            bound=bound,
-            bound_ok=size_s >= bound,
-            c_indices=c_indices,
-            n_indices=[],
-        )
-    return out
+        c_indices = _mask_bits(once & ~twice)
+        hyp_units = len(c_indices)
+    return {
+        "amask": amask,
+        "bmask": bmask,
+        "size": size_s,
+        "bound": bound,
+        "bound_ok": size_s >= bound,
+        "hyp_units": hyp_units,
+        "c_indices": c_indices,
+        "n_indices": n_indices,
+    }
 
 
 def _single_instance(universe: _Universe, theorem: str, amask: int) -> dict:
@@ -371,9 +374,8 @@ def _single_instance(universe: _Universe, theorem: str, amask: int) -> dict:
         c2 |= c1 & shifted
         c1 |= shifted
     size_s = bin(c1).count("1")
-    exactly_two = _mask_bits(c2 & ~c3)
-    qualifying: list[tuple[int, int, int]] = []  # (c_index, a_index, b_index)
-    for c in exactly_two:
+    c_indices: list[int] = []
+    for c in _mask_bits(c2 & ~c3):
         pair = None
         for a in a_bits:
             b = (c - a) % m
@@ -384,26 +386,27 @@ def _single_instance(universe: _Universe, theorem: str, amask: int) -> dict:
             raise AssertionError("two-representation mask without a pair")
         if theorem == "main" and (n - 2) * (pair[0] - pair[1]) % m == 0:
             continue  # equal (n-2)-th powers: outside this bound's hypothesis
-        qualifying.append((c, pair[0], pair[1]))
-    bound = 2 * n - 3 if theorem in ("main", "corollary-add") else 2 * n - 4
+        c_indices.append(c)
+    bound = 2 * n - THEOREMS[theorem].offset
     return {
         "amask": amask,
-        "size_a": n,
+        "bmask": None,
         "size": size_s,
         "bound": bound,
         "bound_ok": size_s >= bound,
-        "hyp_units": len(qualifying),
-        "qualifying": qualifying,
+        "hyp_units": len(c_indices),
+        "c_indices": c_indices,
     }
 
 
-def _pair_entry(universe: _Universe, theorem: str, info: dict) -> dict:
+def _entry(universe: _Universe, theorem: str, info: dict) -> dict:
     entry = {
         "A": universe.mask_to_values(info["amask"]),
-        "B": universe.mask_to_values(info["bmask"]),
         "size": info["size"],
         "bound": info["bound"],
     }
+    if info["bmask"] is not None:
+        entry["B"] = universe.mask_to_values(info["bmask"])
     if theorem == "cover":
         entry["N"] = sorted(universe.residues[k] for k in info["n_indices"])
     else:
@@ -411,13 +414,16 @@ def _pair_entry(universe: _Universe, theorem: str, info: dict) -> dict:
     return entry
 
 
-def _single_entry(universe: _Universe, info: dict) -> dict:
-    return {
-        "A": universe.mask_to_values(info["amask"]),
-        "c": sorted(universe.residues[c] for c, _, _ in info["qualifying"]),
-        "size": info["size"],
-        "bound": info["bound"],
-    }
+def _replay(universe: _Universe, amask: int, c_indices: list[int]) -> int:
+    """Replay the `main` certificate for each target; returns how many raised."""
+    a_set = universe.element_set(amask)
+    raised = 0
+    for c_idx in c_indices:
+        try:
+            symmetric_pair_certificate(a_set, universe.residues[c_idx])
+        except TheoremContradictionError:
+            raised += 1
+    return raised
 
 
 # --------------------------------------------------------------------------
@@ -446,8 +452,9 @@ def _pair_partition(
     a_hi: int,
     max_set_size: int | None,
     tight_cap: int,
-) -> dict:
+) -> PrimeStats:
     """Sweep A-masks in [a_lo, a_hi) against every B; returns partial stats."""
+    spec = THEOREMS[theorem]
     universe = _universe(p, GroupMode(mode_value))
     m = universe.m
     shift, pop = _tables(m)
@@ -455,16 +462,7 @@ def _pair_partition(
     if max_set_size is not None:
         b_all = b_all[pop[b_all] <= max_set_size]
     size_b = pop[b_all]
-    restricted = theorem != "ks"
-    stats = {
-        "examined": 0,
-        "hyp": 0,
-        "holding": 0,
-        "tight_count": 0,
-        "ce_count": 0,
-        "tight_pairs": [],
-        "ce_pairs": [],
-    }
+    stats = PrimeStats(p)
     for amask in range(max(a_lo, 1), a_hi):
         a_bits = _mask_bits(amask)
         size_a = len(a_bits)
@@ -473,12 +471,13 @@ def _pair_partition(
         once = np.zeros(len(b_all), dtype=np.uint32)
         twice = np.zeros(len(b_all), dtype=np.uint32)
         for a in a_bits:
-            idx = b_all & np.uint32(~(1 << a) & 0xFFFFFFFF) if restricted else b_all
+            idx = b_all & np.uint32(~(1 << a) & 0xFFFFFFFF) if spec.restricted else b_all
             shifted = shift[a][idx]
             twice |= once & shifted
             once |= shifted
         size_s = pop[once]
-        stats["examined"] += len(b_all)
+        stats.examined += len(b_all)
+        bound = size_a + size_b - spec.offset
         if theorem == "cover":
             nsize = np.zeros(len(b_all), dtype=np.int64)
             for a in a_bits:
@@ -487,115 +486,58 @@ def _pair_partition(
                 not_in_s = 1 - ((once >> np.uint32(sq)) & np.uint32(1)).astype(np.int64)
                 nsize += in_b & not_in_s
             hyp = nsize > 0
-            bound = size_a + size_b - 2 - nsize // 2
+            bound = bound - nsize // 2
             ok = size_s >= bound
-            stats["hyp"] += int(hyp.sum())
-            stats["holding"] += int((hyp & ok).sum())
+            stats.hypothesis_satisfying += int(hyp.sum())
+            stats.bound_holding += int((hyp & ok).sum())
             tight_vec = hyp & ok & (size_s == bound)
             ce_vec = hyp & ~ok
         else:
             unique_counts = pop[once & ~twice]
-            bound = size_a + size_b - _PAIR_OFFSET[theorem]
             ok = size_s >= bound
-            stats["hyp"] += int(unique_counts.sum())
-            stats["holding"] += int(unique_counts[ok].sum())
+            stats.hypothesis_satisfying += int(unique_counts.sum())
+            stats.bound_holding += int(unique_counts[ok].sum())
             has_c = unique_counts > 0
             tight_vec = has_c & ok & (size_s == bound)
             ce_vec = has_c & ~ok
-        stats["tight_count"] += int(tight_vec.sum())
-        stats["ce_count"] += int(ce_vec.sum())
-        if len(stats["tight_pairs"]) < tight_cap:
-            for bmask in b_all[tight_vec]:
-                if len(stats["tight_pairs"]) >= tight_cap:
-                    break
-                stats["tight_pairs"].append((amask, int(bmask)))
-        if len(stats["ce_pairs"]) < COUNTEREXAMPLE_LIST_CAP:
-            for bmask in b_all[ce_vec]:
-                if len(stats["ce_pairs"]) >= COUNTEREXAMPLE_LIST_CAP:
-                    break
-                stats["ce_pairs"].append((amask, int(bmask)))
+        stats.tight_count += int(tight_vec.sum())
+        stats.counterexample_count += int(ce_vec.sum())
+        room = tight_cap - len(stats.tight)
+        if room > 0:
+            stats.tight += [(amask, int(b)) for b in b_all[tight_vec][:room]]
+        room = COUNTEREXAMPLE_LIST_CAP - len(stats.counterexamples)
+        if room > 0:
+            stats.counterexamples += [(amask, int(b)) for b in b_all[ce_vec][:room]]
     return stats
 
 
 def _single_partition(
     p: int,
+    mode_value: str,
     theorem: str,
     a_lo: int,
     a_hi: int,
     max_set_size: int | None,
     tight_cap: int,
-) -> dict:
+) -> PrimeStats:
     """Single-set sweep over A-masks in [a_lo, a_hi)."""
-    universe = _universe(p, _THEOREM_MODE[theorem])
-    stats = {
-        "examined": 0,
-        "hyp": 0,
-        "holding": 0,
-        "tight_count": 0,
-        "ce_count": 0,
-        "tight_pairs": [],
-        "ce_pairs": [],
-        "contradictions": 0,
-    }
+    universe = _universe(p, GroupMode(mode_value))
+    replayed = THEOREMS[theorem].replayed
+    stats = PrimeStats(p)
     for amask in range(max(a_lo, 1), a_hi):
         if max_set_size is not None and bin(amask).count("1") > max_set_size:
             continue
         info = _single_instance(universe, theorem, amask)
-        stats["examined"] += 1
-        if not info["qualifying"]:
-            continue
-        stats["hyp"] += info["hyp_units"]
-        if theorem == "main":
-            a_set = universe.element_set(amask)
-            for c_idx, _, _ in info["qualifying"]:
-                c = universe.residues[c_idx]
-                try:
-                    symmetric_pair_certificate(a_set, c)
-                except TheoremContradictionError:
-                    stats["contradictions"] += 1
-        if info["bound_ok"]:
-            stats["holding"] += info["hyp_units"]
-            if info["size"] == info["bound"]:
-                stats["tight_count"] += 1
-                if len(stats["tight_pairs"]) < tight_cap:
-                    stats["tight_pairs"].append((amask, None))
-        else:
-            stats["ce_count"] += 1
-            if len(stats["ce_pairs"]) < COUNTEREXAMPLE_LIST_CAP:
-                stats["ce_pairs"].append((amask, None))
+        stats.count(info, (amask, None), tight_cap)
+        if replayed and info["c_indices"]:
+            stats.contradictions += _replay(universe, amask, info["c_indices"])
     return stats
 
 
-def _partition_worker(args) -> dict:
-    kind, payload = args
-    if kind == "pair":
-        return _pair_partition(*payload)
-    return _single_partition(*payload)
-
-
-def _merge_partials(partials: list[dict], tight_cap: int) -> dict:
-    merged = {
-        "examined": 0,
-        "hyp": 0,
-        "holding": 0,
-        "tight_count": 0,
-        "ce_count": 0,
-        "tight_pairs": [],
-        "ce_pairs": [],
-        "contradictions": 0,
-    }
-    for part in partials:
-        merged["examined"] += part["examined"]
-        merged["hyp"] += part["hyp"]
-        merged["holding"] += part["holding"]
-        merged["tight_count"] += part["tight_count"]
-        merged["ce_count"] += part["ce_count"]
-        merged["contradictions"] += part.get("contradictions", 0)
-        merged["tight_pairs"].extend(part["tight_pairs"])
-        merged["ce_pairs"].extend(part["ce_pairs"])
-    merged["tight_pairs"] = merged["tight_pairs"][:tight_cap]
-    merged["ce_pairs"] = merged["ce_pairs"][:COUNTEREXAMPLE_LIST_CAP]
-    return merged
+def _partition_worker(args: tuple) -> PrimeStats:
+    theorem = args[2]
+    partition = _pair_partition if THEOREMS[theorem].pair else _single_partition
+    return partition(*args)
 
 
 def _partition_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
@@ -611,54 +553,25 @@ def _partition_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _materialize(universe: _Universe, theorem: str, merged: dict, attach: bool) -> tuple[list, list]:
-    tight_entries = []
-    for amask, bmask in merged["tight_pairs"]:
-        if bmask is None:
-            info = _single_instance(universe, theorem, amask)
-            entry = _single_entry(universe, info)
-        else:
-            info = _pair_instance(universe, theorem, amask, bmask)
-            entry = _pair_entry(universe, theorem, info)
-        if attach:
-            cert = _certificate_for(universe, theorem, info)
-            if cert is not None:
-                entry["certificate"] = cert.to_json_dict()
-        tight_entries.append(entry)
-    ce_entries = []
-    for amask, bmask in merged["ce_pairs"]:
-        if bmask is None:
-            info = _single_instance(universe, theorem, amask)
-            ce_entries.append(_single_entry(universe, info))
-        else:
-            info = _pair_instance(universe, theorem, amask, bmask)
-            ce_entries.append(_pair_entry(universe, theorem, info))
-    return tight_entries, ce_entries
-
-
-def _certificate_for(universe: _Universe, theorem: str, info: dict):
-    from . import certify
-
-    if theorem == "cover":
-        return certify.hyperbola_cover_certificate(
-            universe.element_set(info["amask"]), universe.element_set(info["bmask"])
-        )
-    if theorem in ("additive", "mult") and info["c_indices"]:
-        builder = (
-            certify.additive_cover_certificate
-            if theorem == "additive"
-            else certify.multiplicative_cover_certificate
-        )
-        c = universe.residues[info["c_indices"][0]]
-        return builder(
-            universe.element_set(info["amask"]),
-            universe.element_set(info["bmask"]),
-            c,
-        )
-    if theorem == "main" and info.get("qualifying"):
-        c = universe.residues[info["qualifying"][0][0]]
-        return symmetric_pair_certificate(universe.element_set(info["amask"]), c)
-    return None
+def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: bool) -> None:
+    """Turn the raw (amask, bmask) pairs of `stats` into report entries; with
+    `attach`, each tight entry carries the certificate for its first target."""
+    build = THEOREMS[theorem].build if attach else None
+    for name, builder in (("tight", build), ("counterexamples", None)):
+        entries = []
+        for amask, bmask in getattr(stats, name):
+            if bmask is None:
+                info = _single_instance(universe, theorem, amask)
+            else:
+                info = _pair_instance(universe, theorem, amask, bmask)
+            entry = _entry(universe, theorem, info)
+            if builder is not None:
+                A = universe.element_set(amask)
+                B = A if bmask is None else universe.element_set(bmask)
+                c = universe.residues[info["c_indices"][0]] if info["c_indices"] else None
+                entry["certificate"] = builder(A, B, c).to_json_dict()
+            entries.append(entry)
+        setattr(stats, name, entries)
 
 
 # --------------------------------------------------------------------------
@@ -676,63 +589,30 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     if config.samples is not None:
         return hunt_counterexample(config)
     mode = config.resolved_mode()
+    is_pair = THEOREMS[config.theorem].pair
     started = time.monotonic()
     per_prime: list[PrimeStats] = []
     for p in config.primes:
         universe = _universe(p, mode)
         total = 1 << universe.m
-        is_pair = config.theorem in PAIR_THEOREMS
         instance_count = (total - 1) ** 2 if is_pair else total - 1
         if instance_count > config.budget:
             raise ValueError(
                 f"exhaustive sweep at p = {p} needs {instance_count} checks, "
                 f"over the budget of {config.budget}"
             )
-        tasks = []
-        for a_lo, a_hi in _partition_ranges(total, config.partitions):
-            if is_pair:
-                payload = (
-                    p,
-                    mode.value,
-                    config.theorem,
-                    a_lo,
-                    a_hi,
-                    config.max_set_size,
-                    config.tight_cap,
-                )
-                tasks.append(("pair", payload))
-            else:
-                payload = (
-                    p,
-                    config.theorem,
-                    a_lo,
-                    a_hi,
-                    config.max_set_size,
-                    config.tight_cap,
-                )
-                tasks.append(("single", payload))
+        tasks = [
+            (p, mode.value, config.theorem, a_lo, a_hi, config.max_set_size, config.tight_cap)
+            for a_lo, a_hi in _partition_ranges(total, config.partitions)
+        ]
         if jobs > 1 and len(tasks) > 1:
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
                 partials = pool.map(_partition_worker, tasks)
         else:
             partials = [_partition_worker(task) for task in tasks]
-        merged = _merge_partials(partials, config.tight_cap)
-        tight_entries, ce_entries = _materialize(
-            universe, config.theorem, merged, config.attach_certificates
-        )
-        per_prime.append(
-            PrimeStats(
-                p=p,
-                examined=merged["examined"],
-                hypothesis_satisfying=merged["hyp"],
-                bound_holding=merged["holding"],
-                tight_count=merged["tight_count"],
-                counterexample_count=merged["ce_count"],
-                contradictions=merged["contradictions"],
-                tight=tight_entries,
-                counterexamples=ce_entries,
-            )
-        )
+        stats = PrimeStats.merge(p, partials, config.tight_cap)
+        _materialize(universe, config.theorem, stats, config.attach_certificates)
+        per_prime.append(stats)
     return Report(
         config=config.echo(),
         prng=None,
@@ -769,57 +649,27 @@ def hunt_counterexample(config: SweepConfig) -> Report:
     if config.samples is None:
         raise ValueError("hunt_counterexample needs a sample count")
     mode = config.resolved_mode()
+    spec = THEOREMS[config.theorem]
     started = time.monotonic()
     rng = SplitMix64(config.seed)
     per_prime: list[PrimeStats] = []
     for p in config.primes:
         universe = _universe(p, mode)
         m = universe.m
-        is_pair = config.theorem in PAIR_THEOREMS
-        stats = PrimeStats(p=p)
-        tight_pairs: list[tuple[int, int | None]] = []
-        ce_pairs: list[tuple[int, int | None]] = []
+        stats = PrimeStats(p)
         for _ in range(config.samples):
             amask = _sample_mask(rng, m, config.max_set_size)
-            bmask = _sample_mask(rng, m, config.max_set_size) if is_pair else None
-            if is_pair:
+            if spec.pair:
+                bmask = _sample_mask(rng, m, config.max_set_size)
                 info = _pair_instance(universe, config.theorem, amask, bmask)
             else:
+                bmask = None
                 info = _single_instance(universe, config.theorem, amask)
-            stats.examined += 1
-            if not info["hyp_units"]:
-                continue
-            stats.hypothesis_satisfying += info["hyp_units"]
-            if info["bound_ok"]:
-                stats.bound_holding += info["hyp_units"]
-                if info["size"] == info["bound"]:
-                    stats.tight_count += 1
-                    if len(tight_pairs) < config.tight_cap:
-                        tight_pairs.append((amask, bmask))
-            else:
-                stats.counterexample_count += 1
-                if len(ce_pairs) < COUNTEREXAMPLE_LIST_CAP:
-                    ce_pairs.append((amask, bmask))
-                if config.theorem == "main":
-                    # replay the certificate so a violation is classified
-                    a_set = universe.element_set(amask)
-                    for c_idx, _, _ in info["qualifying"]:
-                        try:
-                            symmetric_pair_certificate(
-                                a_set, universe.residues[c_idx]
-                            )
-                        except TheoremContradictionError:
-                            stats.contradictions += 1
-        merged = {
-            "tight_pairs": tight_pairs,
-            "ce_pairs": ce_pairs,
-        }
-        stats.tight, stats.counterexamples = _materialize(
-            universe,
-            config.theorem,
-            {**merged, "examined": 0, "hyp": 0, "holding": 0, "tight_count": 0, "ce_count": 0},
-            config.attach_certificates,
-        )
+            stats.count(info, (amask, bmask), config.tight_cap)
+            if spec.replayed and info["c_indices"] and not info["bound_ok"]:
+                # replay the certificate so a violation is classified
+                stats.contradictions += _replay(universe, amask, info["c_indices"])
+        _materialize(universe, config.theorem, stats, config.attach_certificates)
         per_prime.append(stats)
     return Report(
         config=config.echo(),

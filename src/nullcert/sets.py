@@ -5,8 +5,8 @@ additive mode and a * b in multiplicative mode, with the *restricted* variants
 dropping every pair with a = b.  Mode or field mismatch is always a hard
 error, never a coercion.
 
-Sets keep both a sorted element tuple and a residue bitmask; the bitmask is
-what the search sweeps build on.
+Sets keep both a sorted tuple of residues (ints) and a residue bitmask; the
+bitmask is what the search sweeps build on.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class ElementSet:
     Multiplicative-mode sets never contain 0.
     """
 
-    __slots__ = ("field", "mode", "elements", "mask")
+    __slots__ = ("field", "mode", "values", "mask")
 
     def __init__(self, field: PrimeField, mode: GroupMode, elements: Iterable):
         values = sorted({int(field.element(e)) for e in elements})
@@ -51,21 +51,21 @@ class ElementSet:
             raise ValueError("multiplicative-mode sets cannot contain 0")
         self.field = field
         self.mode = mode
-        self.elements = tuple(FieldElement(v, field) for v in values)
+        self.values = tuple(values)
         mask = 0
         for v in values:
             mask |= 1 << v
         self.mask = mask
 
     @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.elements)
+    def elements(self) -> tuple[FieldElement, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.values)
 
     def __iter__(self):
-        return iter(self.elements)
+        return (FieldElement(v, self.field) for v in self.values)
 
     def __contains__(self, item) -> bool:
         try:

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nullcert.certify import (
     BOUND_CERTIFIED,
@@ -444,3 +446,123 @@ def test_json_round_trip_and_tampering():
     data = cert.to_json_dict()
     data["verdict"] = HYPOTHESIS_UNMET
     assert not verify_certificate(data)[0]
+    # a factor list must be the canonical one the builder writes: padded
+    # (with the degree raised to match) or reordered lists are forgeries
+    additive = additive_cover_certificate(mk(7, ADD, [1, 2]), mk(7, ADD, [2, 3]), 3)
+    data = additive.to_json_dict()
+    data["lines"].append([1, 1, 0])
+    data["degree"] += 1
+    assert not verify_certificate(data)[0]
+    data = additive.to_json_dict()
+    data["lines"].reverse()
+    assert not verify_certificate(data)[0]
+    # a single-set certificate must record B = A
+    data = symmetric_pair_certificate(mk(7, MULT, [2, 3]), 6).to_json_dict()
+    data["B"] = [5]
+    assert not verify_certificate(data)[0]
+
+
+# JSON values of every kind, for fuzzing the certificate reader
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-50, 50)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=6,
+)
+# shallow values, with integer lists and lists of those, the shapes certificates use
+_field_values = _json_leaves | st.lists(
+    _json_leaves | st.lists(st.integers(-5, 12), max_size=3), max_size=3
+)
+_CERT_KEYS = sorted(
+    additive_cover_certificate(mk(7, ADD, [0, 1]), mk(7, ADD, [1, 2]), 1).to_json_dict()
+)
+
+
+def _valid_certificates():
+    yield from _sample_certificates()
+    yield additive_cover_certificate(mk(7, ADD, [0, 3]), mk(7, ADD, [1, 4]), 4)
+    yield symmetric_pair_certificate(mk(7, MULT, [2, 3]), 6)
+    yield symmetric_pair_certificate(construct_tight_example(4).A, 1)
+    yield hyperbola_cover_certificate(mk(7, MULT, [1, 2, 4]), mk(7, MULT, [1, 2, 4]))
+
+
+_VALID = [cert.to_json_dict() for cert in _valid_certificates()]
+
+
+def _rejected(data) -> bool:
+    """True when `data` is refused: (False, problems) or a ValueError."""
+    try:
+        ok, problems = verify_certificate(Certificate.from_json_dict(data))
+    except ValueError:
+        return True
+    return not ok and bool(problems)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        _json_values,
+        st.fixed_dictionaries({key: _field_values for key in _CERT_KEYS}),
+    )
+)
+def test_fuzzed_certificate_json_is_rejected_cleanly(data):
+    assert _rejected(data)
+
+
+# The inputs fix the canonical certificate; the remaining fields record the proof.
+_INPUT_KEYS = ("theorem", "p", "mode", "A", "B", "c")
+_PROOF_KEYS = tuple(key for key in _CERT_KEYS if key not in _INPUT_KEYS)
+
+
+@st.composite
+def _mutations(draw, keys):
+    data = json.loads(json.dumps(draw(st.sampled_from(_VALID))))
+    key = draw(st.sampled_from(keys))
+    old = data[key]
+    if isinstance(old, int) and not isinstance(old, bool):
+        new = old + draw(st.integers(-3, 3).filter(bool))
+    elif isinstance(old, list) and old and draw(st.booleans()):
+        new = list(old)
+        edit = draw(st.sampled_from(["drop", "reverse", "append", "bump"]))
+        i = draw(st.integers(0, len(new) - 1))
+        if edit == "drop":
+            del new[i]
+        elif edit == "reverse":
+            new.reverse()
+        elif edit == "append":
+            new.append(new[i])
+        elif isinstance(new[i], list):
+            new[i] = [v + 1 for v in new[i]]
+        else:
+            new[i] = new[i] + 1
+    else:
+        new = draw(_json_values)
+    assume(json.dumps(new) != json.dumps(old))
+    data[key] = new
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations(_PROOF_KEYS))
+def test_mutated_proof_fields_are_rejected(data):
+    assert _rejected(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutations(_INPUT_KEYS))
+def test_mutated_inputs_never_crash_the_verifier(data):
+    # new inputs may well admit a certificate of their own (a different
+    # target with no unique representation is again HypothesisUnmet), so
+    # the verdict is free here; the verifier must answer cleanly
+    try:
+        ok, problems = verify_certificate(Certificate.from_json_dict(data))
+    except ValueError:
+        return
+    assert ok == (not problems)

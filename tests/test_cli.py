@@ -109,6 +109,12 @@ def test_certificate_main_single_set(tmp_path):
     data = json.loads(out.read_text())
     assert data["verdict"] == "DirectlySatisfied"
     assert data["summands"] == [1, 6]
+    # --b may repeat the set in any order
+    assert run(["certificate", "--theorem", "main", "--mode", "mult", "--prime", "7",
+                "--a", "3,2", "--b", "2,3", "--c", "6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == data
+    assert run(["certificate", "--theorem", "main", "--mode", "mult", "--prime", "7",
+                "--a", "2,3", "--b", "2,4", "--c", "6"]) == 2
 
 
 def test_certificate_config_errors(tmp_path, capsys):
@@ -134,6 +140,33 @@ def test_reverify_detects_tampering(tmp_path):
 
 def test_reverify_missing_file():
     assert run(["reverify", "--in", "/nonexistent/cert.json"]) == 2
+
+
+def _cert_json(tmp_path):
+    out = tmp_path / "cert.json"
+    run(["certificate", "--mode", "mult", "--prime", "7",
+         "--a", "1,2", "--b", "2,3", "--c", "3", "--out", str(out)])
+    return json.loads(out.read_text())
+
+
+def test_reverify_malformed_input_exits_2_with_one_line(tmp_path, capsys):
+    without_a = _cert_json(tmp_path)
+    del without_a["A"]
+    empty_exceptional = _cert_json(tmp_path)
+    empty_exceptional["exceptional"] = []
+    capsys.readouterr()
+    for name, data in [
+        ("array.json", [1, 2, 3]),
+        ("empty.json", {}),
+        ("empty_exceptional.json", empty_exceptional),
+        ("without_a.json", without_a),
+    ]:
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        assert run(["reverify", "--in", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed certificate: "), err
+        assert err.count("\n") == 1, err
 
 
 # -------------------------------------------------------------------- tight
