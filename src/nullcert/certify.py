@@ -189,12 +189,6 @@ def _unmet(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
     )
 
 
-def _target(field: PrimeField, c) -> FieldElement:
-    if c is None:
-        raise ValueError("this certificate needs a target c")
-    return field.element(c)
-
-
 def _factor_profile(
     p: int,
     lines: Sequence[tuple[int, int, int]],
@@ -233,7 +227,7 @@ def additive_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certificate:
     if A.mode is not GroupMode.ADDITIVE or B.mode is not GroupMode.ADDITIVE:
         raise ValueError("additive certificate needs additive-mode sets")
     field = A.field
-    c = _target(field, c)
+    c = field.element(c)
     reps = representations(A, B, c, restricted=True)
     if len(reps) != 1:
         return _unmet("additive", A, B, c)
@@ -277,7 +271,7 @@ def multiplicative_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certifi
     if A.mode is not GroupMode.MULTIPLICATIVE or B.mode is not GroupMode.MULTIPLICATIVE:
         raise ValueError("multiplicative certificate needs multiplicative-mode sets")
     field = A.field
-    c = _target(field, c)
+    c = field.element(c)
     reps = representations(A, B, c, restricted=True)
     if len(reps) != 1:
         return _unmet("mult", A, B, c)
@@ -382,7 +376,7 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
         raise ValueError("symmetric-pair certificate needs a multiplicative-mode set")
     field = A.field
     p = field.p
-    c = _target(field, c)
+    c = field.element(c)
     reps = representations(A, A, c, restricted=True)
     if len(reps) != 2 or (reps[0].a.value, reps[0].b.value) != (
         reps[1].b.value,

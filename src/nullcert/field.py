@@ -8,6 +8,8 @@ operation is pure.
 
 from __future__ import annotations
 
+import operator
+
 PRIMALITY_CAP = 1 << 20
 PRIME_SEARCH_CAP = 1 << 20
 
@@ -70,12 +72,17 @@ class PrimeField:
         return f"GF({self.p})"
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int (reduced mod p) or an element of this field."""
+        """Coerce an int (reduced mod p) or an element of this field; any
+        other value, None included, raises ValueError."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise ValueError(f"element of {value.field} is not in {self}")
             return value
-        return FieldElement(int(value) % self.p, self)
+        try:
+            residue = operator.index(value) % self.p
+        except TypeError:
+            raise ValueError(f"{value!r} is not an integer or an element of {self}") from None
+        return FieldElement(residue, self)
 
     def zero(self) -> "FieldElement":
         return FieldElement(0, self)

@@ -4,9 +4,11 @@ The sweeps enumerate subsets of the additive group Z_p or of the
 multiplicative group GF(p)* (mapped to exponents of the smallest primitive
 root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
-bitmasks; the exhaustive pair sweeps run as vectorized gather/or passes over
-precomputed cyclic-shift tables, which is what keeps the p = 11 all-pairs
-sweeps in the seconds range.
+bitmasks.  The exhaustive sweeps evaluate whole numpy arrays of masks at a
+time with one arithmetic cyclic rotate: a pair sweep evaluates one A against
+every B, a single-set sweep a block of A-masks.  A single-set sweep replays
+the `main` certificate only where the bound fails, the one case in which it
+can raise.
 
 Instance accounting, used consistently by reports:
 
@@ -182,6 +184,25 @@ class PrimeStats:
             if len(self.counterexamples) < COUNTEREXAMPLE_LIST_CAP:
                 self.counterexamples.append(key)
 
+    def count_block(self, size, bound, units, tight_cap: int, key) -> np.ndarray:
+        """Add a block of examined instances given as arrays of sizes, bounds
+        and hypothesis units; `key(i)` is the (amask, bmask) key of the i-th.
+        Returns the flags of the instances that violate the bound."""
+        self.examined += len(size)
+        ok = size >= bound
+        has_c = units > 0
+        self.hypothesis_satisfying += int(units.sum())
+        self.bound_holding += int(units[ok].sum())
+        tight = has_c & ok & (size == bound)
+        violated = has_c & ~ok
+        self.tight_count += int(tight.sum())
+        self.counterexample_count += int(violated.sum())
+        room = tight_cap - len(self.tight)
+        self.tight += [key(i) for i in np.flatnonzero(tight)[:room]]
+        room = COUNTEREXAMPLE_LIST_CAP - len(self.counterexamples)
+        self.counterexamples += [key(i) for i in np.flatnonzero(violated)[:room]]
+        return violated
+
     @classmethod
     def merge(cls, p: int, parts: list["PrimeStats"], tight_cap: int) -> "PrimeStats":
         """Sum of partition stats; entry lists concatenate in partition order."""
@@ -303,9 +324,9 @@ def _universe(p: int, mode: GroupMode) -> _Universe:
     return _Universe(PrimeField(p), mode)
 
 
-def _cyclic_shift(mask: int, a: int, m: int) -> int:
-    full = (1 << m) - 1
-    return ((mask << a) | (mask >> (m - a))) & full if a else mask & full
+def _cyclic_shift(mask, a: int, m: int):
+    """Rotate an m-bit mask, or a uint32 array of them, by a places (0 <= a < m)."""
+    return ((mask << a) | (mask >> (m - a))) & ((1 << m) - 1)
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -427,21 +448,38 @@ def _replay(universe: _Universe, amask: int, c_indices: list[int]) -> int:
 
 
 # --------------------------------------------------------------------------
-# vectorized exhaustive pair sweep
+# vectorized exhaustive sweeps
 # --------------------------------------------------------------------------
 
+# A-masks per array in a single-set sweep; bounds the kernel's memory.
+_BLOCK = 4096
 
-def _tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cyclic-shift table, popcount table) for masks over m group indices."""
-    size = 1 << m
-    masks = np.arange(size, dtype=np.uint32)
-    full = np.uint32(size - 1)
-    shift = np.empty((m, size), dtype=np.uint32)
-    shift[0] = masks
-    for a in range(1, m):
-        shift[a] = ((masks << np.uint32(a)) | (masks >> np.uint32(m - a))) & full
-    pop = np.bitwise_count(masks).astype(np.int64)
-    return shift, pop
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).astype(np.int64)
+
+
+def _pair_eval(theorem: str, m: int, amask: int, bmasks: np.ndarray) -> tuple:
+    """`_pair_instance` for one A over an array of B-masks: arrays of the
+    size of A o B, the bound and the hypothesis units."""
+    spec = THEOREMS[theorem]
+    full = (1 << m) - 1
+    a_bits = _mask_bits(amask)
+    once = np.zeros_like(bmasks)
+    twice = np.zeros_like(bmasks)
+    for a in a_bits:
+        shifted = _cyclic_shift(bmasks & (full ^ 1 << a) if spec.restricted else bmasks, a, m)
+        twice |= once & shifted
+        once |= shifted
+    size = _popcount(once)
+    bound = len(a_bits) + _popcount(bmasks) - spec.offset
+    if theorem != "cover":
+        return size, bound, _popcount(once & ~twice)
+    # |N|: a in A and B whose square (index 2a) is missing from A x. B
+    n_size = np.zeros(len(bmasks), dtype=np.int64)
+    for a in a_bits:
+        n_size += (bmasks >> a) & ~(once >> (2 * a % m)) & 1
+    return size, bound - n_size // 2, (n_size > 0).astype(np.int64)
 
 
 def _pair_partition(
@@ -454,61 +492,50 @@ def _pair_partition(
     tight_cap: int,
 ) -> PrimeStats:
     """Sweep A-masks in [a_lo, a_hi) against every B; returns partial stats."""
-    spec = THEOREMS[theorem]
-    universe = _universe(p, GroupMode(mode_value))
-    m = universe.m
-    shift, pop = _tables(m)
+    m = _universe(p, GroupMode(mode_value)).m
     b_all = np.arange(1, 1 << m, dtype=np.uint32)
     if max_set_size is not None:
-        b_all = b_all[pop[b_all] <= max_set_size]
-    size_b = pop[b_all]
+        b_all = b_all[np.bitwise_count(b_all) <= max_set_size]
     stats = PrimeStats(p)
     for amask in range(max(a_lo, 1), a_hi):
-        a_bits = _mask_bits(amask)
-        size_a = len(a_bits)
-        if max_set_size is not None and size_a > max_set_size:
+        if max_set_size is not None and amask.bit_count() > max_set_size:
             continue
-        once = np.zeros(len(b_all), dtype=np.uint32)
-        twice = np.zeros(len(b_all), dtype=np.uint32)
-        for a in a_bits:
-            idx = b_all & np.uint32(~(1 << a) & 0xFFFFFFFF) if spec.restricted else b_all
-            shifted = shift[a][idx]
-            twice |= once & shifted
-            once |= shifted
-        size_s = pop[once]
-        stats.examined += len(b_all)
-        bound = size_a + size_b - spec.offset
-        if theorem == "cover":
-            nsize = np.zeros(len(b_all), dtype=np.int64)
-            for a in a_bits:
-                in_b = ((b_all >> np.uint32(a)) & np.uint32(1)).astype(np.int64)
-                sq = 2 * a % m
-                not_in_s = 1 - ((once >> np.uint32(sq)) & np.uint32(1)).astype(np.int64)
-                nsize += in_b & not_in_s
-            hyp = nsize > 0
-            bound = bound - nsize // 2
-            ok = size_s >= bound
-            stats.hypothesis_satisfying += int(hyp.sum())
-            stats.bound_holding += int((hyp & ok).sum())
-            tight_vec = hyp & ok & (size_s == bound)
-            ce_vec = hyp & ~ok
-        else:
-            unique_counts = pop[once & ~twice]
-            ok = size_s >= bound
-            stats.hypothesis_satisfying += int(unique_counts.sum())
-            stats.bound_holding += int(unique_counts[ok].sum())
-            has_c = unique_counts > 0
-            tight_vec = has_c & ok & (size_s == bound)
-            ce_vec = has_c & ~ok
-        stats.tight_count += int(tight_vec.sum())
-        stats.counterexample_count += int(ce_vec.sum())
-        room = tight_cap - len(stats.tight)
-        if room > 0:
-            stats.tight += [(amask, int(b)) for b in b_all[tight_vec][:room]]
-        room = COUNTEREXAMPLE_LIST_CAP - len(stats.counterexamples)
-        if room > 0:
-            stats.counterexamples += [(amask, int(b)) for b in b_all[ce_vec][:room]]
+        size, bound, units = _pair_eval(theorem, m, amask, b_all)
+        stats.count_block(size, bound, units, tight_cap, lambda i: (amask, int(b_all[i])))
     return stats
+
+
+def _subgroup_mask(k: int, m: int) -> int:
+    """The d in Z_m with k * d = 0 (mod m), as a mask."""
+    return sum(1 << d for d in range(m) if k * d % m == 0)
+
+
+def _single_eval(theorem: str, m: int, amasks: np.ndarray) -> tuple:
+    """`_single_instance` over an array of A-masks: arrays of the size of
+    A o. A and the bound, and the masks of the qualifying targets."""
+    full = (1 << m) - 1
+    once = np.zeros_like(amasks)
+    twice = np.zeros_like(amasks)
+    three = np.zeros_like(amasks)
+    n = _popcount(amasks)
+    main = theorem == "main"
+    if main:
+        # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
+        # subgroup killed by n - 2; `excluded` collects the targets of such pairs
+        killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=np.uint32)[n]
+        excluded = np.zeros_like(amasks)
+    for a in range(m):
+        in_a = -((amasks >> a) & 1)  # all ones where a is in A
+        shifted = _cyclic_shift(amasks & (full ^ 1 << a), a, m) & in_a
+        three |= twice & shifted
+        twice |= once & shifted
+        once |= shifted
+        if main:
+            excluded |= shifted & _cyclic_shift(killed, 2 * a % m, m)
+    qualifying = twice & ~three
+    if main:
+        qualifying &= ~excluded
+    return _popcount(once), 2 * n - THEOREMS[theorem].offset, qualifying
 
 
 def _single_partition(
@@ -520,17 +547,23 @@ def _single_partition(
     max_set_size: int | None,
     tight_cap: int,
 ) -> PrimeStats:
-    """Single-set sweep over A-masks in [a_lo, a_hi)."""
+    """Single-set sweep over A-masks in [a_lo, a_hi), a block at a time."""
     universe = _universe(p, GroupMode(mode_value))
     replayed = THEOREMS[theorem].replayed
     stats = PrimeStats(p)
-    for amask in range(max(a_lo, 1), a_hi):
-        if max_set_size is not None and bin(amask).count("1") > max_set_size:
-            continue
-        info = _single_instance(universe, theorem, amask)
-        stats.count(info, (amask, None), tight_cap)
-        if replayed and info["c_indices"]:
-            stats.contradictions += _replay(universe, amask, info["c_indices"])
+    for lo in range(max(a_lo, 1), a_hi, _BLOCK):
+        amasks = np.arange(lo, min(lo + _BLOCK, a_hi), dtype=np.uint32)
+        if max_set_size is not None:
+            amasks = amasks[np.bitwise_count(amasks) <= max_set_size]
+        size, bound, qualifying = _single_eval(theorem, universe.m, amasks)
+        violated = stats.count_block(
+            size, bound, _popcount(qualifying), tight_cap, lambda i: (int(amasks[i]), None)
+        )
+        if replayed:
+            # the certificate can raise only where the bound fails
+            for i in np.flatnonzero(violated):
+                c_indices = _mask_bits(int(qualifying[i]))
+                stats.contradictions += _replay(universe, int(amasks[i]), c_indices)
     return stats
 
 

@@ -8,6 +8,13 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import settings
+
+# Property tests run arbitrary work per example and, on failure, print the
+# blob that replays the failing example with @reproduce_failure.
+settings.register_profile("nullcert", deadline=None, print_blob=True)
+settings.load_profile("nullcert")
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: returns (g, x, y) with a*x + b*y = g."""

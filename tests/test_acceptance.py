@@ -77,16 +77,20 @@ def test_criterion_02_multiplicative_sweep_exhaustive():
 
 def test_criterion_03_symmetric_pair_sweep_exhaustive():
     report = exhaustive_verify(
-        SweepConfig(theorem="main", primes=(2, 3, 5, 7, 11, 13))
+        SweepConfig(theorem="main", primes=(2, 3, 5, 7, 11, 13, 17))
     )
     assert report.counterexample_total == 0
     assert report.contradiction_total == 0
     stats13 = report.stats_for(13)
-    assert stats13.examined == 2**12 - 1
-    assert stats13.hypothesis_satisfying > 0
+    assert (stats13.examined, stats13.hypothesis_satisfying, stats13.tight_count) == (
+        4095, 15036, 584,
+    )
+    stats17 = report.stats_for(17)
+    assert stats17.examined == 2**16 - 1
+    assert stats17.bound_holding == stats17.hypothesis_satisfying > 0
     _report(
         "criterion 3",
-        f"two-representation sweep p <= 13, "
+        f"two-representation sweep p <= 17, "
         f"{sum(s.hypothesis_satisfying for s in report.per_prime)} (A, c) "
         "instances, 0 counterexamples, contradiction branch fired 0 times",
     )

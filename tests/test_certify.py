@@ -195,6 +195,8 @@ def test_summand_preconditions():
         symmetric_pair_summand(2, 5, A, 3)
     with pytest.raises(ValueError):
         symmetric_pair_summand(2, 3, A, 5)  # c != a*b
+    with pytest.raises(ValueError):
+        symmetric_pair_summand(2, 3, A, None)  # no target
 
 
 def _theorem_polynomial(field, A_vals, c):
@@ -505,7 +507,7 @@ def _rejected(data) -> bool:
     return not ok and bool(problems)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.one_of(
         _json_values,
@@ -549,13 +551,13 @@ def _mutations(draw, keys):
     return data
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_mutations(_PROOF_KEYS))
 def test_mutated_proof_fields_are_rejected(data):
     assert _rejected(data)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_mutations(_INPUT_KEYS))
 def test_mutated_inputs_never_crash_the_verifier(data):
     # new inputs may well admit a certificate of their own (a different

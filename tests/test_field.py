@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from nullcert.field import (
@@ -53,6 +54,15 @@ def test_field_mismatch_rejected():
         a * b
     with pytest.raises(ValueError):
         PrimeField(5).element(b)
+
+
+def test_element_rejects_non_integers():
+    f = PrimeField(7)
+    assert f.element(np.int64(9)).value == 2
+    assert f.element(-1).value == 6
+    for value in (None, 2.0, "3", [1]):
+        with pytest.raises(ValueError, match="not an integer"):
+            f.element(value)
 
 
 def test_order_examples():

@@ -1,7 +1,14 @@
-import pytest
+import dataclasses
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nullcert import search
+from nullcert.certify import THEOREMS, TheoremContradictionError
 from nullcert.search import (
     DEFAULT_BUDGET,
+    PrimeStats,
     Report,
     SplitMix64,
     SweepConfig,
@@ -123,7 +130,7 @@ def test_pair_sweep_matches_slow_oracle(theorem, mode, p):
 
 
 @pytest.mark.parametrize("theorem", ["main", "corollary-add", "corollary-mult"])
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11])
 def test_single_sweep_matches_slow_oracle(theorem, p):
     report = exhaustive_verify(SweepConfig(theorem=theorem, primes=(p,)))
     stats = report.stats_for(p)
@@ -137,6 +144,107 @@ def test_single_sweep_matches_slow_oracle(theorem, p):
     )
     assert got == expected
     assert stats.contradictions == 0
+
+
+# ------------------------------------- vectorized kernels vs the reference
+
+
+@pytest.mark.parametrize("theorem", ["main", "corollary-add", "corollary-mult"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_single_kernel_matches_reference_per_mask(theorem, p):
+    universe = search._universe(p, THEOREMS[theorem].mode)
+    amasks = np.arange(1, 1 << universe.m, dtype=np.uint32)
+    size, bound, qualifying = search._single_eval(theorem, universe.m, amasks)
+    got = list(zip(size.tolist(), bound.tolist(), np.bitwise_count(qualifying).tolist()))
+    expected = []
+    for amask in range(1, 1 << universe.m):
+        info = search._single_instance(universe, theorem, amask)
+        expected.append((info["size"], info["bound"], info["hyp_units"]))
+    assert got == expected
+
+
+_PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def _pair_cases(draw):
+    theorem = draw(st.sampled_from(["ks", "additive", "mult", "cover"]))
+    mode = THEOREMS[theorem].mode or draw(st.sampled_from(list(GroupMode)))
+    universe = search._universe(draw(st.sampled_from(_PRIMES_TO_31)), mode)
+    masks = st.integers(1, (1 << universe.m) - 1)
+    return theorem, universe, draw(masks), draw(st.lists(masks, min_size=1, max_size=8))
+
+
+@settings(max_examples=200)
+@given(_pair_cases())
+def test_pair_kernel_matches_reference_and_oracles(case):
+    theorem, universe, amask, bmasks = case
+    p = universe.field.p
+    mode_tag = "add" if universe.mode is GroupMode.ADDITIVE else "mult"
+    restricted = theorem != "ks"
+    size, bound, units = search._pair_eval(
+        theorem, universe.m, amask, np.array(bmasks, dtype=np.uint32)
+    )
+    A = universe.mask_to_values(amask)
+    for i, bmask in enumerate(bmasks):
+        info = search._pair_instance(universe, theorem, amask, bmask)
+        got = (int(size[i]), int(bound[i]), int(units[i]))
+        assert got == (info["size"], info["bound"], info["hyp_units"])
+        B = universe.mask_to_values(bmask)
+        assert got[0] == len(combine_oracle(mode_tag, p, A, B, restricted))
+        if theorem == "cover":
+            n_len = len(exceptional_square_oracle(p, A, B))
+            assert got[1:] == (len(A) + len(B) - 2 - n_len // 2, int(n_len > 0))
+        else:
+            counts = rep_count_oracle(mode_tag, p, A, B, restricted)
+            uniques = sum(1 for k in counts.values() if k == 1)
+            assert got[1:] == (len(A) + len(B) - THEOREMS[theorem].offset, uniques)
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_counterexample_path_matches_reference_loop(monkeypatch, partitions):
+    # no real theorem fails, so weaken `main` by one and let every other
+    # replay "raise" to exercise the violation and contradiction paths
+    monkeypatch.setitem(THEOREMS, "main", dataclasses.replace(THEOREMS["main"], offset=2))
+    monkeypatch.setattr(search, "COUNTEREXAMPLE_LIST_CAP", 7)
+    real_certificate = search.symmetric_pair_certificate
+
+    def flaky_certificate(A, c):
+        if (len(A) + c) % 2:
+            raise TheoremContradictionError("injected")
+        return real_certificate(A, c)
+
+    monkeypatch.setattr(search, "symmetric_pair_certificate", flaky_certificate)
+    p = 11
+    report = exhaustive_verify(SweepConfig(theorem="main", primes=(p,), partitions=partitions))
+    universe = search._universe(p, GroupMode.MULTIPLICATIVE)
+    expected = PrimeStats(p)
+    for amask in range(1, 1 << universe.m):
+        info = search._single_instance(universe, "main", amask)
+        expected.count(info, (amask, None), search.DEFAULT_TIGHT_CAP)
+        if info["c_indices"] and not info["bound_ok"]:
+            expected.contradictions += search._replay(universe, amask, info["c_indices"])
+    search._materialize(universe, "main", expected, attach=False)
+    assert report.stats_for(p).to_json_dict() == expected.to_json_dict()
+    assert len(expected.counterexamples) == 7
+    assert expected.counterexample_count > 7
+    assert 0 < expected.contradictions
+
+
+@pytest.mark.parametrize("theorem", ["main", "corollary-add"])
+def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
+    def run(partitions, jobs=1):
+        config = SweepConfig(theorem=theorem, primes=(11,), partitions=partitions, tight_cap=5)
+        data = exhaustive_verify(config, jobs=jobs).to_json_dict()
+        data["config"].pop("partitions")
+        return data
+
+    reference = run(1)
+    assert len(reference["per_prime"][0]["tight"]) == 5
+    monkeypatch.setattr(search, "_BLOCK", 100)
+    assert run(1) == reference
+    assert run(3) == reference
+    assert run(3, jobs=2) == reference
 
 
 # ----------------------------------------------------------- determinism
