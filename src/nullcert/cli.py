@@ -120,6 +120,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("choose --exhaustive or --samples N --seed S")
     if args.samples is not None and args.exhaustive:
         raise ValueError("--exhaustive and --samples are mutually exclusive")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1; got {args.jobs}")
     budget = args.budget
     if budget is None:
         budget = int(os.environ.get("NULLCERT_BUDGET", search.DEFAULT_BUDGET))

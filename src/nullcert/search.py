@@ -4,11 +4,12 @@ The sweeps enumerate subsets of the additive group Z_p or of the
 multiplicative group GF(p)* (mapped to exponents of the smallest primitive
 root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
-bitmasks.  The exhaustive sweeps evaluate whole numpy arrays of masks at a
-time with one arithmetic cyclic rotate: a pair sweep evaluates one A against
-every B, a single-set sweep a block of A-masks.  A single-set sweep replays
-the `main` certificate only where the bound fails, the one case in which it
-can raise.
+bitmasks.  The sweeps evaluate whole numpy arrays of masks at a time with one
+arithmetic cyclic rotate: an exhaustive pair sweep evaluates one A against
+every B, a single-set sweep a block of A-masks, and a sampled hunt a block of
+drawn sets or pairs while masks fit in 63 bits (beyond, it checks each draw
+on its own).  The `main` certificate is replayed only where the bound fails,
+the one case in which it can raise.
 
 Instance accounting, used consistently by reports:
 
@@ -24,8 +25,9 @@ Instance accounting, used consistently by reports:
                                carrying every qualifying c.
 
 Sampling uses splitmix64 (64-bit state; the state advances by the golden
-constant once per draw), recorded in the report for cross-implementation
-reproducibility.
+constant once per word, so word k is the mix of seed + k * golden), recorded
+in the report for cross-implementation reproducibility; `_draw_masks` fixes
+how words become sets.
 """
 
 from __future__ import annotations
@@ -54,7 +56,12 @@ ALL_THEOREMS = tuple(THEOREMS)
 
 
 class SplitMix64:
-    """splitmix64 PRNG: 64-bit state, one golden-ratio increment per draw."""
+    """splitmix64 PRNG: 64-bit state, one golden-ratio increment per word.
+
+    The state is a counter: word k (from 1) is a fixed mix of
+    seed + k * golden (mod 2^64), so a block of words is one array
+    computation, and words fetched but not used are handed back by stepping
+    the state back."""
 
     _MASK = (1 << 64) - 1
     _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,8 +76,18 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
         return z ^ (z >> 31)
 
-    def below(self, n: int) -> int:
-        return self.next_word() % n
+    def next_words(self, count: int) -> np.ndarray:
+        """The next `count` words as a uint64 array (arithmetic wraps mod 2^64)."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + steps * np.uint64(self._GOLDEN)
+        self.state = (self.state + count * self._GOLDEN) & self._MASK
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> 31)
+
+    def unread(self, count: int) -> None:
+        """Hand back the last `count` words fetched: they come again next."""
+        self.state = (self.state - count * self._GOLDEN) & self._MASK
 
 
 @dataclass(frozen=True)
@@ -106,6 +123,8 @@ class SweepConfig:
         if not self.primes:
             raise ValueError("at least one prime is required")
         self.resolved_mode()
+        if self.seed is not None and not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64); got {self.seed}")
         if self.samples is not None:
             if self.samples < 0:
                 raise ValueError("sample count must be >= 0")
@@ -164,25 +183,6 @@ class PrimeStats:
     contradictions: int = 0
     tight: list = dataclass_field(default_factory=list)
     counterexamples: list = dataclass_field(default_factory=list)
-
-    def count(self, info: dict, key: tuple, tight_cap: int) -> None:
-        """Add one examined instance, described by `_pair_instance` or
-        `_single_instance`, under its (amask, bmask) key."""
-        self.examined += 1
-        units = info["hyp_units"]
-        if not units:
-            return
-        self.hypothesis_satisfying += units
-        if info["bound_ok"]:
-            self.bound_holding += units
-            if info["size"] == info["bound"]:
-                self.tight_count += 1
-                if len(self.tight) < tight_cap:
-                    self.tight.append(key)
-        else:
-            self.counterexample_count += 1
-            if len(self.counterexamples) < COUNTEREXAMPLE_LIST_CAP:
-                self.counterexamples.append(key)
 
     def count_block(self, size, bound, units, tight_cap: int, key) -> np.ndarray:
         """Add a block of examined instances given as arrays of sizes, bounds
@@ -331,12 +331,10 @@ def _cyclic_shift(mask, a: int, m: int):
 
 def _mask_bits(mask: int) -> list[int]:
     bits = []
-    k = 0
     while mask:
-        if mask & 1:
-            bits.append(k)
-        mask >>= 1
-        k += 1
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
     return bits
 
 
@@ -448,10 +446,11 @@ def _replay(universe: _Universe, amask: int, c_indices: list[int]) -> int:
 
 
 # --------------------------------------------------------------------------
-# vectorized exhaustive sweeps
+# vectorized kernels and exhaustive sweeps
 # --------------------------------------------------------------------------
 
-# A-masks per array in a single-set sweep; bounds the kernel's memory.
+# A-masks per array in a single-set sweep, draws per array in a sampled hunt
+# and words per PRNG fetch; bounds the kernels' memory.
 _BLOCK = 4096
 
 
@@ -459,26 +458,33 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
-def _pair_eval(theorem: str, m: int, amask: int, bmasks: np.ndarray) -> tuple:
-    """`_pair_instance` for one A over an array of B-masks: arrays of the
-    size of A o B, the bound and the hypothesis units."""
+def _pair_eval(theorem: str, m: int, amask, bmasks: np.ndarray) -> tuple:
+    """`_pair_instance` over an array of B-masks: arrays of the size of
+    A o B, the bound and the hypothesis units.  `amask` is one A (an int)
+    for every B, or an array holding the A of each B."""
     spec = THEOREMS[theorem]
     full = (1 << m) - 1
-    a_bits = _mask_bits(amask)
+    one_a = isinstance(amask, int)
+    a_bits = _mask_bits(amask if one_a else int(np.bitwise_or.reduce(amask)))
     once = np.zeros_like(bmasks)
     twice = np.zeros_like(bmasks)
     for a in a_bits:
-        shifted = _cyclic_shift(bmasks & (full ^ 1 << a) if spec.restricted else bmasks, a, m)
+        shifted = bmasks & (full ^ 1 << a) if spec.restricted else bmasks
+        if not one_a:
+            shifted = shifted & -((amask >> a) & 1)  # nothing where a is not in A
+        shifted = _cyclic_shift(shifted, a, m)
         twice |= once & shifted
         once |= shifted
     size = _popcount(once)
-    bound = len(a_bits) + _popcount(bmasks) - spec.offset
+    bound = (len(a_bits) if one_a else _popcount(amask)) + _popcount(bmasks) - spec.offset
     if theorem != "cover":
         return size, bound, _popcount(once & ~twice)
     # |N|: a in A and B whose square (index 2a) is missing from A x. B
-    n_size = np.zeros(len(bmasks), dtype=np.int64)
+    both = bmasks if one_a else bmasks & amask
+    n_size = np.zeros_like(bmasks)
     for a in a_bits:
-        n_size += (bmasks >> a) & ~(once >> (2 * a % m)) & 1
+        n_size += (both >> a) & ~(once >> (2 * a % m)) & 1
+    n_size = n_size.astype(np.int64)
     return size, bound - n_size // 2, (n_size > 0).astype(np.int64)
 
 
@@ -522,7 +528,7 @@ def _single_eval(theorem: str, m: int, amasks: np.ndarray) -> tuple:
     if main:
         # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
         # subgroup killed by n - 2; `excluded` collects the targets of such pairs
-        killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=np.uint32)[n]
+        killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amasks.dtype)[n]
         excluded = np.zeros_like(amasks)
     for a in range(m):
         in_a = -((amasks >> a) & 1)  # all ones where a is in A
@@ -619,6 +625,8 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     the same report as a single-partition run.
     """
     config.validate()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1; got {jobs}")
     if config.samples is not None:
         return hunt_counterexample(config)
     mode = config.resolved_mode()
@@ -654,35 +662,57 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     )
 
 
-def _sample_mask(rng: SplitMix64, m: int, max_set_size: int | None) -> int:
-    """One random nonempty subset mask; documented draw order for replay.
+def _draw_masks(rng: SplitMix64, m: int, max_set_size: int | None, count: int) -> list[int]:
+    """`count` random nonempty subset masks; documented draw order for replay.
 
     With a size cap: draw size = 1 + (word mod min(cap, m)), then draw that
-    many distinct indices, redrawing collisions.  Without a cap: draw
-    ceil(m / 64) words, truncate to m bits, redraw an empty mask.
+    many distinct indices as word mod m, redrawing collisions.  Without a
+    cap: draw ceil(m / 64) words, the k-th filling bits 64k and up, truncate
+    to m bits, redraw an empty mask.  The words come a block at a time and
+    those left over are handed back, so `rng` ends where a word-by-word
+    draw would.
     """
-    if max_set_size is not None:
-        size = 1 + rng.below(min(max_set_size, m))
+    words: list[int] = []
+    used = 0
+
+    def word() -> int:
+        nonlocal words, used
+        if used == len(words):
+            words, used = rng.next_words(_BLOCK).tolist(), 0
+        used += 1
+        return words[used - 1]
+
+    full = (1 << m) - 1
+    masks = []
+    for _ in range(count):
         mask = 0
-        while bin(mask).count("1") < size:
-            mask |= 1 << rng.below(m)
-        return mask
-    while True:
-        mask = 0
-        for chunk in range((m + 63) // 64):
-            mask |= rng.next_word() << (64 * chunk)
-        mask &= (1 << m) - 1
-        if mask:
-            return mask
+        if max_set_size is not None:
+            size = 1 + word() % min(max_set_size, m)
+            while mask.bit_count() < size:
+                mask |= 1 << word() % m
+        else:
+            while not mask:
+                for chunk in range((m + 63) // 64):
+                    mask |= word() << (64 * chunk)
+                mask &= full
+        masks.append(mask)
+    rng.unread(len(words) - used)
+    return masks
 
 
 def hunt_counterexample(config: SweepConfig) -> Report:
-    """Sampled version of the sweep: seeded, reproducible, same checks."""
+    """Sampled version of the sweep: seeded, reproducible, same checks.
+
+    Draws are evaluated a block of `_BLOCK` at a time: as uint64 mask arrays
+    through the exhaustive kernels while masks fit in 63 bits, one draw at a
+    time through the reference checks beyond.
+    """
     config.validate()
     if config.samples is None:
         raise ValueError("hunt_counterexample needs a sample count")
     mode = config.resolved_mode()
-    spec = THEOREMS[config.theorem]
+    theorem = config.theorem
+    spec = THEOREMS[theorem]
     started = time.monotonic()
     rng = SplitMix64(config.seed)
     per_prime: list[PrimeStats] = []
@@ -690,19 +720,41 @@ def hunt_counterexample(config: SweepConfig) -> Report:
         universe = _universe(p, mode)
         m = universe.m
         stats = PrimeStats(p)
-        for _ in range(config.samples):
-            amask = _sample_mask(rng, m, config.max_set_size)
-            if spec.pair:
-                bmask = _sample_mask(rng, m, config.max_set_size)
-                info = _pair_instance(universe, config.theorem, amask, bmask)
+        for done in range(0, config.samples, _BLOCK):
+            count = min(_BLOCK, config.samples - done)
+            masks = _draw_masks(rng, m, config.max_set_size, 2 * count if spec.pair else count)
+            # a pair theorem draws A and B alternately
+            amasks = masks[::2] if spec.pair else masks
+            bmasks = masks[1::2] if spec.pair else [None] * count
+            if m < 64:  # the rotate shifts uint64 masks right by up to m bits
+                a_arr = np.array(amasks, dtype=np.uint64)
+                if spec.pair:
+                    size, bound, units = _pair_eval(
+                        theorem, m, a_arr, np.array(bmasks, dtype=np.uint64)
+                    )
+                else:
+                    size, bound, qualifying = _single_eval(theorem, m, a_arr)
+                    units = _popcount(qualifying)
             else:
-                bmask = None
-                info = _single_instance(universe, config.theorem, amask)
-            stats.count(info, (amask, bmask), config.tight_cap)
-            if spec.replayed and info["c_indices"] and not info["bound_ok"]:
+                infos = [
+                    _single_instance(universe, theorem, amask)
+                    if bmask is None
+                    else _pair_instance(universe, theorem, amask, bmask)
+                    for amask, bmask in zip(amasks, bmasks)
+                ]
+                size, bound, units = (
+                    np.array([info[key] for info in infos], dtype=np.int64)
+                    for key in ("size", "bound", "hyp_units")
+                )
+            violated = stats.count_block(
+                size, bound, units, config.tight_cap, lambda i: (amasks[i], bmasks[i])
+            )
+            if spec.replayed:
                 # replay the certificate so a violation is classified
-                stats.contradictions += _replay(universe, amask, info["c_indices"])
-        _materialize(universe, config.theorem, stats, config.attach_certificates)
+                for i in np.flatnonzero(violated):
+                    info = _single_instance(universe, theorem, amasks[i])
+                    stats.contradictions += _replay(universe, amasks[i], info["c_indices"])
+        _materialize(universe, theorem, stats, config.attach_certificates)
         per_prime.append(stats)
     return Report(
         config=config.echo(),

@@ -1,7 +1,9 @@
 """Shared brute-force oracles: independent of the library's fast paths.
 
 Everything here works on plain Python ints and dicts so that test
-expectations never route through the code under test.
+expectations never route through the code under test.  The sampling and
+counting oracles use only `SplitMix64.next_word` and the fields of
+`PrimeStats`.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import itertools
 
 from hypothesis import settings
+
+from nullcert import search
 
 # Property tests run arbitrary work per example and, on failure, print the
 # blob that replays the failing example with @reproduce_failure.
@@ -91,3 +95,45 @@ def nonempty_subsets(universe) -> list[tuple[int, ...]]:
     for r in range(1, len(items) + 1):
         out.extend(itertools.combinations(items, r))
     return out
+
+
+def sample_mask_oracle(rng, m: int, max_set_size: int | None) -> int:
+    """One random nonempty subset mask, drawing one word at a time.
+
+    With a size cap: size = 1 + (word mod min(cap, m)), then that many
+    distinct indices word mod m, redrawing collisions.  Without a cap:
+    ceil(m / 64) words, truncated to m bits, redrawn while empty.
+    """
+    if max_set_size is not None:
+        size = 1 + rng.next_word() % min(max_set_size, m)
+        mask = 0
+        while bin(mask).count("1") < size:
+            mask |= 1 << rng.next_word() % m
+        return mask
+    while True:
+        mask = 0
+        for chunk in range((m + 63) // 64):
+            mask |= rng.next_word() << (64 * chunk)
+        mask &= (1 << m) - 1
+        if mask:
+            return mask
+
+
+def count_instance_oracle(stats, info: dict, key: tuple, tight_cap: int) -> None:
+    """Add one examined instance, described by `_pair_instance` or
+    `_single_instance`, to `stats` under its (amask, bmask) key."""
+    stats.examined += 1
+    units = info["hyp_units"]
+    if not units:
+        return
+    stats.hypothesis_satisfying += units
+    if info["bound_ok"]:
+        stats.bound_holding += units
+        if info["size"] == info["bound"]:
+            stats.tight_count += 1
+            if len(stats.tight) < tight_cap:
+                stats.tight.append(key)
+    else:
+        stats.counterexample_count += 1
+        if len(stats.counterexamples) < search.COUNTEREXAMPLE_LIST_CAP:
+            stats.counterexamples.append(key)

@@ -45,6 +45,23 @@ def test_verify_ks_needs_mode():
                 "--exhaustive"]) == 0
 
 
+def test_verify_bad_jobs_and_seeds_exit_2_with_one_line(capsys):
+    sweep = ["verify", "--theorem", "mult", "--prime", "7"]
+    for extra, word in [
+        (["--exhaustive", "--jobs", "0", "--partitions", "2"], "--jobs"),
+        (["--exhaustive", "--jobs", "-3"], "--jobs"),
+        (["--samples", "10", "--seed", "1", "--jobs", "0"], "--jobs"),
+        (["--samples", "10", "--seed", "-5"], "seed"),
+        (["--samples", "10", "--seed", "18446744073709551617"], "seed"),
+    ]:
+        capsys.readouterr()
+        assert run(sweep + extra) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err, err
+        assert err.count("\n") == 1, err
+    assert run(sweep + ["--samples", "10", "--seed", "18446744073709551615"]) == 0
+
+
 def test_verify_sampled_reports_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["verify", "--theorem", "cover", "--prime", "7", "--samples", "1000",

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nullcert import search
 from nullcert.certify import THEOREMS, TheoremContradictionError
 from nullcert.search import (
+    ALL_THEOREMS,
     DEFAULT_BUDGET,
     PrimeStats,
     Report,
@@ -20,9 +22,11 @@ from nullcert.sets import GroupMode
 
 from conftest import (
     combine_oracle,
+    count_instance_oracle,
     exceptional_square_oracle,
     nonempty_subsets,
     rep_count_oracle,
+    sample_mask_oracle,
 )
 
 
@@ -201,8 +205,8 @@ def test_pair_kernel_matches_reference_and_oracles(case):
             assert got[1:] == (len(A) + len(B) - THEOREMS[theorem].offset, uniques)
 
 
-@pytest.mark.parametrize("partitions", [1, 3])
-def test_counterexample_path_matches_reference_loop(monkeypatch, partitions):
+@pytest.fixture
+def weakened_main(monkeypatch):
     # no real theorem fails, so weaken `main` by one and let every other
     # replay "raise" to exercise the violation and contradiction paths
     monkeypatch.setitem(THEOREMS, "main", dataclasses.replace(THEOREMS["main"], offset=2))
@@ -215,13 +219,17 @@ def test_counterexample_path_matches_reference_loop(monkeypatch, partitions):
         return real_certificate(A, c)
 
     monkeypatch.setattr(search, "symmetric_pair_certificate", flaky_certificate)
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_counterexample_path_matches_reference_loop(weakened_main, partitions):
     p = 11
     report = exhaustive_verify(SweepConfig(theorem="main", primes=(p,), partitions=partitions))
     universe = search._universe(p, GroupMode.MULTIPLICATIVE)
     expected = PrimeStats(p)
     for amask in range(1, 1 << universe.m):
         info = search._single_instance(universe, "main", amask)
-        expected.count(info, (amask, None), search.DEFAULT_TIGHT_CAP)
+        count_instance_oracle(expected, info, (amask, None), search.DEFAULT_TIGHT_CAP)
         if info["c_indices"] and not info["bound_ok"]:
             expected.contradictions += search._replay(universe, amask, info["c_indices"])
     search._materialize(universe, "main", expected, attach=False)
@@ -245,6 +253,88 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     assert run(1) == reference
     assert run(3) == reference
     assert run(3, jobs=2) == reference
+
+
+# ------------------------------------------ sampled hunts vs the reference
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    m=st.one_of(st.sampled_from([63, 64, 65]), st.integers(1, 130)),
+    cap=st.none() | st.integers(1, 133),
+    count=st.integers(0, 40),
+    block=st.sampled_from([1, 2, 3, 7, search._BLOCK]),
+)
+def test_draw_masks_match_sequential_sampler(seed, m, cap, count, block):
+    cap = None if cap is None else min(cap, m + 3)
+    oracle = SplitMix64(seed)
+    expected = [sample_mask_oracle(oracle, m, cap) for _ in range(count)]
+    rng = SplitMix64(seed)
+    # a small word block makes every draw cross a buffer boundary
+    with mock.patch.object(search, "_BLOCK", block):
+        assert search._draw_masks(rng, m, cap, count) == expected
+    assert rng.state == oracle.state
+
+
+def _reference_hunt(config):
+    """The per-draw loop: sequential sampler, per-instance checks and counter."""
+    spec = THEOREMS[config.theorem]
+    rng = SplitMix64(config.seed)
+    per_prime = []
+    for p in config.primes:
+        universe = search._universe(p, config.resolved_mode())
+        stats = PrimeStats(p)
+        for _ in range(config.samples):
+            amask = sample_mask_oracle(rng, universe.m, config.max_set_size)
+            if spec.pair:
+                bmask = sample_mask_oracle(rng, universe.m, config.max_set_size)
+                info = search._pair_instance(universe, config.theorem, amask, bmask)
+            else:
+                bmask = None
+                info = search._single_instance(universe, config.theorem, amask)
+            count_instance_oracle(stats, info, (amask, bmask), config.tight_cap)
+            if spec.replayed and info["c_indices"] and not info["bound_ok"]:
+                stats.contradictions += search._replay(universe, amask, info["c_indices"])
+        search._materialize(universe, config.theorem, stats, config.attach_certificates)
+        per_prime.append(stats)
+    return Report(config.echo(), {"algorithm": "splitmix64", "seed": config.seed}, per_prime)
+
+
+def _assert_same_report(config):
+    got, expected = hunt_counterexample(config), _reference_hunt(config)
+    assert got.to_json() == expected.to_json()
+    assert got.to_csv() == expected.to_csv()
+
+
+# 61 and 67 sit on either side of the 63-bit limit of the array kernels
+_HUNT_PRIMES = [(2,), (3,), (7,), (13,), (31,), (61,), (67,), (101,), (7, 11, 13)]
+
+
+@pytest.mark.parametrize(
+    "theorem,mode",
+    [("ks", GroupMode.ADDITIVE), ("ks", GroupMode.MULTIPLICATIVE)]
+    + [(tag, None) for tag in ALL_THEOREMS if tag != "ks"],
+)
+def test_hunt_report_matches_reference_loop(monkeypatch, theorem, mode):
+    monkeypatch.setattr(search, "_BLOCK", 100)
+    for seed, primes in enumerate(_HUNT_PRIMES):
+        for cap in (None, 6):
+            config = SweepConfig(
+                theorem=theorem, primes=primes, group_mode=mode, samples=150, seed=seed,
+                max_set_size=cap, tight_cap=5,
+            )
+            _assert_same_report(config)
+
+
+@pytest.mark.parametrize("p", [11, 67])
+def test_hunt_counterexample_path_matches_reference_loop(monkeypatch, weakened_main, p):
+    monkeypatch.setattr(search, "_BLOCK", 100)
+    config = SweepConfig(theorem="main", primes=(p,), samples=400, seed=5, max_set_size=5)
+    _assert_same_report(config)
+    stats = hunt_counterexample(config).stats_for(p)
+    assert len(stats.counterexamples) == 7
+    assert 0 < stats.contradictions
 
 
 # ----------------------------------------------------------- determinism
@@ -335,6 +425,24 @@ def test_config_validation_errors():
         ).validate()
     with pytest.raises(ValueError):
         SweepConfig(theorem="mult", primes=(5,), samples=5, seed=1, partitions=2).validate()
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 1 << 64, (1 << 64) + 1])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # such seeds would fold onto another seed's stream under another name
+    config = SweepConfig(theorem="mult", primes=(5,), samples=5, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        config.validate()
+    with pytest.raises(ValueError, match="seed"):
+        hunt_counterexample(config)
+    SweepConfig(theorem="mult", primes=(5,), samples=5, seed=(1 << 64) - 1).validate()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_are_rejected(jobs):
+    config = SweepConfig(theorem="mult", primes=(5,), partitions=2)
+    with pytest.raises(ValueError, match="jobs"):
+        exhaustive_verify(config, jobs=jobs)
 
 
 def test_budget_enforced():
