@@ -27,11 +27,15 @@ from .poly import BivariatePolynomial, top_coefficient_interpolation
 from .sets import ElementSet, GroupMode
 
 
-def _parse_residues(text: str) -> list[int]:
+def _parse_residues(text: str, p: int) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ValueError(f"bad set literal {text!r}; want comma-separated residues") from None
+    for v in values:
+        if not 0 <= v < p:
+            raise ValueError(f"residue {v} out of range for GF({p})")
+    return values
 
 
 def _parse_primes(raw: list[str]) -> tuple[int, ...]:
@@ -44,12 +48,7 @@ def _parse_primes(raw: list[str]) -> tuple[int, ...]:
 
 
 def _element_set(p: int, mode: GroupMode, literal: str) -> ElementSet:
-    field = PrimeField(p)
-    values = _parse_residues(literal)
-    for v in values:
-        if not 0 <= v < p:
-            raise ValueError(f"residue {v} out of range for GF({p})")
-    return ElementSet(field, mode, values)
+    return ElementSet(PrimeField(p), mode, _parse_residues(literal, p))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -217,8 +216,8 @@ def _cmd_coefficient(args) -> int:
     field = PrimeField(args.prime)
     triples = json.loads(Path(args.poly).read_text())
     f = BivariatePolynomial.from_triples(field, triples)
-    avals = _parse_residues(args.set_a)
-    bvals = _parse_residues(args.set_b)
+    avals = _parse_residues(args.set_a, field.p)
+    bvals = _parse_residues(args.set_b, field.p)
     result = top_coefficient_interpolation(f, [field.element(v) for v in avals],
                                            [field.element(v) for v in bvals])
     direct = f.coefficient(len(avals) - 1, len(bvals) - 1)

@@ -163,7 +163,16 @@ class BivariatePolynomial:
 
     @classmethod
     def from_triples(cls, field: PrimeField, triples) -> "BivariatePolynomial":
-        return cls(field, {(int(i), int(j)): int(c) for i, j, c in triples})
+        """Parse the `to_triples` form: a list of [i, j, coeff] integer
+        triples (JSON integers, not floats or booleans)."""
+        if not isinstance(triples, list) or not all(
+            isinstance(t, list)
+            and len(t) == 3
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in t)
+            for t in triples
+        ):
+            raise ValueError("polynomial must be a list of [i, j, coeff] integer triples")
+        return cls(field, {(i, j): c for i, j, c in triples})
 
     def _check_field(self, other: "BivariatePolynomial") -> None:
         if self.field != other.field:

@@ -4,12 +4,15 @@ The sweeps enumerate subsets of the additive group Z_p or of the
 multiplicative group GF(p)* (mapped to exponents of the smallest primitive
 root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
-bitmasks.  The sweeps evaluate whole numpy arrays of masks at a time with one
-arithmetic cyclic rotate: an exhaustive pair sweep evaluates one A against
-every B, a single-set sweep a block of A-masks, and a sampled hunt a block of
-drawn sets or pairs while masks fit in 63 bits (beyond, it checks each draw
-on its own).  The `main` certificate is replayed only where the bound fails,
-the one case in which it can raise.
+bitmasks over group indices (`_Universe`).  One kernel per kind of bound,
+`_pair_eval` or `_single_eval`, evaluates every instance with an arithmetic
+cyclic rotate, on one mask as a Python int or on a numpy array of masks: an
+exhaustive pair sweep evaluates one A against every B, a single-set sweep a
+block of A-masks, and a sampled hunt a block of drawn sets or pairs while
+masks fit in 63 bits, beyond that one draw at a time as ints.  Report entries
+are rebuilt by the same kernels from the recorded masks.  The `main`
+certificate is replayed only where the bound fails, the one case in which it
+can raise.
 
 Instance accounting, used consistently by reports:
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field as dataclass_field
 import json
+import math
 import time
 
 import numpy as np
@@ -122,6 +126,9 @@ class SweepConfig:
             raise ValueError(f"unknown theorem tag {self.theorem!r}")
         if not self.primes:
             raise ValueError("at least one prime is required")
+        repeated = sorted({p for p in self.primes if self.primes.count(p) > 1})
+        if repeated:
+            raise ValueError(f"repeated prime {', '.join(map(str, repeated))}")
         self.resolved_mode()
         if self.seed is not None and not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2^64); got {self.seed}")
@@ -303,18 +310,9 @@ class _Universe:
                 res.append(v)
                 v = v * g % p
             self.residues = tuple(res)
-        self.index_of = {r: k for k, r in enumerate(self.residues)}
 
     def mask_to_values(self, mask: int) -> list[int]:
-        return sorted(
-            self.residues[k] for k in range(self.m) if mask >> k & 1
-        )
-
-    def values_to_mask(self, values) -> int:
-        mask = 0
-        for v in values:
-            mask |= 1 << self.index_of[int(v)]
-        return mask
+        return sorted(self.residues[k] for k in _mask_bits(mask))
 
     def element_set(self, mask: int) -> ElementSet:
         return ElementSet(self.field, self.mode, self.mask_to_values(mask))
@@ -325,11 +323,14 @@ def _universe(p: int, mode: GroupMode) -> _Universe:
 
 
 def _cyclic_shift(mask, a: int, m: int):
-    """Rotate an m-bit mask, or a uint32 array of them, by a places (0 <= a < m)."""
+    """Rotate an m-bit mask, or an array of them, by a places (0 <= a < m)."""
     return ((mask << a) | (mask >> (m - a))) & ((1 << m) - 1)
 
 
-def _mask_bits(mask: int) -> list[int]:
+def _mask_bits(mask) -> list[int]:
+    """The set bits of an int mask, or of any mask in an array, ascending."""
+    if not isinstance(mask, int):
+        mask = int(np.bitwise_or.reduce(mask))
     bits = []
     while mask:
         low = mask & -mask
@@ -339,114 +340,8 @@ def _mask_bits(mask: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# per-instance reference checks (pure Python; shared by sampling, entry
-# materialization, and the tests' slow cross-validation)
-# --------------------------------------------------------------------------
-
-
-def _pair_instance(universe: _Universe, theorem: str, amask: int, bmask: int) -> dict:
-    """Hypothesis and bound data for one (A, B) pair, from first principles."""
-    spec = THEOREMS[theorem]
-    m = universe.m
-    a_bits = _mask_bits(amask)
-    once = twice = 0
-    for a in a_bits:
-        shifted = _cyclic_shift(bmask & ~(1 << a) if spec.restricted else bmask, a, m)
-        twice |= once & shifted
-        once |= shifted
-    size_s = bin(once).count("1")
-    bound = len(a_bits) + bin(bmask).count("1") - spec.offset
-    c_indices: list[int] = []
-    n_indices: list[int] = []
-    if theorem == "cover":
-        n_indices = [
-            a
-            for a in a_bits
-            if bmask >> a & 1 and not once >> (2 * a % m) & 1
-        ]
-        bound -= len(n_indices) // 2
-        hyp_units = 1 if n_indices else 0
-    else:
-        c_indices = _mask_bits(once & ~twice)
-        hyp_units = len(c_indices)
-    return {
-        "amask": amask,
-        "bmask": bmask,
-        "size": size_s,
-        "bound": bound,
-        "bound_ok": size_s >= bound,
-        "hyp_units": hyp_units,
-        "c_indices": c_indices,
-        "n_indices": n_indices,
-    }
-
-
-def _single_instance(universe: _Universe, theorem: str, amask: int) -> dict:
-    """Qualifying targets and bound data for one set A."""
-    m = universe.m
-    a_bits = _mask_bits(amask)
-    n = len(a_bits)
-    c1 = c2 = c3 = 0
-    for a in a_bits:
-        shifted = _cyclic_shift(amask & ~(1 << a), a, m)
-        c3 |= c2 & shifted
-        c2 |= c1 & shifted
-        c1 |= shifted
-    size_s = bin(c1).count("1")
-    c_indices: list[int] = []
-    for c in _mask_bits(c2 & ~c3):
-        pair = None
-        for a in a_bits:
-            b = (c - a) % m
-            if b != a and amask >> b & 1:
-                pair = (a, b) if a < b else (b, a)
-                break
-        if pair is None:
-            raise AssertionError("two-representation mask without a pair")
-        if theorem == "main" and (n - 2) * (pair[0] - pair[1]) % m == 0:
-            continue  # equal (n-2)-th powers: outside this bound's hypothesis
-        c_indices.append(c)
-    bound = 2 * n - THEOREMS[theorem].offset
-    return {
-        "amask": amask,
-        "bmask": None,
-        "size": size_s,
-        "bound": bound,
-        "bound_ok": size_s >= bound,
-        "hyp_units": len(c_indices),
-        "c_indices": c_indices,
-    }
-
-
-def _entry(universe: _Universe, theorem: str, info: dict) -> dict:
-    entry = {
-        "A": universe.mask_to_values(info["amask"]),
-        "size": info["size"],
-        "bound": info["bound"],
-    }
-    if info["bmask"] is not None:
-        entry["B"] = universe.mask_to_values(info["bmask"])
-    if theorem == "cover":
-        entry["N"] = sorted(universe.residues[k] for k in info["n_indices"])
-    else:
-        entry["c"] = sorted(universe.residues[k] for k in info["c_indices"])
-    return entry
-
-
-def _replay(universe: _Universe, amask: int, c_indices: list[int]) -> int:
-    """Replay the `main` certificate for each target; returns how many raised."""
-    a_set = universe.element_set(amask)
-    raised = 0
-    for c_idx in c_indices:
-        try:
-            symmetric_pair_certificate(a_set, universe.residues[c_idx])
-        except TheoremContradictionError:
-            raised += 1
-    return raised
-
-
-# --------------------------------------------------------------------------
-# vectorized kernels and exhaustive sweeps
+# the mask kernels: every bound is evaluated here, on one mask as a Python
+# int or on a numpy array of masks
 # --------------------------------------------------------------------------
 
 # A-masks per array in a single-set sweep, draws per array in a sampled hunt
@@ -454,97 +349,123 @@ def _replay(universe: _Universe, amask: int, c_indices: list[int]) -> int:
 _BLOCK = 4096
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
+def _popcount(masks):
+    """Set bits of an int mask, or of each mask in an array (as int64)."""
+    if isinstance(masks, int):
+        return masks.bit_count()
     return np.bitwise_count(masks).astype(np.int64)
 
 
-def _pair_eval(theorem: str, m: int, amask, bmasks: np.ndarray) -> tuple:
-    """`_pair_instance` over an array of B-masks: arrays of the size of
-    A o B, the bound and the hypothesis units.  `amask` is one A (an int)
-    for every B, or an array holding the A of each B."""
-    spec = THEOREMS[theorem]
-    full = (1 << m) - 1
+def _shifts(amask, masks, m: int, restricted: bool):
+    """Yield (a, masks rotated by a) for each a in A, bit a dropped first if
+    `restricted`.  `amask` is one A (an int) or an array holding the A of each
+    mask; then the rotation is zero where a is not in that A."""
     one_a = isinstance(amask, int)
-    a_bits = _mask_bits(amask if one_a else int(np.bitwise_or.reduce(amask)))
-    once = np.zeros_like(bmasks)
-    twice = np.zeros_like(bmasks)
-    for a in a_bits:
-        shifted = bmasks & (full ^ 1 << a) if spec.restricted else bmasks
+    full = (1 << m) - 1
+    for a in _mask_bits(amask):
+        shifted = masks & (full ^ 1 << a) if restricted else masks
         if not one_a:
-            shifted = shifted & -((amask >> a) & 1)  # nothing where a is not in A
-        shifted = _cyclic_shift(shifted, a, m)
+            shifted = shifted & -((amask >> a) & 1)
+        yield a, _cyclic_shift(shifted, a, m)
+
+
+def _pair_eval(theorem: str, m: int, amask, bmasks) -> tuple:
+    """(size of A o B, bound, targets) for a pair theorem.  `targets` is the
+    mask of the uniquely represented elements, or of N for `cover`.  `amask`
+    is one A (an int) or an array with the A of each B; `bmasks` is one B or
+    an array."""
+    spec = THEOREMS[theorem]
+    once, twice = bmasks & 0, bmasks & 0
+    for _, shifted in _shifts(amask, bmasks, m, spec.restricted):
         twice |= once & shifted
         once |= shifted
     size = _popcount(once)
-    bound = (len(a_bits) if one_a else _popcount(amask)) + _popcount(bmasks) - spec.offset
+    bound = _popcount(amask) + _popcount(bmasks) - spec.offset
     if theorem != "cover":
-        return size, bound, _popcount(once & ~twice)
-    # |N|: a in A and B whose square (index 2a) is missing from A x. B
-    both = bmasks if one_a else bmasks & amask
-    n_size = np.zeros_like(bmasks)
-    for a in a_bits:
-        n_size += (both >> a) & ~(once >> (2 * a % m)) & 1
-    n_size = n_size.astype(np.int64)
-    return size, bound - n_size // 2, (n_size > 0).astype(np.int64)
-
-
-def _pair_partition(
-    p: int,
-    mode_value: str,
-    theorem: str,
-    a_lo: int,
-    a_hi: int,
-    max_set_size: int | None,
-    tight_cap: int,
-) -> PrimeStats:
-    """Sweep A-masks in [a_lo, a_hi) against every B; returns partial stats."""
-    m = _universe(p, GroupMode(mode_value)).m
-    b_all = np.arange(1, 1 << m, dtype=np.uint32)
-    if max_set_size is not None:
-        b_all = b_all[np.bitwise_count(b_all) <= max_set_size]
-    stats = PrimeStats(p)
-    for amask in range(max(a_lo, 1), a_hi):
-        if max_set_size is not None and amask.bit_count() > max_set_size:
-            continue
-        size, bound, units = _pair_eval(theorem, m, amask, b_all)
-        stats.count_block(size, bound, units, tight_cap, lambda i: (amask, int(b_all[i])))
-    return stats
+        return size, bound, once & ~twice
+    # N: a in A and B whose square (index 2a) is missing from A x. B
+    both, absent = amask & bmasks, ~once
+    n_mask = both & 0
+    for a in _mask_bits(both):
+        n_mask |= (absent >> (2 * a % m) & 1) << a
+    n_mask &= both
+    return size, bound - _popcount(n_mask) // 2, n_mask
 
 
 def _subgroup_mask(k: int, m: int) -> int:
-    """The d in Z_m with k * d = 0 (mod m), as a mask."""
-    return sum(1 << d for d in range(m) if k * d % m == 0)
+    """The d in Z_m with k * d = 0 (mod m), as a mask: the multiples of
+    m / gcd(k, m)."""
+    step = m // math.gcd(k, m)
+    return ((1 << m) - 1) // ((1 << step) - 1)
 
 
-def _single_eval(theorem: str, m: int, amasks: np.ndarray) -> tuple:
-    """`_single_instance` over an array of A-masks: arrays of the size of
-    A o. A and the bound, and the masks of the qualifying targets."""
-    full = (1 << m) - 1
-    once = np.zeros_like(amasks)
-    twice = np.zeros_like(amasks)
-    three = np.zeros_like(amasks)
-    n = _popcount(amasks)
-    main = theorem == "main"
-    if main:
-        # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
-        # subgroup killed by n - 2; `excluded` collects the targets of such pairs
-        killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amasks.dtype)[n]
-        excluded = np.zeros_like(amasks)
-    for a in range(m):
-        in_a = -((amasks >> a) & 1)  # all ones where a is in A
-        shifted = _cyclic_shift(amasks & (full ^ 1 << a), a, m) & in_a
+def _single_eval(theorem: str, m: int, amasks) -> tuple:
+    """(size of A o. A, bound, targets) for a single-set theorem, where
+    `targets` is the mask of the qualifying c: exactly two representations
+    and, for `main`, distinct (n-2)-th powers.  `amasks` is one A (an int) or
+    an array."""
+    one_a = isinstance(amasks, int)
+    once, twice, three = amasks & 0, amasks & 0, amasks & 0
+    shifts = list(_shifts(amasks, amasks, m, True))
+    for _, shifted in shifts:
         three |= twice & shifted
         twice |= once & shifted
         once |= shifted
-        if main:
-            excluded |= shifted & _cyclic_shift(killed, 2 * a % m, m)
-    qualifying = twice & ~three
-    if main:
-        qualifying &= ~excluded
-    return _popcount(once), 2 * n - THEOREMS[theorem].offset, qualifying
+    n = _popcount(amasks)
+    targets = twice & ~three
+    if theorem == "main" and (not one_a or targets):
+        # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
+        # subgroup killed by n - 2; drop the targets a + b of such pairs
+        if one_a:
+            killed = _subgroup_mask(n - 2, m)
+        else:
+            killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amasks.dtype)[n]
+        for a, shifted in shifts:
+            targets &= ~(shifted & _cyclic_shift(killed, 2 * a % m, m))
+    return _popcount(once), 2 * n - THEOREMS[theorem].offset, targets
 
 
-def _single_partition(
+def _evaluate(theorem: str, m: int, keys: list) -> tuple:
+    """The kernel of `theorem` on a list of (amask, bmask) keys, bmask None
+    for a single-set theorem: as uint64 arrays while masks fit in 63 bits
+    (the rotate shifts right by up to m bits), one key at a time as Python
+    ints beyond."""
+    pair = THEOREMS[theorem].pair
+    if m >= 64:
+        rows = [_pair_eval(theorem, m, a, b) if pair else _single_eval(theorem, m, a) for a, b in keys]
+        return tuple(np.array(rows, dtype=object).reshape(-1, 3).T)
+    amasks = np.array([a for a, _ in keys], dtype=np.uint64)
+    if pair:
+        return _pair_eval(theorem, m, amasks, np.array([b for _, b in keys], dtype=np.uint64))
+    return _single_eval(theorem, m, amasks)
+
+
+def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tuple,
+           tight_cap: int, key) -> None:
+    """Count a block of kernel results into `stats`; `key(i)` is the
+    (amask, bmask) of the i-th.  A target is one hypothesis unit, except that
+    a `cover` pair counts once when N is nonempty.  A violated `main` bound
+    replays the certificate for each target: only there can it raise."""
+    size, bound, targets = evaluated
+    units = (targets != 0) * 1 if theorem == "cover" else _popcount(targets)
+    violated = stats.count_block(size, bound, units, tight_cap, key)
+    if not THEOREMS[theorem].replayed:
+        return
+    for i in np.flatnonzero(violated):
+        a_set = universe.element_set(key(i)[0])
+        for c in _mask_bits(int(targets[i])):
+            try:
+                symmetric_pair_certificate(a_set, universe.residues[c])
+            except TheoremContradictionError:
+                stats.contradictions += 1
+
+
+# --------------------------------------------------------------------------
+# exhaustive sweeps and report entries
+# --------------------------------------------------------------------------
+
+
+def _partition(
     p: int,
     mode_value: str,
     theorem: str,
@@ -553,30 +474,29 @@ def _single_partition(
     max_set_size: int | None,
     tight_cap: int,
 ) -> PrimeStats:
-    """Single-set sweep over A-masks in [a_lo, a_hi), a block at a time."""
+    """Sweep A-masks in [a_lo, a_hi); returns partial stats.  A pair theorem
+    evaluates each A against every B, a single-set theorem a block of A-masks
+    at a time."""
     universe = _universe(p, GroupMode(mode_value))
-    replayed = THEOREMS[theorem].replayed
+    m = universe.m
     stats = PrimeStats(p)
+    if THEOREMS[theorem].pair:
+        b_all = np.arange(1, 1 << m, dtype=np.uint32)
+        if max_set_size is not None:
+            b_all = b_all[np.bitwise_count(b_all) <= max_set_size]
+        for amask in range(max(a_lo, 1), a_hi):
+            if max_set_size is not None and amask.bit_count() > max_set_size:
+                continue
+            evaluated = _pair_eval(theorem, m, amask, b_all)
+            _count(stats, universe, theorem, evaluated, tight_cap, lambda i: (amask, int(b_all[i])))
+        return stats
     for lo in range(max(a_lo, 1), a_hi, _BLOCK):
         amasks = np.arange(lo, min(lo + _BLOCK, a_hi), dtype=np.uint32)
         if max_set_size is not None:
             amasks = amasks[np.bitwise_count(amasks) <= max_set_size]
-        size, bound, qualifying = _single_eval(theorem, universe.m, amasks)
-        violated = stats.count_block(
-            size, bound, _popcount(qualifying), tight_cap, lambda i: (int(amasks[i]), None)
-        )
-        if replayed:
-            # the certificate can raise only where the bound fails
-            for i in np.flatnonzero(violated):
-                c_indices = _mask_bits(int(qualifying[i]))
-                stats.contradictions += _replay(universe, int(amasks[i]), c_indices)
+        evaluated = _single_eval(theorem, m, amasks)
+        _count(stats, universe, theorem, evaluated, tight_cap, lambda i: (int(amasks[i]), None))
     return stats
-
-
-def _partition_worker(args: tuple) -> PrimeStats:
-    theorem = args[2]
-    partition = _pair_partition if THEOREMS[theorem].pair else _single_partition
-    return partition(*args)
 
 
 def _partition_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
@@ -593,21 +513,24 @@ def _partition_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
 
 
 def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: bool) -> None:
-    """Turn the raw (amask, bmask) pairs of `stats` into report entries; with
-    `attach`, each tight entry carries the certificate for its first target."""
+    """Turn the raw (amask, bmask) pairs of `stats` into report entries, each
+    from the kernel's result for its masks; with `attach`, each tight entry
+    carries the certificate for its first target."""
     build = THEOREMS[theorem].build if attach else None
     for name, builder in (("tight", build), ("counterexamples", None)):
+        keys = getattr(stats, name)
+        sizes, bounds, targets = _evaluate(theorem, universe.m, keys)
         entries = []
-        for amask, bmask in getattr(stats, name):
-            if bmask is None:
-                info = _single_instance(universe, theorem, amask)
-            else:
-                info = _pair_instance(universe, theorem, amask, bmask)
-            entry = _entry(universe, theorem, info)
+        for (amask, bmask), size, bound, target in zip(keys, sizes, bounds, targets):
+            entry = {"A": universe.mask_to_values(amask), "size": int(size), "bound": int(bound)}
+            if bmask is not None:
+                entry["B"] = universe.mask_to_values(bmask)
+            target = int(target)
+            entry["N" if theorem == "cover" else "c"] = universe.mask_to_values(target)
             if builder is not None:
                 A = universe.element_set(amask)
                 B = A if bmask is None else universe.element_set(bmask)
-                c = universe.residues[info["c_indices"][0]] if info["c_indices"] else None
+                c = universe.residues[_mask_bits(target)[0]] if target else None
                 entry["certificate"] = builder(A, B, c).to_json_dict()
             entries.append(entry)
         setattr(stats, name, entries)
@@ -648,9 +571,9 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
         ]
         if jobs > 1 and len(tasks) > 1:
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                partials = pool.map(_partition_worker, tasks)
+                partials = pool.starmap(_partition, tasks)
         else:
-            partials = [_partition_worker(task) for task in tasks]
+            partials = [_partition(*task) for task in tasks]
         stats = PrimeStats.merge(p, partials, config.tight_cap)
         _materialize(universe, config.theorem, stats, config.attach_certificates)
         per_prime.append(stats)
@@ -703,9 +626,8 @@ def _draw_masks(rng: SplitMix64, m: int, max_set_size: int | None, count: int) -
 def hunt_counterexample(config: SweepConfig) -> Report:
     """Sampled version of the sweep: seeded, reproducible, same checks.
 
-    Draws are evaluated a block of `_BLOCK` at a time: as uint64 mask arrays
-    through the exhaustive kernels while masks fit in 63 bits, one draw at a
-    time through the reference checks beyond.
+    Draws are evaluated a block of `_BLOCK` at a time by the exhaustive
+    sweeps' kernels (`_evaluate`).
     """
     config.validate()
     if config.samples is None:
@@ -724,36 +646,9 @@ def hunt_counterexample(config: SweepConfig) -> Report:
             count = min(_BLOCK, config.samples - done)
             masks = _draw_masks(rng, m, config.max_set_size, 2 * count if spec.pair else count)
             # a pair theorem draws A and B alternately
-            amasks = masks[::2] if spec.pair else masks
-            bmasks = masks[1::2] if spec.pair else [None] * count
-            if m < 64:  # the rotate shifts uint64 masks right by up to m bits
-                a_arr = np.array(amasks, dtype=np.uint64)
-                if spec.pair:
-                    size, bound, units = _pair_eval(
-                        theorem, m, a_arr, np.array(bmasks, dtype=np.uint64)
-                    )
-                else:
-                    size, bound, qualifying = _single_eval(theorem, m, a_arr)
-                    units = _popcount(qualifying)
-            else:
-                infos = [
-                    _single_instance(universe, theorem, amask)
-                    if bmask is None
-                    else _pair_instance(universe, theorem, amask, bmask)
-                    for amask, bmask in zip(amasks, bmasks)
-                ]
-                size, bound, units = (
-                    np.array([info[key] for info in infos], dtype=np.int64)
-                    for key in ("size", "bound", "hyp_units")
-                )
-            violated = stats.count_block(
-                size, bound, units, config.tight_cap, lambda i: (amasks[i], bmasks[i])
-            )
-            if spec.replayed:
-                # replay the certificate so a violation is classified
-                for i in np.flatnonzero(violated):
-                    info = _single_instance(universe, theorem, amasks[i])
-                    stats.contradictions += _replay(universe, amasks[i], info["c_indices"])
+            keys = list(zip(masks[::2], masks[1::2])) if spec.pair else [(a, None) for a in masks]
+            evaluated = _evaluate(theorem, m, keys)
+            _count(stats, universe, theorem, evaluated, config.tight_cap, keys.__getitem__)
         _materialize(universe, theorem, stats, config.attach_certificates)
         per_prime.append(stats)
     return Report(

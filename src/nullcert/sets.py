@@ -5,8 +5,9 @@ additive mode and a * b in multiplicative mode, with the *restricted* variants
 dropping every pair with a = b.  Mode or field mismatch is always a hard
 error, never a coercion.
 
-Sets keep both a sorted tuple of residues (ints) and a residue bitmask; the
-bitmask is what the search sweeps build on.
+Sets keep a sorted tuple of residues (ints).  The search sweeps index
+subsets by bitmasks over group indices (`search._Universe`) and build
+ElementSets only to replay or attach certificates.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class ElementSet:
     Multiplicative-mode sets never contain 0.
     """
 
-    __slots__ = ("field", "mode", "values", "mask")
+    __slots__ = ("field", "mode", "values")
 
     def __init__(self, field: PrimeField, mode: GroupMode, elements: Iterable):
         values = sorted({int(field.element(e)) for e in elements})
@@ -52,10 +53,6 @@ class ElementSet:
         self.field = field
         self.mode = mode
         self.values = tuple(values)
-        mask = 0
-        for v in values:
-            mask |= 1 << v
-        self.mask = mask
 
     @property
     def elements(self) -> tuple[FieldElement, ...]:
@@ -72,18 +69,18 @@ class ElementSet:
             v = int(self.field.element(item))
         except ValueError:
             return False
-        return bool(self.mask >> v & 1)
+        return v in self.values
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ElementSet)
             and self.field == other.field
             and self.mode == other.mode
-            and self.mask == other.mask
+            and self.values == other.values
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.mode, self.mask))
+        return hash((self.field.p, self.mode, self.values))
 
     def __repr__(self) -> str:
         tag = "+" if self.mode is GroupMode.ADDITIVE else "*"
@@ -253,10 +250,6 @@ def exceptional_square_set(A: ElementSet, B: ElementSet) -> ElementSet:
     if A.mode is not GroupMode.MULTIPLICATIVE:
         raise ValueError("exceptional_square_set is a multiplicative-mode construction")
     p = A.field.p
-    prod_mask = restricted_combine(A, B).mask
-    out = [
-        a
-        for a in A.values
-        if (B.mask >> a & 1) and not (prod_mask >> (a * a % p) & 1)
-    ]
+    products = set(restricted_combine(A, B).values)
+    out = [a for a in set(A.values) & set(B.values) if a * a % p not in products]
     return ElementSet(A.field, A.mode, out)

@@ -89,6 +89,59 @@ def exceptional_square_oracle(p: int, A, B) -> set[int]:
     return {a for a in set(A) & set(B) if a * a % p not in prods}
 
 
+# |A o B| >= |A| + |B| - offset, with B = A for the single-set bounds;
+# `cover` further subtracts floor(|N| / 2)
+OFFSETS = {
+    "ks": 1,
+    "additive": 2,
+    "mult": 3,
+    "cover": 2,
+    "main": 3,
+    "corollary-add": 3,
+    "corollary-mult": 4,
+}
+
+
+def instance_oracle(theorem: str, mode: str, p: int, A, B=None) -> tuple[int, int, list[int]]:
+    """(size, bound, targets) of one instance of `theorem`, from the sets.
+
+    The size is that of the restricted combine (full for `ks`) of A and B,
+    or of A with itself when B is None (a single-set bound).  The targets
+    are the elements represented exactly once; for `cover` the exceptional
+    square set N; for a single set those represented exactly twice, less,
+    for `main`, those whose pair has equal (n-2)-th powers.
+    """
+    restricted = theorem != "ks"
+    single = B is None
+    B = A if single else B
+    size = len(combine_oracle(mode, p, A, B, restricted))
+    bound = len(A) + len(B) - OFFSETS[theorem]
+    if theorem == "cover":
+        targets = exceptional_square_oracle(p, A, B)
+        return size, bound - len(targets) // 2, sorted(targets)
+    counts = rep_count_oracle(mode, p, A, B, restricted)
+    targets = [c for c, k in counts.items() if k == (2 if single else 1)]
+    if theorem == "main":
+        n = len(A)
+        tied = [rep_pairs_oracle(mode, p, A, A, c, True)[0] for c in targets]
+        targets = [c for c, (a, b) in zip(targets, tied) if pow(a, n - 2, p) != pow(b, n - 2, p)]
+    return size, bound, sorted(targets)
+
+
+def group_elements_oracle(mode: str, p: int) -> list[int]:
+    """The group in mask-bit order: the residues, or the powers of the
+    smallest primitive root."""
+    if mode == "add":
+        return list(range(p))
+    g = next(v for v in range(1, p) if order_oracle(v, p) == p - 1)
+    return [pow(g, k, p) for k in range(p - 1)]
+
+
+def mask_values_oracle(elements: list[int], mask: int) -> list[int]:
+    """The sorted group elements whose bits are set in `mask`."""
+    return sorted(v for k, v in enumerate(elements) if mask >> k & 1)
+
+
 def nonempty_subsets(universe) -> list[tuple[int, ...]]:
     items = sorted(universe)
     out = []
@@ -119,21 +172,22 @@ def sample_mask_oracle(rng, m: int, max_set_size: int | None) -> int:
             return mask
 
 
-def count_instance_oracle(stats, info: dict, key: tuple, tight_cap: int) -> None:
-    """Add one examined instance, described by `_pair_instance` or
-    `_single_instance`, to `stats` under its (amask, bmask) key."""
+def count_instance_oracle(stats, theorem: str, instance: tuple, entry, tight_cap: int) -> None:
+    """Add one examined instance, given as `instance_oracle` returns it, to
+    `stats`; `entry` is what the capped tight or counterexample list records."""
+    size, bound, targets = instance
     stats.examined += 1
-    units = info["hyp_units"]
+    units = min(len(targets), 1) if theorem == "cover" else len(targets)
     if not units:
         return
     stats.hypothesis_satisfying += units
-    if info["bound_ok"]:
+    if size >= bound:
         stats.bound_holding += units
-        if info["size"] == info["bound"]:
+        if size == bound:
             stats.tight_count += 1
             if len(stats.tight) < tight_cap:
-                stats.tight.append(key)
+                stats.tight.append(entry)
     else:
         stats.counterexample_count += 1
         if len(stats.counterexamples) < search.COUNTEREXAMPLE_LIST_CAP:
-            stats.counterexamples.append(key)
+            stats.counterexamples.append(entry)

@@ -53,6 +53,7 @@ def test_verify_bad_jobs_and_seeds_exit_2_with_one_line(capsys):
         (["--samples", "10", "--seed", "1", "--jobs", "0"], "--jobs"),
         (["--samples", "10", "--seed", "-5"], "seed"),
         (["--samples", "10", "--seed", "18446744073709551617"], "seed"),
+        (["--prime", "7", "--samples", "200", "--seed", "1"], "repeated prime"),
     ]:
         capsys.readouterr()
         assert run(sweep + extra) == 2, extra
@@ -238,6 +239,22 @@ def test_coefficient_degree_violation(tmp_path, capsys):
                 "--a", "1,2", "--b", "3,4"])
     assert code == 2
     assert "degree" in capsys.readouterr().err
+
+
+def test_coefficient_malformed_input_exits_2_with_one_line(tmp_path, capsys):
+    cases = [(text, "1,2", "polynomial") for text in ("5", "null", "[1]", "[[1.5,0,1]]",
+                                                      "[[0,0,true]]", "[[1,1]]", "{}")]
+    cases += [("[[1,1,1]]", a, "out of range") for a in ("1,7", "-1,2")]
+    poly_file = tmp_path / "poly.json"
+    capsys.readouterr()
+    for text, set_a, word in cases:
+        poly_file.write_text(text)
+        code = run(["coefficient", "--prime", "7", "--poly", str(poly_file),
+                    f"--a={set_a}", "--b", "3,4"])
+        assert code == 2, (text, set_a)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err, err
+        assert err.count("\n") == 1, err
 
 
 def test_coefficient_matches_summand_sum_on_tight_family(tmp_path, capsys):

@@ -18,91 +18,64 @@ from nullcert.search import (
     exhaustive_verify,
     hunt_counterexample,
 )
-from nullcert.sets import GroupMode
+from nullcert.field import PrimeField
+from nullcert.sets import ElementSet, GroupMode
 
 from conftest import (
-    combine_oracle,
+    OFFSETS,
     count_instance_oracle,
-    exceptional_square_oracle,
-    nonempty_subsets,
-    rep_count_oracle,
+    group_elements_oracle,
+    instance_oracle,
+    mask_values_oracle,
     sample_mask_oracle,
 )
 
 
 # ------------------------------------------------- slow reference sweeps
 
-
-def _slow_pair_sweep(theorem, p, mode_tag):
-    """Independent re-count of a pair sweep with dict/set arithmetic only."""
-    universe = range(p) if mode_tag == "add" else range(1, p)
-    restricted = theorem != "ks"
-    offset = {"ks": 1, "additive": 2, "mult": 3}.get(theorem)
-    examined = hyp = holding = tight = ce = 0
-    subsets = nonempty_subsets(universe)
-    for A in subsets:
-        for B in subsets:
-            examined += 1
-            size = len(combine_oracle(mode_tag, p, A, B, restricted))
-            if theorem == "cover":
-                n_len = len(exceptional_square_oracle(p, A, B))
-                if n_len == 0:
-                    continue
-                bound = len(A) + len(B) - 2 - n_len // 2
-                hyp += 1
-                if size >= bound:
-                    holding += 1
-                    tight += size == bound
-                else:
-                    ce += 1
-            else:
-                counts = rep_count_oracle(mode_tag, p, A, B, restricted)
-                uniques = sum(1 for k in counts.values() if k == 1)
-                if uniques == 0:
-                    continue
-                bound = len(A) + len(B) - offset
-                hyp += uniques
-                if size >= bound:
-                    holding += uniques
-                    tight += size == bound
-                else:
-                    ce += 1
-    return examined, hyp, holding, tight, ce
+_PAIR = ("ks", "additive", "mult", "cover")
 
 
-def _slow_single_sweep(theorem, p):
-    mode_tag = "add" if theorem == "corollary-add" else "mult"
-    universe = range(p) if mode_tag == "add" else range(1, p)
-    examined = hyp = holding = tight = ce = 0
-    for A in nonempty_subsets(universe):
-        examined += 1
-        n = len(A)
-        counts = rep_count_oracle(mode_tag, p, A, A, restricted=True)
-        size = len(counts)
-        qualifying = []
-        for c, k in counts.items():
-            if k != 2:
-                continue
-            if theorem == "main":
-                a, b = next(
-                    (a, b)
-                    for a in A
-                    for b in A
-                    if a * b % p == c and a != b
-                )
-                if pow(a, n - 2, p) == pow(b, n - 2, p):
-                    continue
-            qualifying.append(c)
-        if not qualifying:
-            continue
-        bound = 2 * n - 3 if theorem in ("main", "corollary-add") else 2 * n - 4
-        hyp += len(qualifying)
-        if size >= bound:
-            holding += len(qualifying)
-            tight += size == bound
-        else:
-            ce += 1
-    return examined, hyp, holding, tight, ce
+def _mode_tag(theorem, mode=None):
+    mode = THEOREMS[theorem].mode or mode
+    return "add" if mode is GroupMode.ADDITIVE else "mult"
+
+
+def _reference_count(stats, theorem, mode_tag, p, elements, amask, bmask, tight_cap):
+    """Count one instance into `stats` with the set oracles alone, recording
+    its report entry; a violated `main` bound replays the certificate for
+    each target, as the sweeps do."""
+    A = mask_values_oracle(elements, amask)
+    B = None if bmask is None else mask_values_oracle(elements, bmask)
+    instance = size, bound, targets = instance_oracle(theorem, mode_tag, p, A, B)
+    entry = {"A": A, "size": size, "bound": bound, "N" if theorem == "cover" else "c": targets}
+    if B is not None:
+        entry["B"] = B
+    count_instance_oracle(stats, theorem, instance, entry, tight_cap)
+    if theorem == "main" and targets and size < bound:
+        a_set = ElementSet(PrimeField(p), GroupMode.MULTIPLICATIVE, A)
+        for c in targets:
+            try:
+                search.symmetric_pair_certificate(a_set, c)
+            except TheoremContradictionError:
+                stats.contradictions += 1
+
+
+def _slow_sweep(theorem, p, mode_tag):
+    """Independent re-count of an exhaustive sweep with the set oracles."""
+    elements = group_elements_oracle(mode_tag, p)
+    masks = range(1, 1 << len(elements))
+    stats = PrimeStats(p)
+    for amask in masks:
+        for bmask in masks if theorem in _PAIR else [None]:
+            _reference_count(stats, theorem, mode_tag, p, elements, amask, bmask, 0)
+    return (
+        stats.examined,
+        stats.hypothesis_satisfying,
+        stats.bound_holding,
+        stats.tight_count,
+        stats.counterexample_count,
+    )
 
 
 @pytest.mark.parametrize(
@@ -120,8 +93,7 @@ def test_pair_sweep_matches_slow_oracle(theorem, mode, p):
     config = SweepConfig(theorem=theorem, primes=(p,), group_mode=mode)
     report = exhaustive_verify(config)
     stats = report.stats_for(p)
-    mode_tag = "add" if config.resolved_mode() is GroupMode.ADDITIVE else "mult"
-    expected = _slow_pair_sweep(theorem, p, mode_tag)
+    expected = _slow_sweep(theorem, p, _mode_tag(theorem, mode))
     got = (
         stats.examined,
         stats.hypothesis_satisfying,
@@ -138,7 +110,7 @@ def test_pair_sweep_matches_slow_oracle(theorem, mode, p):
 def test_single_sweep_matches_slow_oracle(theorem, p):
     report = exhaustive_verify(SweepConfig(theorem=theorem, primes=(p,)))
     stats = report.stats_for(p)
-    expected = _slow_single_sweep(theorem, p)
+    expected = _slow_sweep(theorem, p, _mode_tag(theorem))
     got = (
         stats.examined,
         stats.hypothesis_satisfying,
@@ -150,59 +122,69 @@ def test_single_sweep_matches_slow_oracle(theorem, p):
     assert stats.contradictions == 0
 
 
-# ------------------------------------- vectorized kernels vs the reference
+# ------------------------------------------------- mask kernels vs the oracle
+
+
+def _oracle_form(elements, size, bound, targets):
+    return int(size), int(bound), mask_values_oracle(elements, int(targets))
 
 
 @pytest.mark.parametrize("theorem", ["main", "corollary-add", "corollary-mult"])
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_single_kernel_matches_reference_per_mask(theorem, p):
-    universe = search._universe(p, THEOREMS[theorem].mode)
-    amasks = np.arange(1, 1 << universe.m, dtype=np.uint32)
-    size, bound, qualifying = search._single_eval(theorem, universe.m, amasks)
-    got = list(zip(size.tolist(), bound.tolist(), np.bitwise_count(qualifying).tolist()))
-    expected = []
-    for amask in range(1, 1 << universe.m):
-        info = search._single_instance(universe, theorem, amask)
-        expected.append((info["size"], info["bound"], info["hyp_units"]))
-    assert got == expected
+    mode_tag = _mode_tag(theorem)
+    elements = group_elements_oracle(mode_tag, p)
+    m = len(elements)
+    size, bound, targets = search._single_eval(theorem, m, np.arange(1, 1 << m, dtype=np.uint32))
+    for i, amask in enumerate(range(1, 1 << m)):
+        expected = instance_oracle(theorem, mode_tag, p, mask_values_oracle(elements, amask))
+        assert _oracle_form(elements, size[i], bound[i], targets[i]) == expected, amask
 
 
 _PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 @st.composite
-def _pair_cases(draw):
-    theorem = draw(st.sampled_from(["ks", "additive", "mult", "cover"]))
-    mode = THEOREMS[theorem].mode or draw(st.sampled_from(list(GroupMode)))
-    universe = search._universe(draw(st.sampled_from(_PRIMES_TO_31)), mode)
-    masks = st.integers(1, (1 << universe.m) - 1)
-    return theorem, universe, draw(masks), draw(st.lists(masks, min_size=1, max_size=8))
+def _cases(draw, theorems):
+    theorem = draw(st.sampled_from(theorems))
+    mode_tag = _mode_tag(theorem, draw(st.sampled_from(list(GroupMode))))
+    p = draw(st.sampled_from(_PRIMES_TO_31))
+    elements = group_elements_oracle(mode_tag, p)
+    masks = st.integers(1, (1 << len(elements)) - 1)
+    return theorem, mode_tag, p, elements, draw(masks), draw(st.lists(masks, min_size=1, max_size=8))
 
 
 @settings(max_examples=200)
-@given(_pair_cases())
+@given(_cases(list(_PAIR)))
 def test_pair_kernel_matches_reference_and_oracles(case):
-    theorem, universe, amask, bmasks = case
-    p = universe.field.p
-    mode_tag = "add" if universe.mode is GroupMode.ADDITIVE else "mult"
-    restricted = theorem != "ks"
-    size, bound, units = search._pair_eval(
-        theorem, universe.m, amask, np.array(bmasks, dtype=np.uint32)
+    # one A as an int against a uint32 array of B (the exhaustive sweeps),
+    # against each B as an int (hunts past 63 bits and report entries), and
+    # a uint64 array of A against one of B (hunts)
+    theorem, mode_tag, p, elements, amask, bmasks = case
+    m = len(elements)
+    arrays = search._pair_eval(theorem, m, amask, np.array(bmasks, dtype=np.uint32))
+    hunt = search._pair_eval(
+        theorem, m, np.full(len(bmasks), amask, dtype=np.uint64), np.array(bmasks, dtype=np.uint64)
     )
-    A = universe.mask_to_values(amask)
+    A = mask_values_oracle(elements, amask)
     for i, bmask in enumerate(bmasks):
-        info = search._pair_instance(universe, theorem, amask, bmask)
-        got = (int(size[i]), int(bound[i]), int(units[i]))
-        assert got == (info["size"], info["bound"], info["hyp_units"])
-        B = universe.mask_to_values(bmask)
-        assert got[0] == len(combine_oracle(mode_tag, p, A, B, restricted))
-        if theorem == "cover":
-            n_len = len(exceptional_square_oracle(p, A, B))
-            assert got[1:] == (len(A) + len(B) - 2 - n_len // 2, int(n_len > 0))
-        else:
-            counts = rep_count_oracle(mode_tag, p, A, B, restricted)
-            uniques = sum(1 for k in counts.values() if k == 1)
-            assert got[1:] == (len(A) + len(B) - THEOREMS[theorem].offset, uniques)
+        expected = instance_oracle(theorem, mode_tag, p, A, mask_values_oracle(elements, bmask))
+        one = search._pair_eval(theorem, m, amask, bmask)
+        assert all(type(v) is int for v in one)
+        assert _oracle_form(elements, *one) == expected
+        assert _oracle_form(elements, *(column[i] for column in arrays)) == expected
+        assert _oracle_form(elements, *(column[i] for column in hunt)) == expected
+
+
+@settings(max_examples=200)
+@given(_cases(["main", "corollary-add", "corollary-mult"]))
+def test_single_kernel_on_ints_matches_oracle(case):
+    theorem, mode_tag, p, elements, amask, more = case
+    for mask in [amask] + more:
+        one = search._single_eval(theorem, len(elements), mask)
+        assert all(type(v) is int for v in one)
+        expected = instance_oracle(theorem, mode_tag, p, mask_values_oracle(elements, mask))
+        assert _oracle_form(elements, *one) == expected
 
 
 @pytest.fixture
@@ -210,6 +192,7 @@ def weakened_main(monkeypatch):
     # no real theorem fails, so weaken `main` by one and let every other
     # replay "raise" to exercise the violation and contradiction paths
     monkeypatch.setitem(THEOREMS, "main", dataclasses.replace(THEOREMS["main"], offset=2))
+    monkeypatch.setitem(OFFSETS, "main", 2)
     monkeypatch.setattr(search, "COUNTEREXAMPLE_LIST_CAP", 7)
     real_certificate = search.symmetric_pair_certificate
 
@@ -225,14 +208,10 @@ def weakened_main(monkeypatch):
 def test_counterexample_path_matches_reference_loop(weakened_main, partitions):
     p = 11
     report = exhaustive_verify(SweepConfig(theorem="main", primes=(p,), partitions=partitions))
-    universe = search._universe(p, GroupMode.MULTIPLICATIVE)
+    elements = group_elements_oracle("mult", p)
     expected = PrimeStats(p)
-    for amask in range(1, 1 << universe.m):
-        info = search._single_instance(universe, "main", amask)
-        count_instance_oracle(expected, info, (amask, None), search.DEFAULT_TIGHT_CAP)
-        if info["c_indices"] and not info["bound_ok"]:
-            expected.contradictions += search._replay(universe, amask, info["c_indices"])
-    search._materialize(universe, "main", expected, attach=False)
+    for amask in range(1, 1 << len(elements)):
+        _reference_count(expected, "main", "mult", p, elements, amask, None, search.DEFAULT_TIGHT_CAP)
     assert report.stats_for(p).to_json_dict() == expected.to_json_dict()
     assert len(expected.counterexamples) == 7
     assert expected.counterexample_count > 7
@@ -278,25 +257,30 @@ def test_draw_masks_match_sequential_sampler(seed, m, cap, count, block):
 
 
 def _reference_hunt(config):
-    """The per-draw loop: sequential sampler, per-instance checks and counter."""
-    spec = THEOREMS[config.theorem]
+    """The per-draw loop: sequential sampler, set oracles and counter."""
+    pair = THEOREMS[config.theorem].pair
+    mode_tag = _mode_tag(config.theorem, config.group_mode)
     rng = SplitMix64(config.seed)
     per_prime = []
     for p in config.primes:
-        universe = search._universe(p, config.resolved_mode())
+        elements = group_elements_oracle(mode_tag, p)
         stats = PrimeStats(p)
         for _ in range(config.samples):
-            amask = sample_mask_oracle(rng, universe.m, config.max_set_size)
-            if spec.pair:
-                bmask = sample_mask_oracle(rng, universe.m, config.max_set_size)
-                info = search._pair_instance(universe, config.theorem, amask, bmask)
-            else:
-                bmask = None
-                info = search._single_instance(universe, config.theorem, amask)
-            count_instance_oracle(stats, info, (amask, bmask), config.tight_cap)
-            if spec.replayed and info["c_indices"] and not info["bound_ok"]:
-                stats.contradictions += search._replay(universe, amask, info["c_indices"])
-        search._materialize(universe, config.theorem, stats, config.attach_certificates)
+            amask = sample_mask_oracle(rng, len(elements), config.max_set_size)
+            bmask = sample_mask_oracle(rng, len(elements), config.max_set_size) if pair else None
+            _reference_count(
+                stats, config.theorem, mode_tag, p, elements, amask, bmask, config.tight_cap
+            )
+        build = THEOREMS[config.theorem].build
+        if config.attach_certificates and build is not None:
+            mode = config.resolved_mode()
+            for entry in stats.tight:
+                A = ElementSet(PrimeField(p), mode, entry["A"])
+                B = ElementSet(PrimeField(p), mode, entry["B"]) if pair else A
+                # the first target in mask-bit order
+                targets = entry.get("c", [])
+                c = min(targets, key=elements.index) if targets else None
+                entry["certificate"] = build(A, B, c).to_json_dict()
         per_prime.append(stats)
     return Report(config.echo(), {"algorithm": "splitmix64", "seed": config.seed}, per_prime)
 
@@ -322,7 +306,7 @@ def test_hunt_report_matches_reference_loop(monkeypatch, theorem, mode):
         for cap in (None, 6):
             config = SweepConfig(
                 theorem=theorem, primes=primes, group_mode=mode, samples=150, seed=seed,
-                max_set_size=cap, tight_cap=5,
+                max_set_size=cap, tight_cap=5, attach_certificates=cap is not None,
             )
             _assert_same_report(config)
 
@@ -425,6 +409,8 @@ def test_config_validation_errors():
         ).validate()
     with pytest.raises(ValueError):
         SweepConfig(theorem="mult", primes=(5,), samples=5, seed=1, partitions=2).validate()
+    with pytest.raises(ValueError, match="repeated prime 7"):
+        SweepConfig(theorem="mult", primes=(7, 5, 7), samples=200, seed=1).validate()
 
 
 @pytest.mark.parametrize("seed", [-1, -5, 1 << 64, (1 << 64) + 1])
