@@ -189,22 +189,31 @@ def _unmet(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
     )
 
 
-def _factor_profile(
-    p: int,
-    lines: Sequence[tuple[int, int, int]],
-    with_hyperbola: bool,
-    xvals: Sequence[int],
-    yvals: Sequence[int],
-) -> list[tuple[int, int]]:
-    """Non-vanishing grid points of the factor product, in lex order.
+def _covered(
+    theorem: str,
+    A: ElementSet,
+    B: ElementSet,
+    c: int | None,
+    lines: list[tuple[int, int, int]],
+    hyperbola: bool,
+    grid: Sequence[int],
+    point: tuple[int, int],
+    size: int,
+    extra: int = 0,
+) -> Certificate:
+    """The last step of every cover argument, and its certificate.
 
-    Evaluates factor by factor with early exit, avoiding expansion of the
-    product polynomial.
+    The product of `lines`, times x*y - 1 when `hyperbola`, must vanish on
+    A x `grid` except at `point`; this is checked factor by factor at every
+    grid point, with early exit and without expanding the product.  Its
+    degree then forces `size` >= |A| + |B| - offset - `extra`, with the
+    theorem's offset from `THEOREMS`.
     """
+    p = A.field.p
     profile = []
-    for t in xvals:
-        for s in yvals:
-            v = (t * s - 1) % p if with_hyperbola else 1
+    for t in A.values:
+        for s in grid:
+            v = (t * s - 1) % p if hyperbola else 1
             if v:
                 for alpha, beta, gamma in lines:
                     v = v * (alpha * t + beta * s + gamma) % p
@@ -212,7 +221,29 @@ def _factor_profile(
                         break
             if v:
                 profile.append((t, s))
-    return profile
+    if profile != [point]:
+        raise AssertionError(f"cover profile {profile} != [{point}]")
+    bound = len(A) + len(B) - THEOREMS[theorem].offset - extra
+    if size < bound:
+        raise TheoremContradictionError(
+            f"{theorem}: restricted combine has {size} < {bound} elements "
+            "on an instance meeting the hypothesis"
+        )
+    return Certificate(
+        theorem=theorem,
+        p=p,
+        mode=A.mode.value,
+        A=A.values,
+        B=B.values,
+        c=c,
+        lines=tuple(lines),
+        exceptional=(point,),
+        degree=len(lines) + 2 * hyperbola,
+        top_coefficient=None,
+        summands=None,
+        verdict=BOUND_CERTIFIED,
+        tight=size == bound,
+    )
 
 
 def additive_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certificate:
@@ -236,28 +267,8 @@ def additive_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certificate:
     p = field.p
     lines = [(1, p - 1, 0)]
     lines += [(1, 1, (-g) % p) for g in sums.values if g != c.value]
-    profile = _factor_profile(p, lines, False, A.values, B.values)
-    if profile != [(a.value, b.value)]:
-        raise AssertionError(f"cover profile {profile} is not the unique rep point")
-    bound = len(A) + len(B) - 2
-    if len(sums) < bound:
-        raise TheoremContradictionError(
-            f"|A+.B| = {len(sums)} < {bound} with a uniquely represented target"
-        )
-    return Certificate(
-        theorem="additive",
-        p=p,
-        mode=A.mode.value,
-        A=A.values,
-        B=B.values,
-        c=c.value,
-        lines=tuple(lines),
-        exceptional=((a.value, b.value),),
-        degree=len(lines),
-        top_coefficient=None,
-        summands=None,
-        verdict=BOUND_CERTIFIED,
-        tight=len(sums) == bound,
+    return _covered(
+        "additive", A, B, c.value, lines, False, B.values, (a.value, b.value), len(sums)
     )
 
 
@@ -279,30 +290,9 @@ def multiplicative_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certifi
     products = restricted_combine(A, B)
     p = field.p
     lines = [(1, (-g) % p, 0) for g in products.values if g != c.value]
-    b_inv = inverse_set(B)
-    profile = _factor_profile(p, lines, True, A.values, b_inv.values)
-    expected = (a.value, int(b.inverse()))
-    if profile != [expected]:
-        raise AssertionError(f"cover profile {profile} != [{expected}]")
-    bound = len(A) + len(B) - 3
-    if len(products) < bound:
-        raise TheoremContradictionError(
-            f"|Ax.B| = {len(products)} < {bound} with a uniquely represented target"
-        )
-    return Certificate(
-        theorem="mult",
-        p=p,
-        mode=A.mode.value,
-        A=A.values,
-        B=B.values,
-        c=c.value,
-        lines=tuple(lines),
-        exceptional=(expected,),
-        degree=len(lines) + 2,
-        top_coefficient=None,
-        summands=None,
-        verdict=BOUND_CERTIFIED,
-        tight=len(products) == bound,
+    return _covered(
+        "mult", A, B, c.value, lines, True, inverse_set(B).values,
+        (a.value, int(b.inverse())), len(products),
     )
 
 
@@ -387,7 +377,7 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
     n = len(A)
     products = restricted_combine(A, A)
     m = len(products)
-    bound = 2 * n - 3
+    bound = 2 * n - THEOREMS["main"].offset
     if m >= bound:
         s1 = symmetric_pair_summand(a, b, A, c)
         s2 = symmetric_pair_summand(b, a, A, c)
@@ -443,7 +433,7 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
 
 
 def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
-    """Certify |restricted product set| >= |A| + |B| - 2 - floor(|N|/2|).
+    """Certify |restricted product set| >= |A| + |B| - 2 - floor(|N|/2).
 
     N is the exceptional square set {a in A n B : a*a not in the restricted
     product set}.  The lines x = g*y (g over the restricted products) cover
@@ -451,10 +441,11 @@ def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
     a in N.  The smallest residue in N is designated to stay uncovered; the
     remaining points are taken in sorted order and covered two at a time by
     secants, with a leftover point (when |N| is even) covered by the vertical
-    line through it alone.  A secant through hyperbola points (u, 1/u) and
-    (v, 1/v) meets the hyperbola nowhere else, and a vertical line meets it
-    once, so the designated point stays uncovered; the construction asserts
-    both.  Total added lines: exactly floor(|N|/2).
+    line through it alone: floor(|N|/2) added lines.  A secant through
+    hyperbola points (u, 1/u) and (v, 1/v) meets the hyperbola nowhere else,
+    and a vertical line meets it once.  The whole-grid profile check catches
+    any other outcome: a secant that missed its points would leave them in
+    the profile, one through (a*, 1/a*) would empty it.
     """
     if A.mode is not GroupMode.MULTIPLICATIVE or B.mode is not GroupMode.MULTIPLICATIVE:
         raise ValueError("hyperbola certificate needs multiplicative-mode sets")
@@ -464,58 +455,16 @@ def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
     if len(n_set) == 0:
         return _unmet("cover", A, B, None)
     products = restricted_combine(A, B)
-    a_star = n_set.values[0]
-    rest = list(n_set.values[1:])
+    a_star, *rest = n_set.values
     lines = [(1, (-g) % p, 0) for g in products.values]
-    cover_lines: list[tuple[int, int, int]] = []
     for k in range(0, len(rest) - 1, 2):
         u, v = rest[k], rest[k + 1]
-        cover_lines.append((1, u * v % p, (-(u + v)) % p))
+        lines.append((1, u * v % p, (-(u + v)) % p))
     if len(rest) % 2 == 1:
-        cover_lines.append((1, 0, (-rest[-1]) % p))
-    if len(cover_lines) != len(n_set) // 2:
-        raise AssertionError("cover used more than floor(|N|/2) lines")
-    hyperbola_points = {t: pow(t, -1, p) for t in n_set.values}
-    for idx, (alpha, beta, gamma) in enumerate(cover_lines):
-        hits = {
-            t
-            for t, t_inv in hyperbola_points.items()
-            if (alpha * t + beta * t_inv + gamma) % p == 0
-        }
-        expected = (
-            {rest[2 * idx], rest[2 * idx + 1]}
-            if 2 * idx + 1 < len(rest)
-            else {rest[-1]}
-        )
-        if hits != expected:
-            raise AssertionError(
-                f"cover line {idx} meets hyperbola points {hits}, wanted {expected}"
-            )
-    all_lines = lines + cover_lines
-    b_inv = inverse_set(B)
-    exceptional = (a_star, pow(a_star, -1, p))
-    profile = _factor_profile(p, all_lines, False, A.values, b_inv.values)
-    if profile != [exceptional]:
-        raise AssertionError(f"cover profile {profile} != [{exceptional}]")
-    bound = len(A) + len(B) - 2 - len(n_set) // 2
-    if len(products) < bound:
-        raise TheoremContradictionError(
-            f"|Ax.B| = {len(products)} < {bound} with nonempty exceptional set"
-        )
-    return Certificate(
-        theorem="cover",
-        p=p,
-        mode=A.mode.value,
-        A=A.values,
-        B=B.values,
-        c=None,
-        lines=tuple(all_lines),
-        exceptional=(exceptional,),
-        degree=len(all_lines),
-        top_coefficient=None,
-        summands=None,
-        verdict=BOUND_CERTIFIED,
-        tight=len(products) == bound,
+        lines.append((1, 0, (-rest[-1]) % p))
+    return _covered(
+        "cover", A, B, None, lines, False, inverse_set(B).values,
+        (a_star, pow(a_star, -1, p)), len(products), extra=len(n_set) // 2,
     )
 
 

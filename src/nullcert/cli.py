@@ -119,8 +119,6 @@ def _cmd_verify(args) -> int:
         raise ValueError("choose --exhaustive or --samples N --seed S")
     if args.samples is not None and args.exhaustive:
         raise ValueError("--exhaustive and --samples are mutually exclusive")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1; got {args.jobs}")
     budget = args.budget
     if budget is None:
         budget = int(os.environ.get("NULLCERT_BUDGET", search.DEFAULT_BUDGET))
@@ -137,6 +135,10 @@ def _cmd_verify(args) -> int:
         attach_certificates=args.attach_certificates,
     )
     config.validate()
+    if not 1 <= args.jobs <= args.partitions:
+        raise ValueError(
+            f"--jobs must be between 1 and --partitions ({args.partitions}); got {args.jobs}"
+        )
     if args.samples is not None:
         report = search.hunt_counterexample(config)
     else:

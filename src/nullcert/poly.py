@@ -106,13 +106,6 @@ class BivariatePolynomial:
                 out.pop(key, None)
         return BivariatePolynomial(self.field, out)
 
-    def scale(self, c) -> "BivariatePolynomial":
-        cv = int(self.field.element(c))
-        p = self.field.p
-        return BivariatePolynomial(
-            self.field, {k: v * cv % p for k, v in self.terms.items()}
-        )
-
     def multiply(
         self, other: "BivariatePolynomial", degree_cap: int = DEFAULT_DEGREE_CAP
     ) -> "BivariatePolynomial":

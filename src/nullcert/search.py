@@ -294,16 +294,15 @@ class _Universe:
     index addition mod m in both cases.
     """
 
-    def __init__(self, field: PrimeField, mode: GroupMode):
-        self.field = field
+    def __init__(self, p: int, mode: GroupMode):
+        self.field = PrimeField(p)
         self.mode = mode
-        p = field.p
         if mode is GroupMode.ADDITIVE:
             self.m = p
             self.residues = tuple(range(p))
         else:
             self.m = p - 1
-            g = int(smallest_generator(field))
+            g = int(smallest_generator(self.field))
             res = []
             v = 1
             for _ in range(p - 1):
@@ -316,10 +315,6 @@ class _Universe:
 
     def element_set(self, mask: int) -> ElementSet:
         return ElementSet(self.field, self.mode, self.mask_to_values(mask))
-
-
-def _universe(p: int, mode: GroupMode) -> _Universe:
-    return _Universe(PrimeField(p), mode)
 
 
 def _cyclic_shift(mask, a: int, m: int):
@@ -477,7 +472,7 @@ def _partition(
     """Sweep A-masks in [a_lo, a_hi); returns partial stats.  A pair theorem
     evaluates each A against every B, a single-set theorem a block of A-masks
     at a time."""
-    universe = _universe(p, GroupMode(mode_value))
+    universe = _Universe(p, GroupMode(mode_value))
     m = universe.m
     stats = PrimeStats(p)
     if THEOREMS[theorem].pair:
@@ -548,8 +543,8 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     the same report as a single-partition run.
     """
     config.validate()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1; got {jobs}")
+    if not 1 <= jobs <= config.partitions:
+        raise ValueError(f"jobs must be between 1 and partitions ({config.partitions}); got {jobs}")
     if config.samples is not None:
         return hunt_counterexample(config)
     mode = config.resolved_mode()
@@ -557,7 +552,7 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     started = time.monotonic()
     per_prime: list[PrimeStats] = []
     for p in config.primes:
-        universe = _universe(p, mode)
+        universe = _Universe(p, mode)
         total = 1 << universe.m
         instance_count = (total - 1) ** 2 if is_pair else total - 1
         if instance_count > config.budget:
@@ -639,7 +634,7 @@ def hunt_counterexample(config: SweepConfig) -> Report:
     rng = SplitMix64(config.seed)
     per_prime: list[PrimeStats] = []
     for p in config.primes:
-        universe = _universe(p, mode)
+        universe = _Universe(p, mode)
         m = universe.m
         stats = PrimeStats(p)
         for done in range(0, config.samples, _BLOCK):

@@ -86,9 +86,6 @@ class ElementSet:
         tag = "+" if self.mode is GroupMode.ADDITIVE else "*"
         return f"{{{', '.join(str(v) for v in self.values)}}}{tag}@GF({self.field.p})"
 
-    def with_elements(self, elements: Iterable) -> "ElementSet":
-        return ElementSet(self.field, self.mode, elements)
-
 
 @dataclass(frozen=True)
 class Representation:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,8 +9,10 @@ from nullcert.certify import (
     BOUND_CERTIFIED,
     DIRECTLY_SATISFIED,
     HYPOTHESIS_UNMET,
+    THEOREMS,
     Certificate,
     TheoremContradictionError,
+    _covered,
     additive_cover_certificate,
     hyperbola_cover_certificate,
     multiplicative_cover_certificate,
@@ -29,6 +32,7 @@ from nullcert.poly import (
 from nullcert.sets import (
     ElementSet,
     GroupMode,
+    exceptional_square_set,
     inverse_set,
     representations,
     restricted_combine,
@@ -398,6 +402,64 @@ def test_hyperbola_certificates_exhaustive(p):
             profile = [(int(t), int(s)) for t, s in vanishing_profile(f, X, Y)]
             assert profile == [cert.exceptional[0]]
     assert built > 0
+
+
+# ------------------------------------------------------- certificate bytes
+
+
+def _pinned_builds():
+    """Every builder on every instance at p <= 5, every `cover` instance at
+    p = 7 (39 of them need a secant), and `mult` on the tight family."""
+    for p in (2, 3, 5):
+        for theorem, spec in THEOREMS.items():
+            if spec.build is None:
+                continue
+            residues = range(p) if spec.mode is ADD else range(1, p)
+            sets = [mk(p, spec.mode, values) for values in nonempty_subsets(residues)]
+            for A in sets:
+                for B in sets if spec.pair else [A]:
+                    for c in [None] if theorem == "cover" else residues:
+                        yield spec.build(A, B, c)
+    sets = [mk(7, MULT, values) for values in nonempty_subsets(range(1, 7))]
+    for A in sets:
+        for B in sets:
+            yield hyperbola_cover_certificate(A, B)
+    for n in range(4, 11):
+        ex = construct_tight_example(n)
+        yield multiplicative_cover_certificate(ex.A, ex.B, ex.c)
+
+
+def test_certificate_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for cert in _pinned_builds():
+        digest.update(cert.to_json().encode())
+    assert digest.hexdigest() == (
+        "5b64915c9c8bcfed31ec3b62fc26205d7e4cc0c58a944c05cc9ae5fd2851b844"
+    )
+
+
+# ------------------------------------------------------- cover check failures
+
+
+def test_cover_check_rejects_a_dropped_secant():
+    # N = {1, 2, 5}: a* = 1 stays uncovered, one secant through (2, 4), (5, 3)
+    A = mk(7, MULT, [1, 2, 5])
+    cert = hyperbola_cover_certificate(A, A)
+    assert len(exceptional_square_set(A, A)) == 3
+    lines, grid, point = list(cert.lines), inverse_set(A).values, cert.exceptional[0]
+    size = len(restricted_combine(A, A))
+    assert _covered("cover", A, A, None, lines, False, grid, point, size, 1) == cert
+    with pytest.raises(AssertionError, match=r"\(2, 4\), \(5, 3\)"):
+        _covered("cover", A, A, None, lines[:-1], False, grid, point, size, 1)
+
+
+def test_cover_check_rejects_a_size_below_the_bound():
+    A, B = mk(7, ADD, [0, 1]), mk(7, ADD, [1, 2])
+    cert = additive_cover_certificate(A, B, 1)
+    lines, point = list(cert.lines), cert.exceptional[0]
+    assert _covered("additive", A, B, 1, lines, False, B.values, point, 3) == cert
+    with pytest.raises(TheoremContradictionError, match="1 < 2"):
+        _covered("additive", A, B, 1, lines, False, B.values, point, 1)
 
 
 # --------------------------------------------------- re-validation battery

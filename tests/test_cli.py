@@ -1,4 +1,9 @@
+import hashlib
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from nullcert.cli import main
 from nullcert.field import PrimeField
@@ -51,6 +56,9 @@ def test_verify_bad_jobs_and_seeds_exit_2_with_one_line(capsys):
         (["--exhaustive", "--jobs", "0", "--partitions", "2"], "--jobs"),
         (["--exhaustive", "--jobs", "-3"], "--jobs"),
         (["--samples", "10", "--seed", "1", "--jobs", "0"], "--jobs"),
+        (["--exhaustive", "--jobs", "2"], "--partitions (1); got 2"),
+        (["--exhaustive", "--jobs", "3", "--partitions", "2"], "--partitions (2); got 3"),
+        (["--samples", "10", "--seed", "1", "--jobs", "2"], "--jobs"),
         (["--samples", "10", "--seed", "-5"], "seed"),
         (["--samples", "10", "--seed", "18446744073709551617"], "seed"),
         (["--prime", "7", "--samples", "200", "--seed", "1"], "repeated prime"),
@@ -70,6 +78,19 @@ def test_verify_sampled_reports_are_byte_identical(tmp_path):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+GOLDEN = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", [
+    key for key in GOLDEN
+    if re.search(r"--theorem (main|corollary-\w+) .*--exhaustive|--seed [0-3] ", key)
+])
+def test_verify_reports_match_the_benchmark_digests(key, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(key.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[key]
 
 
 def test_verify_csv_format(tmp_path):

@@ -431,6 +431,16 @@ def test_jobs_below_one_are_rejected(jobs):
         exhaustive_verify(config, jobs=jobs)
 
 
+@pytest.mark.parametrize("partitions,jobs", [(1, 2), (2, 3)])
+def test_jobs_above_partitions_are_rejected(partitions, jobs):
+    config = SweepConfig(theorem="mult", primes=(5,), partitions=partitions)
+    with pytest.raises(ValueError, match=rf"jobs .*partitions \({partitions}\); got {jobs}"):
+        exhaustive_verify(config, jobs=jobs)
+    sampled = SweepConfig(theorem="mult", primes=(5,), samples=10, seed=1)
+    with pytest.raises(ValueError, match="partitions"):
+        exhaustive_verify(sampled, jobs=2)
+
+
 def test_budget_enforced():
     config = SweepConfig(theorem="additive", primes=(17,))
     with pytest.raises(ValueError, match="budget"):
