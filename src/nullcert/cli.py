@@ -78,7 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     verify.add_argument("--partitions", type=int, default=1,
                         help="static sweep partitions (merge is deterministic)")
-    verify.add_argument("--budget", type=int, help="max hypothesis checks per sweep")
+    verify.add_argument("--budget", type=int,
+                        help="max work per exhaustive sweep: sets evaluated, or pairs (canonical "
+                             "A's x B's) evaluated and, checked first, the m*phi(m)*2^m mask "
+                             "operations that find the A-orbits; the default 2^26 admits the "
+                             "p = 17 pair sweeps of mult, cover and ks --mode mult")
     verify.add_argument("--tight-cap", type=int, default=search.DEFAULT_TIGHT_CAP)
     verify.add_argument("--attach-certificates", action="store_true",
                         help="attach a certificate to each recorded tight instance")

@@ -14,6 +14,13 @@ are rebuilt by the same kernels from the recorded masks.  The `main`
 certificate is replayed only where the bound fails, the one case in which it
 can raise.
 
+An exhaustive pair sweep evaluates one canonical A per orbit of the index
+maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
+weighted by the orbit size.  Every pair bound is invariant under g applied to
+A and B together, so sum_B f(gA, B) = sum_B f(A, B): the counts are exact.
+The first entries, in direct (amask, bmask) order, are then rebuilt by the
+same kernel on the orbits that have any (`_first_entries`).
+
 Instance accounting, used consistently by reports:
 
 * ``examined``              -- enumerated (or sampled) input pairs/sets that
@@ -179,7 +186,8 @@ COUNTERS = (
 class PrimeStats:
     """Counts for one prime.  While a sweep runs, `tight` and
     `counterexamples` hold raw (amask, bmask) pairs (bmask None for single
-    sets); `_materialize` turns them into report entries."""
+    sets; canonical A's in a pair sweep until `_first_entries`);
+    `_materialize` turns them into report entries."""
 
     p: int
     examined: int = 0
@@ -191,19 +199,22 @@ class PrimeStats:
     tight: list = dataclass_field(default_factory=list)
     counterexamples: list = dataclass_field(default_factory=list)
 
-    def count_block(self, size, bound, units, tight_cap: int, key) -> np.ndarray:
+    def count_block(self, size, bound, units, tight_cap: int, key, weight: int = 1) -> np.ndarray:
         """Add a block of examined instances given as arrays of sizes, bounds
-        and hypothesis units; `key(i)` is the (amask, bmask) key of the i-th.
-        Returns the flags of the instances that violate the bound."""
-        self.examined += len(size)
+        and hypothesis units, each counted `weight` times; `key(i)` is the
+        (amask, bmask) key of the i-th, or None to record none.  Returns the
+        flags of the instances that violate the bound."""
+        self.examined += weight * len(size)
         ok = size >= bound
         has_c = units > 0
-        self.hypothesis_satisfying += int(units.sum())
-        self.bound_holding += int(units[ok].sum())
+        self.hypothesis_satisfying += weight * int(units.sum())
+        self.bound_holding += weight * int(units[ok].sum())
         tight = has_c & ok & (size == bound)
         violated = has_c & ~ok
-        self.tight_count += int(tight.sum())
-        self.counterexample_count += int(violated.sum())
+        self.tight_count += weight * int(tight.sum())
+        self.counterexample_count += weight * int(violated.sum())
+        if key is None:
+            return violated
         room = tight_cap - len(self.tight)
         self.tight += [key(i) for i in np.flatnonzero(tight)[:room]]
         room = COUNTEREXAMPLE_LIST_CAP - len(self.counterexamples)
@@ -322,6 +333,32 @@ def _cyclic_shift(mask, a: int, m: int):
     return ((mask << a) | (mask >> (m - a))) & ((1 << m) - 1)
 
 
+def _orbits(m: int, max_set_size: int | None) -> tuple:
+    """(canon, reps, weights) for the index maps k -> u*k + mu (mod m):
+    canon[x] is the least image of the m-bit mask x, found with one array
+    pass per map; reps are the canonical nonempty masks with at most
+    `max_set_size` bits, ascending, and weights their orbit sizes."""
+    masks = np.arange(1 << m, dtype=np.uint32)
+    canon = masks.copy()
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    for u in units:
+        image = masks & 0
+        for k in range(m):
+            image |= (masks >> k & 1) << (u * k % m)
+        for mu in range(m):
+            np.minimum(canon, _cyclic_shift(image, mu, m), out=canon)
+    reps = np.flatnonzero(canon == masks)[1:]
+    if max_set_size is not None:
+        reps = reps[np.bitwise_count(reps) <= max_set_size]
+    return canon, reps, np.bincount(canon)[reps]
+
+
+def _masks_upto(m: int, max_set_size: int | None) -> np.ndarray:
+    """Every nonempty m-bit mask, ascending, with at most `max_set_size` bits."""
+    masks = np.arange(1, 1 << m, dtype=np.uint32)
+    return masks if max_set_size is None else masks[np.bitwise_count(masks) <= max_set_size]
+
+
 def _mask_bits(mask) -> list[int]:
     """The set bits of an int mask, or of any mask in an array, ascending."""
     if not isinstance(mask, int):
@@ -436,14 +473,15 @@ def _evaluate(theorem: str, m: int, keys: list) -> tuple:
 
 
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tuple,
-           tight_cap: int, key) -> None:
-    """Count a block of kernel results into `stats`; `key(i)` is the
-    (amask, bmask) of the i-th.  A target is one hypothesis unit, except that
-    a `cover` pair counts once when N is nonempty.  A violated `main` bound
-    replays the certificate for each target: only there can it raise."""
+           tight_cap: int, key, weight: int = 1) -> None:
+    """Count a block of kernel results into `stats`, each `weight` times;
+    `key(i)` is the (amask, bmask) of the i-th.  A target is one hypothesis
+    unit, except that a `cover` pair counts once when N is nonempty.  A
+    violated `main` bound replays the certificate for each target: only there
+    can it raise."""
     size, bound, targets = evaluated
     units = (targets != 0) * 1 if theorem == "cover" else _popcount(targets)
-    violated = stats.count_block(size, bound, units, tight_cap, key)
+    violated = stats.count_block(size, bound, units, tight_cap, key, weight)
     if not THEOREMS[theorem].replayed:
         return
     for i in np.flatnonzero(violated):
@@ -460,38 +498,59 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tupl
 # --------------------------------------------------------------------------
 
 
-def _partition(
-    p: int,
-    mode_value: str,
-    theorem: str,
-    a_lo: int,
-    a_hi: int,
-    max_set_size: int | None,
-    tight_cap: int,
-) -> PrimeStats:
-    """Sweep A-masks in [a_lo, a_hi); returns partial stats.  A pair theorem
-    evaluates each A against every B, a single-set theorem a block of A-masks
-    at a time."""
+def _partition(p: int, mode_value: str, theorem: str, a_lo: int, a_hi: int, max_set_size: int | None,
+               tight_cap: int) -> PrimeStats:
+    """Sweep the single sets with masks in [a_lo, a_hi), a block at a time;
+    returns partial stats."""
     universe = _Universe(p, GroupMode(mode_value))
-    m = universe.m
     stats = PrimeStats(p)
-    if THEOREMS[theorem].pair:
-        b_all = np.arange(1, 1 << m, dtype=np.uint32)
-        if max_set_size is not None:
-            b_all = b_all[np.bitwise_count(b_all) <= max_set_size]
-        for amask in range(max(a_lo, 1), a_hi):
-            if max_set_size is not None and amask.bit_count() > max_set_size:
-                continue
-            evaluated = _pair_eval(theorem, m, amask, b_all)
-            _count(stats, universe, theorem, evaluated, tight_cap, lambda i: (amask, int(b_all[i])))
-        return stats
-    for lo in range(max(a_lo, 1), a_hi, _BLOCK):
+    for lo in range(a_lo, a_hi, _BLOCK):
         amasks = np.arange(lo, min(lo + _BLOCK, a_hi), dtype=np.uint32)
         if max_set_size is not None:
             amasks = amasks[np.bitwise_count(amasks) <= max_set_size]
-        evaluated = _single_eval(theorem, m, amasks)
+        evaluated = _single_eval(theorem, universe.m, amasks)
         _count(stats, universe, theorem, evaluated, tight_cap, lambda i: (int(amasks[i]), None))
     return stats
+
+
+def _pair_partition(p: int, mode_value: str, theorem: str, reps: list[int], weights: list[int],
+                    max_set_size: int | None) -> PrimeStats:
+    """Sweep each canonical A in `reps` against every B, its counts weighted
+    by its orbit size; returns partial stats whose `tight` and
+    `counterexamples` list the A's with such pairs."""
+    universe = _Universe(p, GroupMode(mode_value))
+    b_all = _masks_upto(universe.m, max_set_size)
+    stats = PrimeStats(p)
+    for amask, weight in zip(reps, weights):
+        before = stats.tight_count, stats.counterexample_count
+        evaluated = _pair_eval(theorem, universe.m, amask, b_all)
+        _count(stats, universe, theorem, evaluated, 0, None, weight)
+        if stats.tight_count > before[0]:
+            stats.tight.append(amask)
+        if stats.counterexample_count > before[1]:
+            stats.counterexamples.append(amask)
+    return stats
+
+
+def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, canon: np.ndarray,
+                   max_set_size: int | None, tight_cap: int) -> None:
+    """Replace the canonical A's in merged pair stats by the first entries in
+    direct (amask, bmask) order: `_pair_eval` on the members of the listed
+    orbits, ascending, while a list the orbit feeds holds < min(cap, count).
+    The merge keeps the first cap canonical A's, enough since each is the
+    least of its orbit: the k-th A with entries is in one of their orbits."""
+    b_all = _masks_upto(universe.m, max_set_size)
+    orbits = set(stats.tight), set(stats.counterexamples)
+    wanted = min(tight_cap, stats.tight_count), min(COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)
+    found = PrimeStats(stats.p)
+    for amask in np.flatnonzero(np.isin(canon, stats.tight + stats.counterexamples)).tolist():
+        short = [len(got) < want for got, want in zip((found.tight, found.counterexamples), wanted)]
+        if not any(short):
+            break
+        if any(s and int(canon[amask]) in orbit for s, orbit in zip(short, orbits)):
+            evaluated = _pair_eval(theorem, universe.m, amask, b_all)
+            _count(found, universe, theorem, evaluated, tight_cap, lambda i: (amask, int(b_all[i])))
+    stats.tight, stats.counterexamples = found.tight, found.counterexamples
 
 
 def _partition_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
@@ -536,8 +595,14 @@ def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: b
 # --------------------------------------------------------------------------
 
 
+def _check_budget(p: int, count: int, what: str, budget: int) -> None:
+    if count > budget:
+        raise ValueError(f"exhaustive sweep at p = {p} needs {count} {what}, over the budget of {budget}")
+
+
 def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
-    """Enumerate every subset pair (or set) within budget and check the bound.
+    """Check the bound on every subset pair (one canonical A per orbit,
+    weighted) or set, within budget.
 
     Deterministic given the configuration; the partitioned sweep merges to
     the same report as a single-partition run.
@@ -553,23 +618,30 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     per_prime: list[PrimeStats] = []
     for p in config.primes:
         universe = _Universe(p, mode)
-        total = 1 << universe.m
-        instance_count = (total - 1) ** 2 if is_pair else total - 1
-        if instance_count > config.budget:
-            raise ValueError(
-                f"exhaustive sweep at p = {p} needs {instance_count} checks, "
-                f"over the budget of {config.budget}"
-            )
-        tasks = [
-            (p, mode.value, config.theorem, a_lo, a_hi, config.max_set_size, config.tight_cap)
-            for a_lo, a_hi in _partition_ranges(total, config.partitions)
-        ]
+        m = universe.m
+        if is_pair:
+            group = m * sum(math.gcd(u, m) == 1 for u in range(m))
+            _check_budget(p, group << m, "mask operations to find the A-orbits", config.budget)
+            canon, reps, weights = _orbits(m, config.max_set_size)
+            _check_budget(p, len(reps) * len(_masks_upto(m, config.max_set_size)), "checks", config.budget)
+            worker, tasks = _pair_partition, [
+                (p, mode.value, config.theorem, reps[i].tolist(), weights[i].tolist(), config.max_set_size)
+                for i in np.array_split(np.arange(len(reps)), config.partitions)
+            ]
+        else:
+            _check_budget(p, (1 << m) - 1, "checks", config.budget)
+            worker, tasks = _partition, [
+                (p, mode.value, config.theorem, a_lo, a_hi, config.max_set_size, config.tight_cap)
+                for a_lo, a_hi in _partition_ranges(1 << m, config.partitions)
+            ]
         if jobs > 1 and len(tasks) > 1:
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                partials = pool.starmap(_partition, tasks)
+                partials = pool.starmap(worker, tasks)
         else:
-            partials = [_partition(*task) for task in tasks]
+            partials = [worker(*task) for task in tasks]
         stats = PrimeStats.merge(p, partials, config.tight_cap)
+        if is_pair:
+            _first_entries(universe, config.theorem, stats, canon, config.max_set_size, config.tight_cap)
         _materialize(universe, config.theorem, stats, config.attach_certificates)
         per_prime.append(stats)
     return Report(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -85,12 +86,23 @@ GOLDEN = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").re
 
 @pytest.mark.parametrize("key", [
     key for key in GOLDEN
-    if re.search(r"--theorem (main|corollary-\w+) .*--exhaustive|--seed [0-3] ", key)
+    if re.search(r"--exhaustive|--seed [0-3] ", key)
 ])
 def test_verify_reports_match_the_benchmark_digests(key, tmp_path):
     out = tmp_path / "report.json"
     assert run(key.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[key]
+
+
+@pytest.mark.parametrize("theorem,p", [("mult", 61), ("additive", 31)])
+def test_verify_refuses_an_out_of_budget_pair_sweep_at_once(theorem, p, capsys):
+    # the orbit search alone needs m * phi(m) * 2^m mask operations, which
+    # the budget refuses before anything of size 2^m is allocated
+    started = time.monotonic()
+    assert run(["verify", "--theorem", theorem, "--prime", str(p), "--exhaustive"]) == 2
+    assert time.monotonic() - started < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget" in err
 
 
 def test_verify_csv_format(tmp_path):

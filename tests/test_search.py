@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -34,6 +36,13 @@ from conftest import (
 # ------------------------------------------------- slow reference sweeps
 
 _PAIR = ("ks", "additive", "mult", "cover")
+_PAIR_VARIANTS = [
+    ("ks", GroupMode.ADDITIVE),
+    ("ks", GroupMode.MULTIPLICATIVE),
+    ("additive", None),
+    ("mult", None),
+    ("cover", None),
+]
 
 
 def _mode_tag(theorem, mode=None):
@@ -78,16 +87,7 @@ def _slow_sweep(theorem, p, mode_tag):
     )
 
 
-@pytest.mark.parametrize(
-    "theorem,mode",
-    [
-        ("ks", GroupMode.ADDITIVE),
-        ("ks", GroupMode.MULTIPLICATIVE),
-        ("additive", None),
-        ("mult", None),
-        ("cover", None),
-    ],
-)
+@pytest.mark.parametrize("theorem,mode", _PAIR_VARIANTS)
 @pytest.mark.parametrize("p", [3, 5])
 def test_pair_sweep_matches_slow_oracle(theorem, mode, p):
     config = SweepConfig(theorem=theorem, primes=(p,), group_mode=mode)
@@ -234,6 +234,141 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     assert run(3, jobs=2) == reference
 
 
+# ---------------------------------- orbit-reduced pair sweeps vs the direct sweep
+
+def _direct_pair_stats(theorem, mode_tag, p, max_set_size, tight_cap):
+    """The direct pair sweep: `_pair_eval` on every A against every B within
+    the size cap, in (amask, bmask) order, counted per A, with the first
+    entries built as `_reference_count` builds them."""
+    elements = group_elements_oracle(mode_tag, p)
+    masks = [
+        mask for mask in range(1, 1 << len(elements))
+        if max_set_size is None or bin(mask).count("1") <= max_set_size
+    ]
+    b_all = np.array(masks, dtype=np.uint32)
+    stats = PrimeStats(p)
+    for amask in masks:
+        size, bound, targets = search._pair_eval(theorem, len(elements), amask, b_all)
+        units = np.minimum(targets, 1) if theorem == "cover" else np.bitwise_count(targets)
+        units = units.astype(np.int64)
+        tight, violated = (units > 0) & (size == bound), (units > 0) & (size < bound)
+        stats.examined += len(masks)
+        stats.hypothesis_satisfying += int(units.sum())
+        stats.bound_holding += int(units[size >= bound].sum())
+        stats.tight_count += int(tight.sum())
+        stats.counterexample_count += int(violated.sum())
+        for entries, flags, cap in (
+            (stats.tight, tight, tight_cap),
+            (stats.counterexamples, violated, search.COUNTEREXAMPLE_LIST_CAP),
+        ):
+            for i in np.flatnonzero(flags)[: max(cap - len(entries), 0)]:
+                entries.append({
+                    "A": mask_values_oracle(elements, amask),
+                    "B": mask_values_oracle(elements, masks[i]),
+                    "size": int(size[i]),
+                    "bound": int(bound[i]),
+                    "N" if theorem == "cover" else "c": mask_values_oracle(elements, int(targets[i])),
+                })
+    return stats
+
+
+def _assert_matches_direct(config, direct, jobs=1):
+    """The orbit sweep's report equals the direct sweep's, capped to
+    `config`, in JSON and CSV."""
+    (p,) = config.primes
+    expected = PrimeStats(p, **{name: getattr(direct, name) for name in search.COUNTERS})
+    expected.tight = [dict(entry) for entry in direct.tight[: config.tight_cap]]
+    expected.counterexamples = [dict(entry) for entry in direct.counterexamples]
+    if config.attach_certificates:
+        mode_tag = _mode_tag(config.theorem, config.group_mode)
+        _attach_reference_certificates(config, group_elements_oracle(mode_tag, p), expected)
+    got = exhaustive_verify(config, jobs=jobs)
+    want = Report(config.echo(), None, [expected])
+    assert got.to_json() == want.to_json()
+    assert got.to_csv() == want.to_csv()
+
+
+@pytest.mark.parametrize("theorem,mode", _PAIR_VARIANTS)
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_orbit_sweep_matches_direct_sweep(theorem, mode, p):
+    mode_tag = _mode_tag(theorem, mode)
+    for max_set_size in (None, 3):
+        # a cap above tight_count makes the rebuild find every tight entry;
+        # the unsized sweeps at p = 11 have up to 185k of them
+        every = p <= 7 or max_set_size is not None
+        direct = _direct_pair_stats(
+            theorem, mode_tag, p, max_set_size, sys.maxsize if every else search.DEFAULT_TIGHT_CAP
+        )
+        runs = [(1, 1, search.DEFAULT_TIGHT_CAP, False), (3, 1, 0, False), (3, 2, 5, p <= 7)]
+        if every:
+            runs.append((1, 1, direct.tight_count + 1, False))
+        for partitions, jobs, tight_cap, attach in runs:
+            config = SweepConfig(
+                theorem=theorem, primes=(p,), group_mode=mode, max_set_size=max_set_size,
+                partitions=partitions, tight_cap=tight_cap, attach_certificates=attach,
+            )
+            _assert_matches_direct(config, direct, jobs)
+
+
+@pytest.fixture
+def weakened_additive(monkeypatch):
+    # no real bound fails, so lower `additive` by one: its tight pairs become
+    # violations, more than the shortened counterexample list holds
+    monkeypatch.setitem(THEOREMS, "additive", dataclasses.replace(THEOREMS["additive"], offset=1))
+    monkeypatch.setitem(OFFSETS, "additive", 1)
+    monkeypatch.setattr(search, "COUNTEREXAMPLE_LIST_CAP", 7)
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_orbit_sweep_counterexamples_match_direct_sweep(weakened_additive, partitions, p):
+    config = SweepConfig(theorem="additive", primes=(p,), partitions=partitions, tight_cap=5)
+    direct = _direct_pair_stats("additive", "add", p, None, config.tight_cap)
+    _assert_matches_direct(config, direct)
+    assert len(direct.counterexamples) == 7
+    assert direct.counterexample_count > 7
+
+
+@pytest.mark.parametrize("m", range(1, 19))
+def test_orbit_weights_count_every_mask(m):
+    # every m up to 18: m = p (additive) and m = p - 1 (multiplicative) for
+    # each p <= 19 among them
+    _, _, weights = search._orbits(m, None)
+    assert int(weights.sum()) == (1 << m) - 1
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_orbits_match_brute_force(m):
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    orbit_of = {}
+    for mask in range(1, 1 << m):
+        bits = [k for k in range(m) if mask >> k & 1]
+        orbit_of[mask] = {sum(1 << (u * k + mu) % m for k in bits) for u in units for mu in range(m)}
+    canon, reps, weights = search._orbits(m, None)
+    assert all(canon[mask] == min(orbit) for mask, orbit in orbit_of.items())
+    expected = {min(orbit): len(orbit) for orbit in orbit_of.values()}
+    assert reps.tolist() == sorted(expected)
+    assert weights.tolist() == [expected[rep] for rep in sorted(expected)]
+    _, small, small_weights = search._orbits(m, 2)
+    assert small.tolist() == [rep for rep in sorted(expected) if bin(rep).count("1") <= 2]
+    assert small_weights.tolist() == [expected[rep] for rep in small.tolist()]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_ks_add_tight_count_follows_vosper(p):
+    # With |A|, |B| <= c = (p - 1)/2, |A + B| <= p - 2.  Then, by Vosper's
+    # theorem, |A + B| = |A| + |B| - 1 with 2 <= |A|, |B| only for arithmetic
+    # progressions with one common difference, whose end sums are unique; a
+    # singleton A or B makes every sum unique.
+    c = (p - 1) // 2
+    S = sum(math.comb(p, k) for k in range(1, c + 1))
+    report = exhaustive_verify(
+        SweepConfig(theorem="ks", primes=(p,), group_mode=GroupMode.ADDITIVE, max_set_size=c)
+    )
+    assert report.ok()
+    assert report.stats_for(p).tight_count == 2 * p * S - p * p + c * p * p * (c - 1) ** 2
+
+
 # ------------------------------------------ sampled hunts vs the reference
 
 
@@ -271,18 +406,26 @@ def _reference_hunt(config):
             _reference_count(
                 stats, config.theorem, mode_tag, p, elements, amask, bmask, config.tight_cap
             )
-        build = THEOREMS[config.theorem].build
-        if config.attach_certificates and build is not None:
-            mode = config.resolved_mode()
-            for entry in stats.tight:
-                A = ElementSet(PrimeField(p), mode, entry["A"])
-                B = ElementSet(PrimeField(p), mode, entry["B"]) if pair else A
-                # the first target in mask-bit order
-                targets = entry.get("c", [])
-                c = min(targets, key=elements.index) if targets else None
-                entry["certificate"] = build(A, B, c).to_json_dict()
+        if config.attach_certificates:
+            _attach_reference_certificates(config, elements, stats)
         per_prime.append(stats)
     return Report(config.echo(), {"algorithm": "splitmix64", "seed": config.seed}, per_prime)
+
+
+def _attach_reference_certificates(config, elements, stats):
+    """Give each tight entry the certificate for its first target in
+    mask-bit order, as a sweep with `attach_certificates` does."""
+    build = THEOREMS[config.theorem].build
+    if build is None:
+        return
+    mode = config.resolved_mode()
+    field = PrimeField(stats.p)
+    for entry in stats.tight:
+        A = ElementSet(field, mode, entry["A"])
+        B = ElementSet(field, mode, entry["B"]) if "B" in entry else A
+        targets = entry.get("c", [])
+        c = min(targets, key=elements.index) if targets else None
+        entry["certificate"] = build(A, B, c).to_json_dict()
 
 
 def _assert_same_report(config):
