@@ -246,54 +246,47 @@ def _covered(
     )
 
 
-def additive_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certificate:
-    """Certify |restricted sumset| >= |A| + |B| - 2 from a unique representation.
+def _unique_cover(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
+    """The cover argument from a unique restricted representation c = a o b.
 
-    Requires additive mode and a target c with exactly one restricted
-    representation c = a + b, a != b.  The cover consists of the diagonal
-    x = y together with one line x + y = g for every other restricted sum g;
-    the product vanishes on A x B except at (a, b), so its degree (the number
-    of lines) is forced up to |A| + |B| - 2.
+    One line through every other restricted combine value g lies on the grid
+    A x B, as x + y = g, or on A x B^-1, as x = g*y; the restriction a != b
+    adds the diagonal x = y, or the hyperbola x*y = 1.  The product then
+    vanishes on the grid except at (a, b), or (a, b^-1), and its degree is
+    forced up to the bound of `theorem`, whose mode it takes from `THEOREMS`.
     """
-    if A.mode is not GroupMode.ADDITIVE or B.mode is not GroupMode.ADDITIVE:
-        raise ValueError("additive certificate needs additive-mode sets")
-    field = A.field
-    c = field.element(c)
+    mode = THEOREMS[theorem].mode
+    if A.mode is not mode or B.mode is not mode:
+        raise ValueError(f"{mode.value} certificate needs {mode.value}-mode sets")
+    c = A.field.element(c)
     reps = representations(A, B, c, restricted=True)
     if len(reps) != 1:
-        return _unmet("additive", A, B, c)
-    a, b = reps[0].a, reps[0].b
-    sums = restricted_combine(A, B)
-    p = field.p
-    lines = [(1, p - 1, 0)]
-    lines += [(1, 1, (-g) % p) for g in sums.values if g != c.value]
+        return _unmet(theorem, A, B, c)
+    a, b = reps[0].a.value, reps[0].b.value
+    p = A.field.p
+    combined = restricted_combine(A, B)
+    others = [(-g) % p for g in combined.values if g != c.value]
+    if mode is GroupMode.ADDITIVE:
+        lines, grid, point = [(1, p - 1, 0)] + [(1, 1, h) for h in others], B.values, (a, b)
+    else:
+        lines, grid, point = [(1, h, 0) for h in others], inverse_set(B).values, (a, pow(b, -1, p))
     return _covered(
-        "additive", A, B, c.value, lines, False, B.values, (a.value, b.value), len(sums)
+        theorem, A, B, c.value, lines, mode is GroupMode.MULTIPLICATIVE, grid, point, len(combined)
     )
+
+
+def additive_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certificate:
+    """Certify |restricted sumset| >= |A| + |B| - 2 from a unique representation
+    c = a + b, a != b: the diagonal x = y and the lines x + y = g through the
+    other restricted sums g vanish on A x B except at (a, b)."""
+    return _unique_cover("additive", A, B, c)
 
 
 def multiplicative_cover_certificate(A: ElementSet, B: ElementSet, c) -> Certificate:
-    """Certify |restricted product set| >= |A| + |B| - 3, multiplicative mode.
-
-    For a target c with unique restricted representation c = a * b, the
-    factors x*y - 1 and x - g*y (g ranging over the other restricted
-    products) vanish on A x B^-1 except at (a, b^-1).
-    """
-    if A.mode is not GroupMode.MULTIPLICATIVE or B.mode is not GroupMode.MULTIPLICATIVE:
-        raise ValueError("multiplicative certificate needs multiplicative-mode sets")
-    field = A.field
-    c = field.element(c)
-    reps = representations(A, B, c, restricted=True)
-    if len(reps) != 1:
-        return _unmet("mult", A, B, c)
-    a, b = reps[0].a, reps[0].b
-    products = restricted_combine(A, B)
-    p = field.p
-    lines = [(1, (-g) % p, 0) for g in products.values if g != c.value]
-    return _covered(
-        "mult", A, B, c.value, lines, True, inverse_set(B).values,
-        (a.value, int(b.inverse())), len(products),
-    )
+    """Certify |restricted product set| >= |A| + |B| - 3 from a unique
+    representation c = a * b, a != b: x*y - 1 and the lines x - g*y through
+    the other restricted products g vanish on A x B^-1 except at (a, b^-1)."""
+    return _unique_cover("mult", A, B, c)
 
 
 def symmetric_pair_summand(a, b, A: ElementSet, c) -> FieldElement:

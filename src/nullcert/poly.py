@@ -96,15 +96,7 @@ class BivariatePolynomial:
 
     def add(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         self._check_field(other)
-        out = dict(self.terms)
-        p = self.field.p
-        for key, c in other.terms.items():
-            v = (out.get(key, 0) + c) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return BivariatePolynomial(self.field, out)
+        return BivariatePolynomial(self.field, [*self.terms.items(), *other.terms.items()])
 
     def multiply(
         self, other: "BivariatePolynomial", degree_cap: int = DEFAULT_DEGREE_CAP
@@ -348,14 +340,23 @@ class FeasibilityResult:
     witness: BivariatePolynomial | None
 
 
-def _grid_matrix(
-    xvals: Sequence[int], yvals: Sequence[int], monos: Sequence[tuple[int, int]], p: int
-) -> list[list[int]]:
-    rows = []
-    for t in xvals:
-        for s in yvals:
-            rows.append([pow(t, i, p) * pow(s, j, p) % p for i, j in monos])
-    return rows
+def _grid_system(X, Y, degree_bound: int, field: PrimeField | None) -> tuple:
+    """(field, sorted X values, sorted Y values, monomials, rows): the linear
+    system of the grid checks, one evaluation row over the monomials of total
+    degree <= D per grid point, in lexicographic point order.  The field
+    defaults to that of X or Y."""
+    if field is None:
+        field = getattr(X, "field", None) or getattr(Y, "field", None)
+    if field is None:
+        raise ValueError("a PrimeField is needed when X, Y are plain sequences")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be >= 0")
+    p = field.p
+    xvals = sorted(_point_values(field, X))
+    yvals = sorted(_point_values(field, Y))
+    monos = monomials_up_to(degree_bound)
+    rows = [[pow(t, i, p) * pow(s, j, p) % p for i, j in monos] for t in xvals for s in yvals]
+    return field, xvals, yvals, monos, rows
 
 
 def min_degree_feasibility(
@@ -369,33 +370,16 @@ def min_degree_feasibility(
     Infeasible for every D < |X| + |Y| - 2 and feasible from
     D = (|X| - 1) + (|Y| - 1) on.
     """
-    if field is None:
-        field = getattr(X, "field", None) or getattr(Y, "field", None)
-    if field is None:
-        raise ValueError("a PrimeField is needed when X, Y are plain sequences")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
-    p = field.p
-    xvals = sorted(_point_values(field, X))
-    yvals = sorted(_point_values(field, Y))
+    field, xvals, yvals, monos, rows = _grid_system(X, Y, degree_bound, field)
     et = int(field.element(exceptional[0]))
     es = int(field.element(exceptional[1]))
     if et not in xvals or es not in yvals:
         raise ValueError(f"exceptional point ({et}, {es}) is outside the grid")
-    monos = monomials_up_to(degree_bound)
-    rows = _grid_matrix(xvals, yvals, monos, p)
-    rhs = [
-        1 if (t, s) == (et, es) else 0
-        for t in xvals
-        for s in yvals
-    ]
-    solution = solve_linear_system(rows, rhs, p)
+    rhs = [1 if (t, s) == (et, es) else 0 for t in xvals for s in yvals]
+    solution = solve_linear_system(rows, rhs, field.p)
     if solution is None:
         return FeasibilityResult(False, None)
-    witness = BivariatePolynomial(
-        field, {mono: c for mono, c in zip(monos, solution) if c}
-    )
-    return FeasibilityResult(True, witness)
+    return FeasibilityResult(True, BivariatePolynomial(field, zip(monos, solution)))
 
 
 def feasible_exceptional_points(
@@ -408,20 +392,8 @@ def feasible_exceptional_points(
     null vector of the grid evaluation matrix touches e.  One elimination
     answers the question for every grid point at once.
     """
-    if field is None:
-        field = getattr(X, "field", None) or getattr(Y, "field", None)
-    if field is None:
-        raise ValueError("a PrimeField is needed when X, Y are plain sequences")
-    p = field.p
-    xvals = sorted(_point_values(field, X))
-    yvals = sorted(_point_values(field, Y))
-    monos = monomials_up_to(degree_bound)
-    rows = _grid_matrix(xvals, yvals, monos, p)
-    transpose = [[rows[i][c] for i in range(len(rows))] for c in range(len(monos))]
-    dependent = set()
-    for vec in nullspace_basis(transpose, p):
-        for idx, v in enumerate(vec):
-            if v:
-                dependent.add(idx)
+    field, xvals, yvals, _, rows = _grid_system(X, Y, degree_bound, field)
+    transpose = [list(column) for column in zip(*rows)]
+    dependent = {idx for vec in nullspace_basis(transpose, field.p) for idx, v in enumerate(vec) if v}
     points = [(t, s) for t in xvals for s in yvals]
     return {pt for idx, pt in enumerate(points) if idx not in dependent}

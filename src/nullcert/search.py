@@ -36,8 +36,9 @@ Instance accounting, used consistently by reports:
 
 Sampling uses splitmix64 (64-bit state; the state advances by the golden
 constant once per word, so word k is the mix of seed + k * golden), recorded
-in the report for cross-implementation reproducibility; `_draw_masks` fixes
-how words become sets.
+in the report for cross-implementation reproducibility.  A hunt reads one
+word stream across all of its primes, and `_draw_masks` fixes how words
+become sets.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class SplitMix64:
 
     The state is a counter: word k (from 1) is a fixed mix of
     seed + k * golden (mod 2^64), so a block of words is one array
-    computation, and words fetched but not used are handed back by stepping
-    the state back."""
+    computation."""
 
     _MASK = (1 << 64) - 1
     _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,9 +96,11 @@ class SplitMix64:
         z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> 31)
 
-    def unread(self, count: int) -> None:
-        """Hand back the last `count` words fetched: they come again next."""
-        self.state = (self.state - count * self._GOLDEN) & self._MASK
+    def words(self):
+        """The words one at a time, fetched `_BLOCK` at a time: the state runs
+        ahead of the words yielded by up to a block."""
+        while True:
+            yield from self.next_words(_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class SweepConfig:
         repeated = sorted({p for p in self.primes if self.primes.count(p) > 1})
         if repeated:
             raise ValueError(f"repeated prime {', '.join(map(str, repeated))}")
-        self.resolved_mode()
+        mode = self.resolved_mode()
         if self.seed is not None and not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2^64); got {self.seed}")
         if self.samples is not None:
@@ -154,6 +156,15 @@ class SweepConfig:
             raise ValueError("budget must be positive")
         if self.tight_cap < 0:
             raise ValueError("tight list cap must be >= 0")
+        # every prime, and the budget's first step for an exhaustive sweep,
+        # is checked before any prime is swept
+        for p in self.primes:
+            PrimeField(p)
+            m = p if mode is GroupMode.ADDITIVE else p - 1
+            if self.samples is None and THEOREMS[self.theorem].pair:
+                _check_budget(p, m * len(_units(m)) << m, "mask operations to find the A-orbits", self.budget)
+            elif self.samples is None:
+                _check_budget(p, (1 << m) - 1, "checks", self.budget)
 
     def echo(self) -> dict:
         return {
@@ -333,6 +344,11 @@ def _cyclic_shift(mask, a: int, m: int):
     return ((mask << a) | (mask >> (m - a))) & ((1 << m) - 1)
 
 
+def _units(m: int) -> list[int]:
+    """The units mod m: the multipliers of the index maps."""
+    return [u for u in range(m) if math.gcd(u, m) == 1]
+
+
 def _orbits(m: int, max_set_size: int | None) -> tuple:
     """(canon, reps, weights) for the index maps k -> u*k + mu (mod m):
     canon[x] is the least image of the m-bit mask x, found with one array
@@ -340,8 +356,7 @@ def _orbits(m: int, max_set_size: int | None) -> tuple:
     `max_set_size` bits, ascending, and weights their orbit sizes."""
     masks = np.arange(1 << m, dtype=np.uint32)
     canon = masks.copy()
-    units = [u for u in range(m) if math.gcd(u, m) == 1]
-    for u in units:
+    for u in _units(m):
         image = masks & 0
         for k in range(m):
             image |= (masks >> k & 1) << (u * k % m)
@@ -553,17 +568,9 @@ def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, canon: 
     stats.tight, stats.counterexamples = found.tight, found.counterexamples
 
 
-def _partition_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
-    """Contiguous mask ranges [1, total) split by leading index bits."""
-    span = total - 1
-    chunk = (span + partitions - 1) // partitions
-    ranges = []
-    lo = 1
-    while lo < total:
-        hi = min(lo + chunk, total)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+def _runs(n: int, parts: int) -> list[tuple[int, int]]:
+    """`parts` contiguous runs [lo, hi) of near-equal length covering [0, n)."""
+    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
 def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: bool) -> None:
@@ -620,21 +627,18 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
         universe = _Universe(p, mode)
         m = universe.m
         if is_pair:
-            group = m * sum(math.gcd(u, m) == 1 for u in range(m))
-            _check_budget(p, group << m, "mask operations to find the A-orbits", config.budget)
             canon, reps, weights = _orbits(m, config.max_set_size)
             _check_budget(p, len(reps) * len(_masks_upto(m, config.max_set_size)), "checks", config.budget)
             worker, tasks = _pair_partition, [
-                (p, mode.value, config.theorem, reps[i].tolist(), weights[i].tolist(), config.max_set_size)
-                for i in np.array_split(np.arange(len(reps)), config.partitions)
+                (p, mode.value, config.theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), config.max_set_size)
+                for lo, hi in _runs(len(reps), config.partitions)
             ]
         else:
-            _check_budget(p, (1 << m) - 1, "checks", config.budget)
             worker, tasks = _partition, [
-                (p, mode.value, config.theorem, a_lo, a_hi, config.max_set_size, config.tight_cap)
-                for a_lo, a_hi in _partition_ranges(1 << m, config.partitions)
+                (p, mode.value, config.theorem, 1 + lo, 1 + hi, config.max_set_size, config.tight_cap)
+                for lo, hi in _runs((1 << m) - 1, config.partitions)
             ]
-        if jobs > 1 and len(tasks) > 1:
+        if jobs > 1:
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
                 partials = pool.starmap(worker, tasks)
         else:
@@ -652,41 +656,29 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     )
 
 
-def _draw_masks(rng: SplitMix64, m: int, max_set_size: int | None, count: int) -> list[int]:
-    """`count` random nonempty subset masks; documented draw order for replay.
+def _draw_masks(words, m: int, max_set_size: int | None, count: int) -> list[int]:
+    """`count` random nonempty subset masks from the word stream `words`
+    (`SplitMix64.words`); documented draw order for replay.
 
     With a size cap: draw size = 1 + (word mod min(cap, m)), then draw that
     many distinct indices as word mod m, redrawing collisions.  Without a
     cap: draw ceil(m / 64) words, the k-th filling bits 64k and up, truncate
-    to m bits, redraw an empty mask.  The words come a block at a time and
-    those left over are handed back, so `rng` ends where a word-by-word
-    draw would.
+    to m bits, redraw an empty mask.
     """
-    words: list[int] = []
-    used = 0
-
-    def word() -> int:
-        nonlocal words, used
-        if used == len(words):
-            words, used = rng.next_words(_BLOCK).tolist(), 0
-        used += 1
-        return words[used - 1]
-
     full = (1 << m) - 1
     masks = []
     for _ in range(count):
         mask = 0
         if max_set_size is not None:
-            size = 1 + word() % min(max_set_size, m)
+            size = 1 + next(words) % min(max_set_size, m)
             while mask.bit_count() < size:
-                mask |= 1 << word() % m
+                mask |= 1 << next(words) % m
         else:
             while not mask:
                 for chunk in range((m + 63) // 64):
-                    mask |= word() << (64 * chunk)
+                    mask |= next(words) << (64 * chunk)
                 mask &= full
         masks.append(mask)
-    rng.unread(len(words) - used)
     return masks
 
 
@@ -703,7 +695,7 @@ def hunt_counterexample(config: SweepConfig) -> Report:
     theorem = config.theorem
     spec = THEOREMS[theorem]
     started = time.monotonic()
-    rng = SplitMix64(config.seed)
+    words = SplitMix64(config.seed).words()
     per_prime: list[PrimeStats] = []
     for p in config.primes:
         universe = _Universe(p, mode)
@@ -711,7 +703,7 @@ def hunt_counterexample(config: SweepConfig) -> Report:
         stats = PrimeStats(p)
         for done in range(0, config.samples, _BLOCK):
             count = min(_BLOCK, config.samples - done)
-            masks = _draw_masks(rng, m, config.max_set_size, 2 * count if spec.pair else count)
+            masks = _draw_masks(words, m, config.max_set_size, 2 * count if spec.pair else count)
             # a pair theorem draws A and B alternately
             keys = list(zip(masks[::2], masks[1::2])) if spec.pair else [(a, None) for a in masks]
             evaluated = _evaluate(theorem, m, keys)

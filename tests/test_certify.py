@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -524,6 +525,18 @@ def test_json_round_trip_and_tampering():
     data = symmetric_pair_certificate(mk(7, MULT, [2, 3]), 6).to_json_dict()
     data["B"] = [5]
     assert not verify_certificate(data)[0]
+
+
+def test_contradiction_payload_writes_two_exceptional_points(monkeypatch):
+    # with the main offset lowered to 2, A = {1, 2, 4} at p = 13 has 3 < 4
+    # restricted products and c = 2 = 1 * 2 with 1 != 2: the builder raises
+    # and its payload records both grid points (a, 1/b) and (b, 1/a)
+    monkeypatch.setitem(THEOREMS, "main", dataclasses.replace(THEOREMS["main"], offset=2))
+    with pytest.raises(TheoremContradictionError) as raised:
+        symmetric_pair_certificate(mk(13, MULT, [1, 2, 4]), 2)
+    payload = raised.value.payload
+    assert payload.to_json_dict()["exceptional"] == [[1, 7], [2, 1]]
+    assert Certificate.from_json(payload.to_json()) == payload
 
 
 # JSON values of every kind, for fuzzing the certificate reader

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nullcert import search
 from nullcert.cli import main
 from nullcert.field import PrimeField
 from nullcert.poly import BivariatePolynomial, line_product
@@ -63,6 +64,7 @@ def test_verify_bad_jobs_and_seeds_exit_2_with_one_line(capsys):
         (["--samples", "10", "--seed", "-5"], "seed"),
         (["--samples", "10", "--seed", "18446744073709551617"], "seed"),
         (["--prime", "7", "--samples", "200", "--seed", "1"], "repeated prime"),
+        (["--exhaustive", "--samples", "10", "--seed", "1"], "mutually exclusive"),
     ]:
         capsys.readouterr()
         assert run(sweep + extra) == 2, extra
@@ -103,6 +105,28 @@ def test_verify_refuses_an_out_of_budget_pair_sweep_at_once(theorem, p, capsys):
     assert time.monotonic() - started < 0.5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["--theorem", "mult", "--prime", "17,9", "--exhaustive"], "9 is not prime"),
+    (["--theorem", "additive", "--prime", "17,19", "--exhaustive", "--budget", "134217728"],
+     "p = 19 needs"),
+    (["--theorem", "mult", "--prime", "61,9", "--samples", "200000", "--seed", "1"],
+     "9 is not prime"),
+    (["--theorem", "mult", "--prime", ",", "--exhaustive"], "at least one --prime"),
+])
+def test_verify_refuses_a_bad_later_prime_before_any_sweep(argv, word, capsys, monkeypatch):
+    # every prime is checked, with the first budget step of an exhaustive
+    # sweep, before the first prime is swept
+    def no_sweep(*args):
+        raise AssertionError("a prime was swept before the configuration was refused")
+
+    monkeypatch.setattr(search, "_Universe", no_sweep)
+    started = time.monotonic()
+    assert run(["verify"] + argv) == 2
+    assert time.monotonic() - started < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err and err.count("\n") == 1, err
 
 
 def test_verify_csv_format(tmp_path):
@@ -177,6 +201,11 @@ def test_certificate_config_errors(tmp_path, capsys):
                 "--prime", "7", "--a", "1", "--b", "2", "--c", "3"]) == 2
     assert run(["certificate", "--mode", "mult", "--prime", "7",
                 "--a", "1,9", "--b", "1,2", "--c", "2"]) == 2  # out of range
+    capsys.readouterr()
+    assert run(["certificate", "--mode", "mult", "--prime", "7",
+                "--a", "1,x", "--b", "1,2", "--c", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad set literal") and err.count("\n") == 1, err
 
 
 def test_reverify_detects_tampering(tmp_path):
@@ -187,6 +216,16 @@ def test_reverify_detects_tampering(tmp_path):
     data["tight"] = True
     out.write_text(json.dumps(data))
     assert run(["reverify", "--in", str(out)]) == 1
+
+
+def test_reverify_of_a_theorem_without_certificates_fails(tmp_path, capsys):
+    data = _cert_json(tmp_path)
+    data["theorem"] = "ks"
+    path = tmp_path / "ks.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["reverify", "--in", str(path)]) == 1
+    assert "no certificate exists for theorem tag 'ks'" in capsys.readouterr().err
 
 
 def test_reverify_missing_file():
@@ -205,12 +244,15 @@ def test_reverify_malformed_input_exits_2_with_one_line(tmp_path, capsys):
     del without_a["A"]
     empty_exceptional = _cert_json(tmp_path)
     empty_exceptional["exceptional"] = []
+    unknown_key = _cert_json(tmp_path)
+    unknown_key["proof"] = "trust me"
     capsys.readouterr()
     for name, data in [
         ("array.json", [1, 2, 3]),
         ("empty.json", {}),
         ("empty_exceptional.json", empty_exceptional),
         ("without_a.json", without_a),
+        ("unknown_key.json", unknown_key),
     ]:
         path = tmp_path / name
         path.write_text(json.dumps(data))

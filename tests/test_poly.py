@@ -197,6 +197,9 @@ def test_min_degree_feasibility_errors():
         min_degree_feasibility(X, X, (3, 1), 2, field=f5)
     with pytest.raises(ValueError):
         min_degree_feasibility(X, X, (1, 1), -1, field=f5)
+    # no polynomial has degree -1, so no grid point is feasible there either
+    with pytest.raises(ValueError, match="degree bound"):
+        feasible_exceptional_points(X, X, -1, field=f5)
 
 
 @pytest.mark.parametrize("p", [5, 11])

@@ -70,10 +70,14 @@ def _reference_count(stats, theorem, mode_tag, p, elements, amask, bmask, tight_
                 stats.contradictions += 1
 
 
-def _slow_sweep(theorem, p, mode_tag):
-    """Independent re-count of an exhaustive sweep with the set oracles."""
+def _slow_sweep(theorem, p, mode_tag, max_set_size=None):
+    """Independent re-count of an exhaustive sweep with the set oracles, over
+    the sets of at most `max_set_size` elements."""
     elements = group_elements_oracle(mode_tag, p)
-    masks = range(1, 1 << len(elements))
+    masks = [
+        mask for mask in range(1, 1 << len(elements))
+        if max_set_size is None or bin(mask).count("1") <= max_set_size
+    ]
     stats = PrimeStats(p)
     for amask in masks:
         for bmask in masks if theorem in _PAIR else [None]:
@@ -108,18 +112,22 @@ def test_pair_sweep_matches_slow_oracle(theorem, mode, p):
 @pytest.mark.parametrize("theorem", ["main", "corollary-add", "corollary-mult"])
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_single_sweep_matches_slow_oracle(theorem, p):
-    report = exhaustive_verify(SweepConfig(theorem=theorem, primes=(p,)))
-    stats = report.stats_for(p)
-    expected = _slow_sweep(theorem, p, _mode_tag(theorem))
-    got = (
-        stats.examined,
-        stats.hypothesis_satisfying,
-        stats.bound_holding,
-        stats.tight_count,
-        stats.counterexample_count,
-    )
-    assert got == expected
-    assert stats.contradictions == 0
+    mode_tag = _mode_tag(theorem)
+    m = len(group_elements_oracle(mode_tag, p))
+    for size in (None, 2, m // 2):
+        expected = _slow_sweep(theorem, p, mode_tag, size)
+        for partitions in (1, 3):
+            config = SweepConfig(theorem=theorem, primes=(p,), max_set_size=size, partitions=partitions)
+            stats = exhaustive_verify(config).stats_for(p)
+            got = (
+                stats.examined,
+                stats.hypothesis_satisfying,
+                stats.bound_holding,
+                stats.tight_count,
+                stats.counterexample_count,
+            )
+            assert got == expected, (size, partitions)
+            assert stats.contradictions == 0
 
 
 # ------------------------------------------------- mask kernels vs the oracle
@@ -384,11 +392,12 @@ def test_draw_masks_match_sequential_sampler(seed, m, cap, count, block):
     cap = None if cap is None else min(cap, m + 3)
     oracle = SplitMix64(seed)
     expected = [sample_mask_oracle(oracle, m, cap) for _ in range(count)]
-    rng = SplitMix64(seed)
     # a small word block makes every draw cross a buffer boundary
     with mock.patch.object(search, "_BLOCK", block):
-        assert search._draw_masks(rng, m, cap, count) == expected
-    assert rng.state == oracle.state
+        words = SplitMix64(seed).words()
+        assert search._draw_masks(words, m, cap, count) == expected
+        # the stream goes on with the word a word-by-word draw reads next
+        assert next(words) == oracle.next_word()
 
 
 def _reference_hunt(config):
@@ -554,6 +563,16 @@ def test_config_validation_errors():
         SweepConfig(theorem="mult", primes=(5,), samples=5, seed=1, partitions=2).validate()
     with pytest.raises(ValueError, match="repeated prime 7"):
         SweepConfig(theorem="mult", primes=(7, 5, 7), samples=200, seed=1).validate()
+    for field, value, word in [
+        ("samples", -1, "sample count"),
+        ("partitions", 0, "partitions"),
+        ("max_set_size", 0, "max set size"),
+        ("budget", 0, "budget"),
+        ("tight_cap", -1, "tight list cap"),
+    ]:
+        config = SweepConfig(theorem="mult", primes=(5,), seed=1)
+        with pytest.raises(ValueError, match=word):
+            dataclasses.replace(config, **{field: value}).validate()
 
 
 @pytest.mark.parametrize("seed", [-1, -5, 1 << 64, (1 << 64) + 1])
