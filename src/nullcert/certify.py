@@ -56,13 +56,13 @@ class Certificate:
     A: tuple[int, ...]
     B: tuple[int, ...]
     c: int | None
-    lines: tuple[tuple[int, int, int], ...]
-    exceptional: tuple[tuple[int, int], ...]
-    degree: int | None
-    top_coefficient: int | None
-    summands: tuple[int, int] | None
-    verdict: str
-    tight: bool
+    lines: tuple[tuple[int, int, int], ...] = ()
+    exceptional: tuple[tuple[int, int], ...] = ()
+    degree: int | None = None
+    top_coefficient: int | None = None
+    summands: tuple[int, int] | None = None
+    verdict: str = HYPOTHESIS_UNMET
+    tight: bool = False
 
     def to_json_dict(self) -> dict:
         if len(self.exceptional) == 0:
@@ -179,13 +179,6 @@ def _unmet(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
         A=A.values,
         B=B.values,
         c=None if c is None else int(A.field.element(c)),
-        lines=(),
-        exceptional=(),
-        degree=None,
-        top_coefficient=None,
-        summands=None,
-        verdict=HYPOTHESIS_UNMET,
-        tight=False,
     )
 
 
@@ -239,8 +232,6 @@ def _covered(
         lines=tuple(lines),
         exceptional=(point,),
         degree=len(lines) + 2 * hyperbola,
-        top_coefficient=None,
-        summands=None,
         verdict=BOUND_CERTIFIED,
         tight=size == bound,
     )
@@ -381,10 +372,6 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
             A=A.values,
             B=A.values,
             c=c.value,
-            lines=(),
-            exceptional=(),
-            degree=None,
-            top_coefficient=None,
             summands=(s1.value, s2.value),
             verdict=DIRECTLY_SATISFIED,
             tight=m == bound,
@@ -413,9 +400,7 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
         ),
         degree=m + 1,
         top_coefficient=coeff.value,
-        summands=None,
         verdict=BOUND_CERTIFIED,
-        tight=False,
     )
     raise TheoremContradictionError(
         f"|Ax.A| = {m} < {bound} with distinct (n-2)-th powers; "

@@ -9,15 +9,15 @@ Exit codes, stable for CI pipelines:
 
 All randomness is surfaced through a mandatory ``--seed`` whenever
 ``--samples`` is used, and every command is deterministic given its full flag
-set: rerunning writes byte-identical files.  The environment variable
-``NULLCERT_BUDGET`` overrides the default sweep budget.
+set: rerunning writes byte-identical files.  Every ``verify`` run, exhaustive
+or sampled, goes to `search.exhaustive_verify`, which checks the configuration
+and forwards sampled runs to the hunt.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     verify.add_argument("--partitions", type=int, default=1,
                         help="static sweep partitions (merge is deterministic)")
-    verify.add_argument("--budget", type=int,
+    verify.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
                         help="max work per exhaustive sweep: sets evaluated, or pairs (canonical "
                              "A's x B's) evaluated and, checked first, the m*phi(m)*2^m mask "
                              "operations that find the A-orbits; the default 2^26 admits the "
@@ -123,9 +123,6 @@ def _cmd_verify(args) -> int:
         raise ValueError("choose --exhaustive or --samples N --seed S")
     if args.samples is not None and args.exhaustive:
         raise ValueError("--exhaustive and --samples are mutually exclusive")
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("NULLCERT_BUDGET", search.DEFAULT_BUDGET))
     config = search.SweepConfig(
         theorem=args.theorem,
         primes=_parse_primes(args.prime),
@@ -134,19 +131,11 @@ def _cmd_verify(args) -> int:
         samples=args.samples,
         seed=args.seed,
         partitions=args.partitions,
-        budget=budget,
+        budget=args.budget,
         tight_cap=args.tight_cap,
         attach_certificates=args.attach_certificates,
     )
-    config.validate()
-    if not 1 <= args.jobs <= args.partitions:
-        raise ValueError(
-            f"--jobs must be between 1 and --partitions ({args.partitions}); got {args.jobs}"
-        )
-    if args.samples is not None:
-        report = search.hunt_counterexample(config)
-    else:
-        report = search.exhaustive_verify(config, jobs=args.jobs)
+    report = search.exhaustive_verify(config, jobs=args.jobs)
     if args.out:
         text = report.to_json() if args.format == "json" else report.to_csv()
         Path(args.out).write_text(text)

@@ -340,15 +340,10 @@ class FeasibilityResult:
     witness: BivariatePolynomial | None
 
 
-def _grid_system(X, Y, degree_bound: int, field: PrimeField | None) -> tuple:
-    """(field, sorted X values, sorted Y values, monomials, rows): the linear
-    system of the grid checks, one evaluation row over the monomials of total
-    degree <= D per grid point, in lexicographic point order.  The field
-    defaults to that of X or Y."""
-    if field is None:
-        field = getattr(X, "field", None) or getattr(Y, "field", None)
-    if field is None:
-        raise ValueError("a PrimeField is needed when X, Y are plain sequences")
+def _grid_system(X, Y, degree_bound: int, field: PrimeField) -> tuple:
+    """(sorted X values, sorted Y values, monomials, rows): the linear system
+    of the grid checks, one evaluation row over the monomials of total
+    degree <= D per grid point, in lexicographic point order."""
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     p = field.p
@@ -356,11 +351,11 @@ def _grid_system(X, Y, degree_bound: int, field: PrimeField | None) -> tuple:
     yvals = sorted(_point_values(field, Y))
     monos = monomials_up_to(degree_bound)
     rows = [[pow(t, i, p) * pow(s, j, p) % p for i, j in monos] for t in xvals for s in yvals]
-    return field, xvals, yvals, monos, rows
+    return xvals, yvals, monos, rows
 
 
 def min_degree_feasibility(
-    X, Y, exceptional, degree_bound: int, field: PrimeField | None = None
+    X, Y, exceptional, degree_bound: int, field: PrimeField
 ) -> FeasibilityResult:
     """Can a polynomial of total degree <= D vanish on X x Y except one point?
 
@@ -370,7 +365,7 @@ def min_degree_feasibility(
     Infeasible for every D < |X| + |Y| - 2 and feasible from
     D = (|X| - 1) + (|Y| - 1) on.
     """
-    field, xvals, yvals, monos, rows = _grid_system(X, Y, degree_bound, field)
+    xvals, yvals, monos, rows = _grid_system(X, Y, degree_bound, field)
     et = int(field.element(exceptional[0]))
     es = int(field.element(exceptional[1]))
     if et not in xvals or es not in yvals:
@@ -383,7 +378,7 @@ def min_degree_feasibility(
 
 
 def feasible_exceptional_points(
-    X, Y, degree_bound: int, field: PrimeField | None = None
+    X, Y, degree_bound: int, field: PrimeField
 ) -> set[tuple[int, int]]:
     """All grid points usable as the single non-vanishing point at degree <= D.
 
@@ -392,7 +387,7 @@ def feasible_exceptional_points(
     null vector of the grid evaluation matrix touches e.  One elimination
     answers the question for every grid point at once.
     """
-    field, xvals, yvals, _, rows = _grid_system(X, Y, degree_bound, field)
+    xvals, yvals, _, rows = _grid_system(X, Y, degree_bound, field)
     transpose = [list(column) for column in zip(*rows)]
     dependent = {idx for vec in nullspace_basis(transpose, field.p) for idx, v in enumerate(vec) if v}
     points = [(t, s) for t in xvals for s in yvals]

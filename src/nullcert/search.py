@@ -21,6 +21,10 @@ A and B together, so sum_B f(gA, B) = sum_B f(A, B): the counts are exact.
 The first entries, in direct (amask, bmask) order, are then rebuilt by the
 same kernel on the orbits that have any (`_first_entries`).
 
+The CLI hands every `nullcert verify`, sampled runs too, to
+`exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
+Both run one per-prime loop (`_sweep`) and count through one step (`_count`).
+
 Instance accounting, used consistently by reports:
 
 * ``examined``              -- enumerated (or sampled) input pairs/sets that
@@ -209,28 +213,6 @@ class PrimeStats:
     contradictions: int = 0
     tight: list = dataclass_field(default_factory=list)
     counterexamples: list = dataclass_field(default_factory=list)
-
-    def count_block(self, size, bound, units, tight_cap: int, key, weight: int = 1) -> np.ndarray:
-        """Add a block of examined instances given as arrays of sizes, bounds
-        and hypothesis units, each counted `weight` times; `key(i)` is the
-        (amask, bmask) key of the i-th, or None to record none.  Returns the
-        flags of the instances that violate the bound."""
-        self.examined += weight * len(size)
-        ok = size >= bound
-        has_c = units > 0
-        self.hypothesis_satisfying += weight * int(units.sum())
-        self.bound_holding += weight * int(units[ok].sum())
-        tight = has_c & ok & (size == bound)
-        violated = has_c & ~ok
-        self.tight_count += weight * int(tight.sum())
-        self.counterexample_count += weight * int(violated.sum())
-        if key is None:
-            return violated
-        room = tight_cap - len(self.tight)
-        self.tight += [key(i) for i in np.flatnonzero(tight)[:room]]
-        room = COUNTEREXAMPLE_LIST_CAP - len(self.counterexamples)
-        self.counterexamples += [key(i) for i in np.flatnonzero(violated)[:room]]
-        return violated
 
     @classmethod
     def merge(cls, p: int, parts: list["PrimeStats"], tight_cap: int) -> "PrimeStats":
@@ -490,13 +472,26 @@ def _evaluate(theorem: str, m: int, keys: list) -> tuple:
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tuple,
            tight_cap: int, key, weight: int = 1) -> None:
     """Count a block of kernel results into `stats`, each `weight` times;
-    `key(i)` is the (amask, bmask) of the i-th.  A target is one hypothesis
-    unit, except that a `cover` pair counts once when N is nonempty.  A
-    violated `main` bound replays the certificate for each target: only there
-    can it raise."""
+    `key(i)` is the (amask, bmask) of the i-th, or None to record no entries.
+    A target is one hypothesis unit, except that a `cover` pair counts once
+    when N is nonempty.  A violated `main` bound replays the certificate for
+    each target: only there can it raise."""
     size, bound, targets = evaluated
     units = (targets != 0) * 1 if theorem == "cover" else _popcount(targets)
-    violated = stats.count_block(size, bound, units, tight_cap, key, weight)
+    ok = size >= bound
+    has_c = units > 0
+    tight = has_c & ok & (size == bound)
+    violated = has_c & ~ok
+    stats.examined += weight * len(size)
+    stats.hypothesis_satisfying += weight * int(units.sum())
+    stats.bound_holding += weight * int(units[ok].sum())
+    stats.tight_count += weight * int(tight.sum())
+    stats.counterexample_count += weight * int(violated.sum())
+    if key is not None:
+        room = tight_cap - len(stats.tight)
+        stats.tight += [key(i) for i in np.flatnonzero(tight)[:room]]
+        room = COUNTEREXAMPLE_LIST_CAP - len(stats.counterexamples)
+        stats.counterexamples += [key(i) for i in np.flatnonzero(violated)[:room]]
     if not THEOREMS[theorem].replayed:
         return
     for i in np.flatnonzero(violated):
@@ -513,11 +508,11 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tupl
 # --------------------------------------------------------------------------
 
 
-def _partition(p: int, mode_value: str, theorem: str, a_lo: int, a_hi: int, max_set_size: int | None,
+def _partition(p: int, mode: GroupMode, theorem: str, a_lo: int, a_hi: int, max_set_size: int | None,
                tight_cap: int) -> PrimeStats:
     """Sweep the single sets with masks in [a_lo, a_hi), a block at a time;
     returns partial stats."""
-    universe = _Universe(p, GroupMode(mode_value))
+    universe = _Universe(p, mode)
     stats = PrimeStats(p)
     for lo in range(a_lo, a_hi, _BLOCK):
         amasks = np.arange(lo, min(lo + _BLOCK, a_hi), dtype=np.uint32)
@@ -528,12 +523,12 @@ def _partition(p: int, mode_value: str, theorem: str, a_lo: int, a_hi: int, max_
     return stats
 
 
-def _pair_partition(p: int, mode_value: str, theorem: str, reps: list[int], weights: list[int],
+def _pair_partition(p: int, mode: GroupMode, theorem: str, reps: list[int], weights: list[int],
                     max_set_size: int | None) -> PrimeStats:
     """Sweep each canonical A in `reps` against every B, its counts weighted
     by its orbit size; returns partial stats whose `tight` and
     `counterexamples` list the A's with such pairs."""
-    universe = _Universe(p, GroupMode(mode_value))
+    universe = _Universe(p, mode)
     b_all = _masks_upto(universe.m, max_set_size)
     stats = PrimeStats(p)
     for amask, weight in zip(reps, weights):
@@ -607,35 +602,50 @@ def _check_budget(p: int, count: int, what: str, budget: int) -> None:
         raise ValueError(f"exhaustive sweep at p = {p} needs {count} {what}, over the budget of {budget}")
 
 
-def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
-    """Check the bound on every subset pair (one canonical A per orbit,
-    weighted) or set, within budget.
-
-    Deterministic given the configuration; the partitioned sweep merges to
-    the same report as a single-partition run.
-    """
-    config.validate()
-    if not 1 <= jobs <= config.partitions:
-        raise ValueError(f"jobs must be between 1 and partitions ({config.partitions}); got {jobs}")
-    if config.samples is not None:
-        return hunt_counterexample(config)
+def _sweep(config: SweepConfig, prng: dict | None, prime_stats) -> Report:
+    """The per-prime loop of every sweep: `prime_stats(universe)` counts one
+    prime, whose raw entries then become report entries."""
     mode = config.resolved_mode()
-    is_pair = THEOREMS[config.theorem].pair
     started = time.monotonic()
     per_prime: list[PrimeStats] = []
     for p in config.primes:
         universe = _Universe(p, mode)
-        m = universe.m
+        stats = prime_stats(universe)
+        _materialize(universe, config.theorem, stats, config.attach_certificates)
+        per_prime.append(stats)
+    return Report(config.echo(), prng, per_prime, time.monotonic() - started)
+
+
+def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
+    """Check the bound on every subset pair (one canonical A per orbit,
+    weighted) or set, within budget.
+
+    The one entry point of `nullcert verify`: it checks `jobs` against the
+    partitions, forwards a sampled config to `hunt_counterexample`, and
+    validates an exhaustive one.  Deterministic given the configuration; the
+    partitioned sweep merges to the same report as a single-partition run.
+    """
+    # a partition count below 1 is left to `validate`, which names it
+    if not 1 <= jobs <= max(config.partitions, 1):
+        raise ValueError(f"--jobs must be between 1 and --partitions ({config.partitions}); got {jobs}")
+    if config.samples is not None:
+        return hunt_counterexample(config)
+    config.validate()
+    theorem, max_size = config.theorem, config.max_set_size
+    is_pair = THEOREMS[theorem].pair
+
+    def prime_stats(universe: _Universe) -> PrimeStats:
+        p, m, mode = universe.field.p, universe.m, universe.mode
         if is_pair:
-            canon, reps, weights = _orbits(m, config.max_set_size)
-            _check_budget(p, len(reps) * len(_masks_upto(m, config.max_set_size)), "checks", config.budget)
+            canon, reps, weights = _orbits(m, max_size)
+            _check_budget(p, len(reps) * len(_masks_upto(m, max_size)), "checks", config.budget)
             worker, tasks = _pair_partition, [
-                (p, mode.value, config.theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), config.max_set_size)
+                (p, mode, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), max_size)
                 for lo, hi in _runs(len(reps), config.partitions)
             ]
         else:
             worker, tasks = _partition, [
-                (p, mode.value, config.theorem, 1 + lo, 1 + hi, config.max_set_size, config.tight_cap)
+                (p, mode, theorem, 1 + lo, 1 + hi, max_size, config.tight_cap)
                 for lo, hi in _runs((1 << m) - 1, config.partitions)
             ]
         if jobs > 1:
@@ -645,15 +655,10 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
             partials = [worker(*task) for task in tasks]
         stats = PrimeStats.merge(p, partials, config.tight_cap)
         if is_pair:
-            _first_entries(universe, config.theorem, stats, canon, config.max_set_size, config.tight_cap)
-        _materialize(universe, config.theorem, stats, config.attach_certificates)
-        per_prime.append(stats)
-    return Report(
-        config=config.echo(),
-        prng=None,
-        per_prime=per_prime,
-        wall_time_s=time.monotonic() - started,
-    )
+            _first_entries(universe, theorem, stats, canon, max_size, config.tight_cap)
+        return stats
+
+    return _sweep(config, None, prime_stats)
 
 
 def _draw_masks(words, m: int, max_set_size: int | None, count: int) -> list[int]:
@@ -691,31 +696,22 @@ def hunt_counterexample(config: SweepConfig) -> Report:
     config.validate()
     if config.samples is None:
         raise ValueError("hunt_counterexample needs a sample count")
-    mode = config.resolved_mode()
     theorem = config.theorem
-    spec = THEOREMS[theorem]
-    started = time.monotonic()
+    is_pair = THEOREMS[theorem].pair
     words = SplitMix64(config.seed).words()
-    per_prime: list[PrimeStats] = []
-    for p in config.primes:
-        universe = _Universe(p, mode)
-        m = universe.m
-        stats = PrimeStats(p)
+
+    def prime_stats(universe: _Universe) -> PrimeStats:
+        stats = PrimeStats(universe.field.p)
         for done in range(0, config.samples, _BLOCK):
             count = min(_BLOCK, config.samples - done)
-            masks = _draw_masks(words, m, config.max_set_size, 2 * count if spec.pair else count)
+            masks = _draw_masks(words, universe.m, config.max_set_size, 2 * count if is_pair else count)
             # a pair theorem draws A and B alternately
-            keys = list(zip(masks[::2], masks[1::2])) if spec.pair else [(a, None) for a in masks]
-            evaluated = _evaluate(theorem, m, keys)
+            keys = list(zip(masks[::2], masks[1::2])) if is_pair else [(a, None) for a in masks]
+            evaluated = _evaluate(theorem, universe.m, keys)
             _count(stats, universe, theorem, evaluated, config.tight_cap, keys.__getitem__)
-        _materialize(universe, theorem, stats, config.attach_certificates)
-        per_prime.append(stats)
-    return Report(
-        config=config.echo(),
-        prng={"algorithm": PRNG_ALGORITHM, "seed": config.seed},
-        per_prime=per_prime,
-        wall_time_s=time.monotonic() - started,
-    )
+        return stats
+
+    return _sweep(config, {"algorithm": PRNG_ALGORITHM, "seed": config.seed}, prime_stats)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,8 @@ ElementSets only to replay or attach certificates.
 from __future__ import annotations
 
 import enum
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -103,35 +105,32 @@ def _require_compatible(A: ElementSet, B: ElementSet) -> None:
         raise ValueError(f"group-mode mismatch: {A.mode.value} vs {B.mode.value}")
 
 
-def _combine_values(mode: GroupMode, p: int, a: int, b: int) -> int:
-    if mode is GroupMode.ADDITIVE:
-        return (a + b) % p
-    return (a * b) % p
+def _operation(mode: GroupMode):
+    """The group operation on residues, before reduction mod p."""
+    return operator.add if mode is GroupMode.ADDITIVE else operator.mul
 
 
 def group_identity(field: PrimeField, mode: GroupMode) -> FieldElement:
     return field.zero() if mode is GroupMode.ADDITIVE else field.one()
 
 
+def _combos(A: ElementSet, B: ElementSet, restricted: bool) -> list[tuple[int, int, int]]:
+    """(a, b, a o b) for a in A, b in B, with a != b if `restricted`, in
+    lexicographic (a, b) order."""
+    _require_compatible(A, B)
+    p, op = A.field.p, _operation(A.mode)
+    return [(a, b, op(a, b) % p)
+            for a in A.values for b in B.values if not (restricted and a == b)]
+
+
 def full_combine(A: ElementSet, B: ElementSet) -> ElementSet:
     """{a o b : a in A, b in B} under the shared group operation."""
-    _require_compatible(A, B)
-    p = A.field.p
-    out = {_combine_values(A.mode, p, a, b) for a in A.values for b in B.values}
-    return ElementSet(A.field, A.mode, out)
+    return ElementSet(A.field, A.mode, {g for _, _, g in _combos(A, B, False)})
 
 
 def restricted_combine(A: ElementSet, B: ElementSet) -> ElementSet:
     """{a o b : a in A, b in B, a != b}."""
-    _require_compatible(A, B)
-    p = A.field.p
-    out = {
-        _combine_values(A.mode, p, a, b)
-        for a in A.values
-        for b in B.values
-        if a != b
-    }
-    return ElementSet(A.field, A.mode, out)
+    return ElementSet(A.field, A.mode, {g for _, _, g in _combos(A, B, True)})
 
 
 def representations(
@@ -142,34 +141,18 @@ def representations(
     With `restricted` set, pairs with a = b are excluded.  An empty list is a
     normal outcome, not an error.
     """
-    _require_compatible(A, B)
+    combos = _combos(A, B, restricted)
     c = A.field.element(c)
-    p = A.field.p
-    reps = []
-    for a in A.values:
-        for b in B.values:
-            if restricted and a == b:
-                continue
-            if _combine_values(A.mode, p, a, b) == c.value:
-                reps.append(
-                    Representation(
-                        FieldElement(a, A.field), FieldElement(b, A.field), c
-                    )
-                )
-    return reps
+    return [
+        Representation(FieldElement(a, A.field), FieldElement(b, A.field), c)
+        for a, b, g in combos
+        if g == c.value
+    ]
 
 
 def unique_rep_elements(A: ElementSet, B: ElementSet, restricted: bool = True) -> ElementSet:
     """All c with exactly one representation c = a o b (a != b if restricted)."""
-    _require_compatible(A, B)
-    p = A.field.p
-    counts: dict[int, int] = {}
-    for a in A.values:
-        for b in B.values:
-            if restricted and a == b:
-                continue
-            c = _combine_values(A.mode, p, a, b)
-            counts[c] = counts.get(c, 0) + 1
+    counts = Counter(g for _, _, g in _combos(A, B, restricted))
     return ElementSet(A.field, A.mode, [c for c, k in counts.items() if k == 1])
 
 
@@ -181,15 +164,9 @@ def symmetric_pair_elements(A: ElementSet, B: ElementSet) -> ElementSet:
     bounds; for A = B any c with exactly two restricted representations
     qualifies automatically.
     """
-    _require_compatible(A, B)
-    p = A.field.p
     pairs: dict[int, list[tuple[int, int]]] = {}
-    for a in A.values:
-        for b in B.values:
-            if a == b:
-                continue
-            c = _combine_values(A.mode, p, a, b)
-            pairs.setdefault(c, []).append((a, b))
+    for a, b, c in _combos(A, B, True):
+        pairs.setdefault(c, []).append((a, b))
     selected = [
         c
         for c, ps in pairs.items()
@@ -226,8 +203,8 @@ def dyson_transform(
     x = A.field.element(x)
     if A.mode is GroupMode.MULTIPLICATIVE and x.value == 0:
         raise ValueError("0 is not a multiplicative group element")
-    p = A.field.p
-    xB = {_combine_values(A.mode, p, x.value, b) for b in B.values}
+    p, op = A.field.p, _operation(A.mode)
+    xB = {op(x.value, b) % p for b in B.values}
     inter = set(A.values) & xB
     union = set(A.values) | xB
     A2 = ElementSet(A.field, A.mode, inter)

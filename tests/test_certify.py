@@ -103,6 +103,13 @@ def test_additive_singleton_sets():
 def test_additive_mode_check():
     with pytest.raises(ValueError):
         additive_cover_certificate(mk(7, MULT, [1, 2]), mk(7, MULT, [2, 3]), 3)
+    A, B = mk(7, ADD, [1, 2, 4]), mk(7, ADD, [2, 3])
+    with pytest.raises(ValueError, match="hyperbola certificate needs multiplicative"):
+        hyperbola_cover_certificate(A, B)
+    with pytest.raises(ValueError, match="symmetric-pair certificate needs a multiplicative"):
+        symmetric_pair_certificate(A, 3)
+    with pytest.raises(ValueError, match="summand needs a multiplicative"):
+        symmetric_pair_summand(1, 2, A, 3)
 
 
 @pytest.mark.parametrize("p", [5, 7])

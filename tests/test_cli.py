@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nullcert import search
+from nullcert import certify, search
 from nullcert.cli import main
 from nullcert.field import PrimeField
 from nullcert.poly import BivariatePolynomial, line_product
@@ -30,6 +31,7 @@ def test_verify_exhaustive_ok(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["totals"]["counterexample_count"] == 0
     assert data["config"]["theorem"] == "mult"
+    assert data["config"]["budget"] == search.DEFAULT_BUDGET
     assert "OK" in capsys.readouterr().out
 
 
@@ -60,6 +62,7 @@ def test_verify_bad_jobs_and_seeds_exit_2_with_one_line(capsys):
         (["--samples", "10", "--seed", "1", "--jobs", "0"], "--jobs"),
         (["--exhaustive", "--jobs", "2"], "--partitions (1); got 2"),
         (["--exhaustive", "--jobs", "3", "--partitions", "2"], "--partitions (2); got 3"),
+        (["--exhaustive", "--partitions", "0"], "partitions must be >= 1"),
         (["--samples", "10", "--seed", "1", "--jobs", "2"], "--jobs"),
         (["--samples", "10", "--seed", "-5"], "seed"),
         (["--samples", "10", "--seed", "18446744073709551617"], "seed"),
@@ -114,6 +117,7 @@ def test_verify_refuses_an_out_of_budget_pair_sweep_at_once(theorem, p, capsys):
     (["--theorem", "mult", "--prime", "61,9", "--samples", "200000", "--seed", "1"],
      "9 is not prime"),
     (["--theorem", "mult", "--prime", ",", "--exhaustive"], "at least one --prime"),
+    (["--theorem", "mult", "--prime", "7", "--exhaustive", "--budget", "10"], "budget"),
 ])
 def test_verify_refuses_a_bad_later_prime_before_any_sweep(argv, word, capsys, monkeypatch):
     # every prime is checked, with the first budget step of an exhaustive
@@ -138,11 +142,18 @@ def test_verify_csv_format(tmp_path):
     assert len(lines) == 3
 
 
-def test_verify_budget_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("NULLCERT_BUDGET", "10")
-    assert run(["verify", "--theorem", "mult", "--prime", "7", "--exhaustive"]) == 2
-    monkeypatch.delenv("NULLCERT_BUDGET")
-    assert run(["verify", "--theorem", "mult", "--prime", "7", "--exhaustive"]) == 0
+@pytest.mark.parametrize("sweep", [["--exhaustive"], ["--samples", "200", "--seed", "3"]])
+def test_verify_validates_the_config_once(sweep, monkeypatch):
+    calls = []
+    validate = search.SweepConfig.validate
+
+    def counted(config):
+        calls.append(config)
+        validate(config)
+
+    monkeypatch.setattr(search.SweepConfig, "validate", counted)
+    assert run(["verify", "--theorem", "main", "--prime", "7,11"] + sweep) == 0
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------- certificate
@@ -190,6 +201,19 @@ def test_certificate_main_single_set(tmp_path):
     assert json.loads(out.read_text()) == data
     assert run(["certificate", "--theorem", "main", "--mode", "mult", "--prime", "7",
                 "--a", "2,3", "--b", "2,4", "--c", "6"]) == 2
+
+
+def test_certificate_contradiction_exits_1_with_one_line(monkeypatch, capsys):
+    # with the main offset lowered to 2, A = {1, 2, 4} at p = 13 violates
+    # the bound with distinct (n-2)-th powers, so the builder raises
+    monkeypatch.setitem(certify.THEOREMS, "main",
+                        dataclasses.replace(certify.THEOREMS["main"], offset=2))
+    capsys.readouterr()
+    assert run(["certificate", "--theorem", "main", "--mode", "mult", "--prime", "13",
+                "--a", "1,2,4", "--c", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("counterexample: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
 
 
 def test_certificate_config_errors(tmp_path, capsys):

@@ -513,6 +513,12 @@ def test_hunt_is_deterministic_and_reports_prng():
     assert r1.counterexample_total == 0
 
 
+@pytest.mark.parametrize("theorem,primes", [("cover", (7, 11)), ("main", (13,))])
+def test_exhaustive_verify_forwards_a_sampled_config_to_the_hunt(theorem, primes):
+    config = SweepConfig(theorem=theorem, primes=primes, samples=600, seed=5, max_set_size=4)
+    assert exhaustive_verify(config).to_json() == hunt_counterexample(config).to_json()
+
+
 def test_hunt_zero_samples():
     config = SweepConfig(theorem="mult", primes=(7,), samples=0, seed=1)
     report = hunt_counterexample(config)
