@@ -173,6 +173,8 @@ def _cmd_certificate(args) -> int:
         if args.set_b is not None and _element_set(args.prime, mode, args.set_b) != A:
             raise ValueError(f"--theorem {theorem} is a single-set bound; omit --b or repeat --a")
         B = A
+    if args.target is not None:
+        _element_set(args.prime, mode, str(args.target))  # --c must be a residue of the group
     cert = spec.build(A, B, args.target)
     _write_or_print(cert.to_json(), args.out)
     if args.out:
@@ -192,8 +194,6 @@ def _cmd_reverify(args) -> int:
 
 
 def _cmd_tight(args) -> int:
-    if args.n < 3:
-        raise ValueError("--n must be at least 3")
     example = search.construct_tight_example(args.n)
     if args.format == "json":
         text = json.dumps(example.to_json_dict(), sort_keys=True, indent=2) + "\n"

@@ -20,8 +20,6 @@ from typing import Iterable, Sequence
 
 from .field import FieldElement, PrimeField
 
-DEFAULT_DEGREE_CAP = 64
-
 
 class BivariatePolynomial:
     """Polynomial in x, y over GF(p), stored as {(i, j): nonzero coeff}."""
@@ -98,16 +96,10 @@ class BivariatePolynomial:
         self._check_field(other)
         return BivariatePolynomial(self.field, [*self.terms.items(), *other.terms.items()])
 
-    def multiply(
-        self, other: "BivariatePolynomial", degree_cap: int = DEFAULT_DEGREE_CAP
-    ) -> "BivariatePolynomial":
+    def multiply(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         self._check_field(other)
         if self.is_zero() or other.is_zero():
             return BivariatePolynomial.zero(self.field)
-        if self.degree() + other.degree() > degree_cap:
-            raise ValueError(
-                f"product degree {self.degree() + other.degree()} exceeds cap {degree_cap}"
-            )
         p = self.field.p
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.terms.items():

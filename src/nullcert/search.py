@@ -24,6 +24,8 @@ same kernel on the orbits that have any (`_first_entries`).
 The CLI hands every `nullcert verify`, sampled runs too, to
 `exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
 Both run one per-prime loop (`_sweep`) and count through one step (`_count`).
+Each prime's set-up (its `_Universe`, a pair sweep's B-masks) is built once
+and handed to the partitions, which share one worker pool per command.
 
 Instance accounting, used consistently by reports:
 
@@ -47,11 +49,14 @@ become sets.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import multiprocessing
 from dataclasses import dataclass, field as dataclass_field
 import json
 import math
 import time
+from typing import Iterable
 
 import numpy as np
 
@@ -215,7 +220,7 @@ class PrimeStats:
     counterexamples: list = dataclass_field(default_factory=list)
 
     @classmethod
-    def merge(cls, p: int, parts: list["PrimeStats"], tight_cap: int) -> "PrimeStats":
+    def merge(cls, p: int, parts: Iterable["PrimeStats"], tight_cap: int) -> "PrimeStats":
         """Sum of partition stats; entry lists concatenate in partition order."""
         out = cls(p)
         for part in parts:
@@ -508,12 +513,11 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tupl
 # --------------------------------------------------------------------------
 
 
-def _partition(p: int, mode: GroupMode, theorem: str, a_lo: int, a_hi: int, max_set_size: int | None,
+def _partition(universe: _Universe, theorem: str, a_lo: int, a_hi: int, max_set_size: int | None,
                tight_cap: int) -> PrimeStats:
     """Sweep the single sets with masks in [a_lo, a_hi), a block at a time;
     returns partial stats."""
-    universe = _Universe(p, mode)
-    stats = PrimeStats(p)
+    stats = PrimeStats(universe.field.p)
     for lo in range(a_lo, a_hi, _BLOCK):
         amasks = np.arange(lo, min(lo + _BLOCK, a_hi), dtype=np.uint32)
         if max_set_size is not None:
@@ -523,14 +527,12 @@ def _partition(p: int, mode: GroupMode, theorem: str, a_lo: int, a_hi: int, max_
     return stats
 
 
-def _pair_partition(p: int, mode: GroupMode, theorem: str, reps: list[int], weights: list[int],
-                    max_set_size: int | None) -> PrimeStats:
-    """Sweep each canonical A in `reps` against every B, its counts weighted
-    by its orbit size; returns partial stats whose `tight` and
+def _pair_partition(universe: _Universe, theorem: str, reps: list[int], weights: list[int],
+                    b_all: np.ndarray) -> PrimeStats:
+    """Sweep each canonical A in `reps` against every B in `b_all`, its counts
+    weighted by its orbit size; returns partial stats whose `tight` and
     `counterexamples` list the A's with such pairs."""
-    universe = _Universe(p, mode)
-    b_all = _masks_upto(universe.m, max_set_size)
-    stats = PrimeStats(p)
+    stats = PrimeStats(universe.field.p)
     for amask, weight in zip(reps, weights):
         before = stats.tight_count, stats.counterexample_count
         evaluated = _pair_eval(theorem, universe.m, amask, b_all)
@@ -543,13 +545,12 @@ def _pair_partition(p: int, mode: GroupMode, theorem: str, reps: list[int], weig
 
 
 def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, canon: np.ndarray,
-                   max_set_size: int | None, tight_cap: int) -> None:
+                   b_all: np.ndarray, tight_cap: int) -> None:
     """Replace the canonical A's in merged pair stats by the first entries in
     direct (amask, bmask) order: `_pair_eval` on the members of the listed
     orbits, ascending, while a list the orbit feeds holds < min(cap, count).
     The merge keeps the first cap canonical A's, enough since each is the
     least of its orbit: the k-th A with entries is in one of their orbits."""
-    b_all = _masks_upto(universe.m, max_set_size)
     orbits = set(stats.tight), set(stats.counterexamples)
     wanted = min(tight_cap, stats.tight_count), min(COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)
     found = PrimeStats(stats.p)
@@ -635,30 +636,28 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     is_pair = THEOREMS[theorem].pair
 
     def prime_stats(universe: _Universe) -> PrimeStats:
-        p, m, mode = universe.field.p, universe.m, universe.mode
+        p, m = universe.field.p, universe.m
         if is_pair:
             canon, reps, weights = _orbits(m, max_size)
-            _check_budget(p, len(reps) * len(_masks_upto(m, max_size)), "checks", config.budget)
+            b_all = _masks_upto(m, max_size)
+            _check_budget(p, len(reps) * len(b_all), "checks", config.budget)
             worker, tasks = _pair_partition, [
-                (p, mode, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), max_size)
+                (universe, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), b_all)
                 for lo, hi in _runs(len(reps), config.partitions)
             ]
         else:
             worker, tasks = _partition, [
-                (p, mode, theorem, 1 + lo, 1 + hi, max_size, config.tight_cap)
+                (universe, theorem, 1 + lo, 1 + hi, max_size, config.tight_cap)
                 for lo, hi in _runs((1 << m) - 1, config.partitions)
             ]
-        if jobs > 1:
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                partials = pool.starmap(worker, tasks)
-        else:
-            partials = [worker(*task) for task in tasks]
-        stats = PrimeStats.merge(p, partials, config.tight_cap)
+        stats = PrimeStats.merge(p, starmap(worker, tasks), config.tight_cap)
         if is_pair:
-            _first_entries(universe, theorem, stats, canon, max_size, config.tight_cap)
+            _first_entries(universe, theorem, stats, canon, b_all, config.tight_cap)
         return stats
 
-    return _sweep(config, None, prime_stats)
+    with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        starmap = itertools.starmap if pool is None else pool.starmap
+        return _sweep(config, None, prime_stats)
 
 
 def _draw_masks(words, m: int, max_set_size: int | None, count: int) -> list[int]:

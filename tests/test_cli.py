@@ -216,6 +216,20 @@ def test_certificate_contradiction_exits_1_with_one_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n", [34, 60])
+def test_main_contradiction_replay_of_a_long_progression(n, monkeypatch, capsys):
+    # A = the first n powers of the primitive root 3 mod 257: the replayed
+    # line product has degree past 64, and still ends in the contradiction
+    monkeypatch.setitem(certify.THEOREMS, "main",
+                        dataclasses.replace(certify.THEOREMS["main"], offset=2))
+    powers = ",".join(str(pow(3, k, 257)) for k in range(n))
+    capsys.readouterr()
+    assert run(["certificate", "--theorem", "main", "--mode", "mult", "--prime", "257",
+                "--a", powers, "--c", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("counterexample: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_certificate_config_errors(tmp_path, capsys):
     assert run(["certificate", "--mode", "mult", "--prime", "7",
                 "--a", "1,2", "--c", "3"]) == 2  # pair theorem needs --b
@@ -230,6 +244,13 @@ def test_certificate_config_errors(tmp_path, capsys):
                 "--a", "1,x", "--b", "1,2", "--c", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad set literal") and err.count("\n") == 1, err
+    # --c is checked like --a and --b: a residue of the group, never reduced
+    for mode, target, word in [("mult", "12", "out of range"), ("mult", "0", "cannot contain 0"),
+                               ("add", "7", "out of range"), ("mult", "-1", "out of range")]:
+        assert run(["certificate", "--mode", mode, "--prime", "7",
+                    "--a", "1,2", "--b", "2,3", "--c", target]) == 2, (mode, target)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err and err.count("\n") == 1, err
 
 
 def test_reverify_detects_tampering(tmp_path):
@@ -270,6 +291,8 @@ def test_reverify_malformed_input_exits_2_with_one_line(tmp_path, capsys):
     empty_exceptional["exceptional"] = []
     unknown_key = _cert_json(tmp_path)
     unknown_key["proof"] = "trust me"
+    nested_single_point = _cert_json(tmp_path)
+    nested_single_point["exceptional"] = [[1, 2]]
     capsys.readouterr()
     for name, data in [
         ("array.json", [1, 2, 3]),
@@ -277,6 +300,7 @@ def test_reverify_malformed_input_exits_2_with_one_line(tmp_path, capsys):
         ("empty_exceptional.json", empty_exceptional),
         ("without_a.json", without_a),
         ("unknown_key.json", unknown_key),
+        ("nested_single_point.json", nested_single_point),
     ]:
         path = tmp_path / name
         path.write_text(json.dumps(data))
@@ -308,7 +332,10 @@ def test_tight_text_output(capsys):
 def test_tight_degenerate_and_usage_error(capsys):
     assert run(["tight", "--n", "3"]) == 0
     assert "degenerate = True" in capsys.readouterr().out
-    assert run(["tight", "--n", "2"]) == 2
+    for n in ("2", "-4"):
+        assert run(["tight", "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: tight example needs n >= 3\n", err
 
 
 def test_tight_output_is_deterministic(tmp_path):

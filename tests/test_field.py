@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nullcert.field import (
+    FieldElement,
     PrimeField,
     divisors,
     element_order,
@@ -165,3 +167,43 @@ def test_pow_and_repr():
     assert repr(f) == "GF(7)"
     assert int(f.element(4)) == 4
     assert f.element(4) == 11  # int comparison mod p
+
+
+@st.composite
+def _operands(draw):
+    """(field, x, other, exponent): x an element, other an element or an int."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 101, 65521]))
+    field = PrimeField(p)
+    x = field.element(draw(st.integers(0, p - 1)))
+    other = draw(st.one_of(st.integers(0, p - 1).map(field.element), st.integers(-3 * p, 3 * p)))
+    return field, x, other, draw(st.integers(-5, 20))
+
+
+@given(_operands())
+def test_element_arithmetic_matches_integers_mod_p(operands):
+    field, x, other, exponent = operands
+    p, a, b = field.p, x.value, int(other)
+
+    def value(result):
+        assert isinstance(result, FieldElement) and result.field == field
+        return result.value
+
+    assert value(x + other) == value(other + x) == (a + b) % p
+    assert value(x - other) == (a - b) % p
+    assert value(other - x) == (b - a) % p
+    assert value(x * other) == value(other * x) == a * b % p
+    assert value(-x) == -a % p
+    if b % p:
+        assert value(x / other) == a * pow(b, -1, p) % p
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / other
+    if a or exponent >= 0:
+        assert value(x ** exponent) == pow(a, exponent, p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x ** exponent
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        field.zero() ** -1

@@ -52,10 +52,17 @@ def test_multiply_examples():
 
 
 def test_multiply_degree_cap():
+    # there is no degree cap: long line products stay exact
     f = P(5, {(30, 30): 1})
-    with pytest.raises(ValueError):
-        f.multiply(f)  # degree 120 > default cap
-    assert f.multiply(f, degree_cap=128).terms == {(60, 60): 1}
+    assert f.multiply(f).terms == {(60, 60): 1}
+    assert f.multiply(f).degree() == 120
+
+
+def test_arithmetic_across_fields_is_rejected():
+    with pytest.raises(ValueError, match="field mismatch"):
+        P(5, {(1, 0): 1}).add(P(7, {(1, 0): 1}))
+    with pytest.raises(ValueError, match="field mismatch"):
+        P(5, {(1, 0): 1}).multiply(P(7, {(1, 0): 1}))
 
 
 def test_line_product_examples():
@@ -104,6 +111,10 @@ def test_top_coefficient_preconditions():
         top_coefficient_interpolation(f, pts, pts)  # degree 4 > 2
     with pytest.raises(ValueError):
         top_coefficient_interpolation(P(7, {(0, 0): 1}), [1, 1], pts)
+    with pytest.raises(ValueError, match="grid factors must be nonempty"):
+        top_coefficient_interpolation(P(7, {(0, 0): 1}), [], pts)
+    with pytest.raises(ValueError, match="term point must lie on the grid"):
+        interpolation_term(P(7, {(0, 0): 1}), pts, pts, 3, 1)
 
 
 def _random_poly(rng, field, max_degree):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import multiprocessing
 import sys
+import types
 from unittest import mock
 
 import numpy as np
@@ -496,10 +498,42 @@ def test_partitioned_sweep_merges_to_single_partition_report():
 
 
 def test_parallel_jobs_match_serial():
-    split = SweepConfig(theorem="mult", primes=(7,), partitions=3)
-    serial = exhaustive_verify(split, jobs=1)
-    parallel = exhaustive_verify(split, jobs=2)
-    assert serial.to_json() == parallel.to_json()
+    # one pool serves every prime: a pair and a single-set theorem over three
+    for theorem in ("mult", "corollary-add"):
+        split = SweepConfig(theorem=theorem, primes=(5, 7, 11), partitions=3)
+        serial = exhaustive_verify(split, jobs=1)
+        parallel = exhaustive_verify(split, jobs=2)
+        assert serial.to_json() == parallel.to_json(), theorem
+
+
+@pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1)])
+def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools):
+    # one universe and one B-list per prime, one pool per command
+    counts = {"universe": 0, "masks": 0, "pool": 0}
+    init, masks_upto = search._Universe.__init__, search._masks_upto
+
+    def counted_init(self, *args):
+        counts["universe"] += 1
+        init(self, *args)
+
+    def counted_masks(*args):
+        counts["masks"] += 1
+        return masks_upto(*args)
+
+    def get_context(method):
+        context = multiprocessing.get_context(method)
+
+        def pool(*args):
+            counts["pool"] += 1
+            return context.Pool(*args)
+
+        return types.SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(search._Universe, "__init__", counted_init)
+    monkeypatch.setattr(search, "_masks_upto", counted_masks)
+    monkeypatch.setattr(search, "multiprocessing", types.SimpleNamespace(get_context=get_context))
+    exhaustive_verify(SweepConfig(theorem="mult", primes=(5, 7, 11), partitions=3), jobs=jobs)
+    assert counts == {"universe": 3, "masks": 3, "pool": pools}
 
 
 def test_hunt_is_deterministic_and_reports_prng():
@@ -567,6 +601,8 @@ def test_config_validation_errors():
         ).validate()
     with pytest.raises(ValueError):
         SweepConfig(theorem="mult", primes=(5,), samples=5, seed=1, partitions=2).validate()
+    with pytest.raises(ValueError, match="hunt_counterexample needs a sample count"):
+        hunt_counterexample(SweepConfig(theorem="mult", primes=(5,)))
     with pytest.raises(ValueError, match="repeated prime 7"):
         SweepConfig(theorem="mult", primes=(7, 5, 7), samples=200, seed=1).validate()
     for field, value, word in [

@@ -60,6 +60,8 @@ def test_mode_and_field_mismatch():
         full_combine(mk(7, ADD, [1]), mk(7, MULT, [1]))
     with pytest.raises(ValueError):
         full_combine(mk(7, ADD, [1]), mk(5, ADD, [1]))
+    with pytest.raises(ValueError, match="unknown group mode 'ring'"):
+        GroupMode.parse("ring")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
