@@ -79,10 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--partitions", type=int, default=1,
                         help="static sweep partitions (merge is deterministic)")
     verify.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
-                        help="max work per exhaustive sweep: sets evaluated, or pairs (canonical "
-                             "A's x B's) evaluated and, checked first, the m*phi(m)*2^m mask "
-                             "operations that find the A-orbits; the default 2^26 admits the "
-                             "p = 17 pair sweeps of mult, cover and ks --mode mult")
+                        help="max work per exhaustive sweep, over the S masks within --max-size "
+                             "and the empty one (S = 2^m unsized): S - 1 sets, or pairs (canonical "
+                             "A's x B's) and, checked first, the m*phi(m)*S mask operations that "
+                             "find the A-orbits; the default 2^26 admits the p = 17 pair sweeps "
+                             "of mult, cover and ks --mode mult")
     verify.add_argument("--tight-cap", type=int, default=search.DEFAULT_TIGHT_CAP)
     verify.add_argument("--attach-certificates", action="store_true",
                         help="attach a certificate to each recorded tight instance")
@@ -157,13 +158,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certificate(args) -> int:
     mode = GroupMode.parse(args.mode)
-    theorem = args.theorem
-    if theorem is None:
-        theorem = "additive" if mode is GroupMode.ADDITIVE else "mult"
+    theorem = args.theorem or ("additive" if mode is GroupMode.ADDITIVE else "mult")
     spec = certify.THEOREMS[theorem]
     if mode is not spec.mode:
         raise ValueError(f"theorem {theorem!r} needs --mode "
                          f"{'add' if spec.mode is GroupMode.ADDITIVE else 'mult'}")
+    if theorem == "cover" and args.target is not None:
+        raise ValueError("--theorem cover takes no --c")
+    if theorem != "cover" and args.target is None:
+        raise ValueError(f"--c is required for --theorem {theorem}")
     A = _element_set(args.prime, mode, args.set_a)
     if spec.pair:
         if args.set_b is None:
@@ -195,14 +198,11 @@ def _cmd_reverify(args) -> int:
 
 def _cmd_tight(args) -> int:
     example = search.construct_tight_example(args.n)
+    data = example.to_json_dict()
     if args.format == "json":
-        text = json.dumps(example.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     else:
-        data = example.to_json_dict()
-        lines = [f"{key} = {data[key]}" for key in
-                 ("n", "p", "w", "A", "B", "c", "product_size",
-                  "unique_representation", "degenerate")]
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{key} = {value}\n" for key, value in data.items())
     _write_or_print(text, args.out)
     return 0
 

@@ -9,10 +9,11 @@ bitmasks over group indices (`_Universe`).  One kernel per kind of bound,
 cyclic rotate, on one mask as a Python int or on a numpy array of masks: an
 exhaustive pair sweep evaluates one A against every B, a single-set sweep a
 block of A-masks, and a sampled hunt a block of drawn sets or pairs while
-masks fit in 63 bits, beyond that one draw at a time as ints.  Report entries
-are rebuilt by the same kernels from the recorded masks.  The `main`
-certificate is replayed only where the bound fails, the one case in which it
-can raise.
+masks fit in 63 bits, beyond that one draw at a time as ints.  An exhaustive
+sweep reads one list per prime, the masks within the size cap (`_masks_upto`),
+built at the cost of its length.  Report entries are rebuilt by the same
+kernels from the recorded masks.  The `main` certificate is replayed only
+where the bound fails, the one case in which it can raise.
 
 An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
@@ -24,7 +25,7 @@ same kernel on the orbits that have any (`_first_entries`).
 The CLI hands every `nullcert verify`, sampled runs too, to
 `exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
 Both run one per-prime loop (`_sweep`) and count through one step (`_count`).
-Each prime's set-up (its `_Universe`, a pair sweep's B-masks) is built once
+Each prime's set-up (its `_Universe`, its mask list) is built once
 and handed to the partitions, which share one worker pool per command.
 
 Instance accounting, used consistently by reports:
@@ -165,15 +166,18 @@ class SweepConfig:
             raise ValueError("budget must be positive")
         if self.tight_cap < 0:
             raise ValueError("tight list cap must be >= 0")
-        # every prime, and the budget's first step for an exhaustive sweep,
-        # is checked before any prime is swept
+        # every prime, and for an exhaustive sweep the budget's first step and
+        # the 63-bit limit of the masks, is checked before any prime is swept
         for p in self.primes:
             PrimeField(p)
             m = p if mode is GroupMode.ADDITIVE else p - 1
             if self.samples is None and THEOREMS[self.theorem].pair:
-                _check_budget(p, m * len(_units(m)) << m, "mask operations to find the A-orbits", self.budget)
+                orbit_ops = m * len(_units(m)) * _mask_count(m, self.max_set_size)
+                _check_budget(p, orbit_ops, "mask operations to find the A-orbits", self.budget)
             elif self.samples is None:
-                _check_budget(p, (1 << m) - 1, "checks", self.budget)
+                _check_budget(p, _mask_count(m, self.max_set_size) - 1, "checks", self.budget)
+            if self.samples is None and m >= 64:
+                raise ValueError(f"exhaustive sweep at p = {p} needs {m}-bit masks; at most 63 are supported")
 
     def echo(self) -> dict:
         return {
@@ -307,17 +311,10 @@ class _Universe:
         self.field = PrimeField(p)
         self.mode = mode
         if mode is GroupMode.ADDITIVE:
-            self.m = p
-            self.residues = tuple(range(p))
+            self.m, self.residues = p, tuple(range(p))
         else:
-            self.m = p - 1
             g = int(smallest_generator(self.field))
-            res = []
-            v = 1
-            for _ in range(p - 1):
-                res.append(v)
-                v = v * g % p
-            self.residues = tuple(res)
+            self.m, self.residues = p - 1, tuple(pow(g, k, p) for k in range(p - 1))
 
     def mask_to_values(self, mask: int) -> list[int]:
         return sorted(self.residues[k] for k in _mask_bits(mask))
@@ -336,12 +333,34 @@ def _units(m: int) -> list[int]:
     return [u for u in range(m) if math.gcd(u, m) == 1]
 
 
-def _orbits(m: int, max_set_size: int | None) -> tuple:
-    """(canon, reps, weights) for the index maps k -> u*k + mu (mod m):
-    canon[x] is the least image of the m-bit mask x, found with one array
-    pass per map; reps are the canonical nonempty masks with at most
-    `max_set_size` bits, ascending, and weights their orbit sizes."""
-    masks = np.arange(1 << m, dtype=np.uint32)
+def _mask_count(m: int, max_set_size: int | None) -> int:
+    """sum_{j<=k} C(m, j): the m-bit masks, the empty one included, with at
+    most k = `max_set_size` bits; each term from the last, so a huge m is quick."""
+    if max_set_size is None or max_set_size >= m:
+        return 1 << m
+    return sum(itertools.accumulate(range(max_set_size), lambda c, j: c * (m - j) // (j + 1), initial=1))
+
+
+def _masks_upto(m: int, max_set_size: int | None) -> np.ndarray:
+    """Every nonempty m-bit mask with at most `max_set_size` bits, ascending,
+    built at the cost of its length: the masks with top bit b are those below
+    2^b with fewer than k bits, with bit b set, and follow all of them.
+    uint32 up to m = 32, uint64 up to m = 63."""
+    k = m if max_set_size is None else min(max_set_size, m)
+    masks = np.zeros(_mask_count(m, k), dtype=np.uint32 if m <= 32 else np.uint64)
+    n = 1  # masks[:n] holds the empty mask and the masks below 2^b
+    for b in range(m):
+        below = masks[:n] if b < k else masks[:n][np.bitwise_count(masks[:n]) < k]
+        np.bitwise_or(below, 1 << b, out=masks[n:n + len(below)])
+        n += len(below)
+    return masks[1:]
+
+
+def _orbits(m: int, masks: np.ndarray) -> tuple:
+    """(canon, reps, weights) for the index maps k -> u*k + mu (mod m) on an
+    ascending list of masks closed under them (`_masks_upto`): canon[i] is
+    the least image of masks[i], found with one array pass per map; reps are
+    the canonical masks, ascending, and weights their orbit sizes."""
     canon = masks.copy()
     for u in _units(m):
         image = masks & 0
@@ -349,16 +368,7 @@ def _orbits(m: int, max_set_size: int | None) -> tuple:
             image |= (masks >> k & 1) << (u * k % m)
         for mu in range(m):
             np.minimum(canon, _cyclic_shift(image, mu, m), out=canon)
-    reps = np.flatnonzero(canon == masks)[1:]
-    if max_set_size is not None:
-        reps = reps[np.bitwise_count(reps) <= max_set_size]
-    return canon, reps, np.bincount(canon)[reps]
-
-
-def _masks_upto(m: int, max_set_size: int | None) -> np.ndarray:
-    """Every nonempty m-bit mask, ascending, with at most `max_set_size` bits."""
-    masks = np.arange(1, 1 << m, dtype=np.uint32)
-    return masks if max_set_size is None else masks[np.bitwise_count(masks) <= max_set_size]
+    return (canon, *np.unique(canon, return_counts=True))
 
 
 def _mask_bits(mask) -> list[int]:
@@ -513,29 +523,26 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tupl
 # --------------------------------------------------------------------------
 
 
-def _partition(universe: _Universe, theorem: str, a_lo: int, a_hi: int, max_set_size: int | None,
-               tight_cap: int) -> PrimeStats:
-    """Sweep the single sets with masks in [a_lo, a_hi), a block at a time;
-    returns partial stats."""
+def _partition(universe: _Universe, theorem: str, masks: np.ndarray, tight_cap: int) -> PrimeStats:
+    """Sweep the single sets in `masks`, a block at a time; returns partial
+    stats."""
     stats = PrimeStats(universe.field.p)
-    for lo in range(a_lo, a_hi, _BLOCK):
-        amasks = np.arange(lo, min(lo + _BLOCK, a_hi), dtype=np.uint32)
-        if max_set_size is not None:
-            amasks = amasks[np.bitwise_count(amasks) <= max_set_size]
+    for lo in range(0, len(masks), _BLOCK):
+        amasks = masks[lo:lo + _BLOCK]
         evaluated = _single_eval(theorem, universe.m, amasks)
         _count(stats, universe, theorem, evaluated, tight_cap, lambda i: (int(amasks[i]), None))
     return stats
 
 
 def _pair_partition(universe: _Universe, theorem: str, reps: list[int], weights: list[int],
-                    b_all: np.ndarray) -> PrimeStats:
-    """Sweep each canonical A in `reps` against every B in `b_all`, its counts
+                    masks: np.ndarray) -> PrimeStats:
+    """Sweep each canonical A in `reps` against every B in `masks`, its counts
     weighted by its orbit size; returns partial stats whose `tight` and
     `counterexamples` list the A's with such pairs."""
     stats = PrimeStats(universe.field.p)
     for amask, weight in zip(reps, weights):
         before = stats.tight_count, stats.counterexample_count
-        evaluated = _pair_eval(theorem, universe.m, amask, b_all)
+        evaluated = _pair_eval(theorem, universe.m, amask, masks)
         _count(stats, universe, theorem, evaluated, 0, None, weight)
         if stats.tight_count > before[0]:
             stats.tight.append(amask)
@@ -544,23 +551,25 @@ def _pair_partition(universe: _Universe, theorem: str, reps: list[int], weights:
     return stats
 
 
-def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, canon: np.ndarray,
-                   b_all: np.ndarray, tight_cap: int) -> None:
+def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: np.ndarray,
+                   canon: np.ndarray, tight_cap: int) -> None:
     """Replace the canonical A's in merged pair stats by the first entries in
-    direct (amask, bmask) order: `_pair_eval` on the members of the listed
-    orbits, ascending, while a list the orbit feeds holds < min(cap, count).
-    The merge keeps the first cap canonical A's, enough since each is the
-    least of its orbit: the k-th A with entries is in one of their orbits."""
+    direct (amask, bmask) order: `_pair_eval` against every B in `masks` on
+    the members of the listed orbits, ascending, while a list the orbit feeds
+    holds < min(cap, count).  The merge keeps the first cap canonical A's,
+    enough since each is the least of its orbit: the k-th A with entries is
+    in one of their orbits."""
     orbits = set(stats.tight), set(stats.counterexamples)
     wanted = min(tight_cap, stats.tight_count), min(COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)
     found = PrimeStats(stats.p)
-    for amask in np.flatnonzero(np.isin(canon, stats.tight + stats.counterexamples)).tolist():
+    members = np.isin(canon, stats.tight + stats.counterexamples)
+    for amask, rep in zip(masks[members].tolist(), canon[members].tolist()):
         short = [len(got) < want for got, want in zip((found.tight, found.counterexamples), wanted)]
         if not any(short):
             break
-        if any(s and int(canon[amask]) in orbit for s, orbit in zip(short, orbits)):
-            evaluated = _pair_eval(theorem, universe.m, amask, b_all)
-            _count(found, universe, theorem, evaluated, tight_cap, lambda i: (amask, int(b_all[i])))
+        if any(s and rep in orbit for s, orbit in zip(short, orbits)):
+            evaluated = _pair_eval(theorem, universe.m, amask, masks)
+            _count(found, universe, theorem, evaluated, tight_cap, lambda i: (amask, int(masks[i])))
     stats.tight, stats.counterexamples = found.tight, found.counterexamples
 
 
@@ -628,7 +637,7 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
     """
     # a partition count below 1 is left to `validate`, which names it
     if not 1 <= jobs <= max(config.partitions, 1):
-        raise ValueError(f"--jobs must be between 1 and --partitions ({config.partitions}); got {jobs}")
+        raise ValueError(f"jobs must be between 1 and partitions ({config.partitions}); got {jobs}")
     if config.samples is not None:
         return hunt_counterexample(config)
     config.validate()
@@ -637,22 +646,22 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
 
     def prime_stats(universe: _Universe) -> PrimeStats:
         p, m = universe.field.p, universe.m
+        masks = _masks_upto(m, max_size)
         if is_pair:
-            canon, reps, weights = _orbits(m, max_size)
-            b_all = _masks_upto(m, max_size)
-            _check_budget(p, len(reps) * len(b_all), "checks", config.budget)
+            canon, reps, weights = _orbits(m, masks)
+            _check_budget(p, len(reps) * len(masks), "checks", config.budget)
             worker, tasks = _pair_partition, [
-                (universe, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), b_all)
+                (universe, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), masks)
                 for lo, hi in _runs(len(reps), config.partitions)
             ]
         else:
             worker, tasks = _partition, [
-                (universe, theorem, 1 + lo, 1 + hi, max_size, config.tight_cap)
-                for lo, hi in _runs((1 << m) - 1, config.partitions)
+                (universe, theorem, masks[lo:hi], config.tight_cap)
+                for lo, hi in _runs(len(masks), config.partitions)
             ]
         stats = PrimeStats.merge(p, starmap(worker, tasks), config.tight_cap)
         if is_pair:
-            _first_entries(universe, theorem, stats, canon, b_all, config.tight_cap)
+            _first_entries(universe, theorem, stats, masks, canon, config.tight_cap)
         return stats
 
     with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
@@ -786,14 +795,5 @@ def construct_tight_example(n: int) -> TightExample:
         if pow(a_val, n - 2, f.p) != pow(b_val, n - 2, f.p):
             raise AssertionError("(n-2)-th powers of the pair should coincide")
         unique_rep = (a_val, b_val)
-    return TightExample(
-        n=n,
-        field=f,
-        w=w,
-        A=A,
-        B=B,
-        c=c,
-        product_size=len(products),
-        unique_representation=unique_rep,
-        degenerate=degenerate,
-    )
+    return TightExample(n=n, field=f, w=w, A=A, B=B, c=c, product_size=len(products),
+                        unique_representation=unique_rep, degenerate=degenerate)

@@ -57,13 +57,14 @@ def test_verify_ks_needs_mode():
 def test_verify_bad_jobs_and_seeds_exit_2_with_one_line(capsys):
     sweep = ["verify", "--theorem", "mult", "--prime", "7"]
     for extra, word in [
-        (["--exhaustive", "--jobs", "0", "--partitions", "2"], "--jobs"),
-        (["--exhaustive", "--jobs", "-3"], "--jobs"),
-        (["--samples", "10", "--seed", "1", "--jobs", "0"], "--jobs"),
-        (["--exhaustive", "--jobs", "2"], "--partitions (1); got 2"),
-        (["--exhaustive", "--jobs", "3", "--partitions", "2"], "--partitions (2); got 3"),
+        (["--exhaustive", "--jobs", "0", "--partitions", "2"],
+         "error: jobs must be between 1 and partitions (2); got 0\n"),
+        (["--exhaustive", "--jobs", "-3"], "error: jobs must be between 1 and partitions (1); got -3\n"),
+        (["--samples", "10", "--seed", "1", "--jobs", "0"], "partitions (1); got 0"),
+        (["--exhaustive", "--jobs", "2"], "partitions (1); got 2"),
+        (["--exhaustive", "--jobs", "3", "--partitions", "2"], "partitions (2); got 3"),
         (["--exhaustive", "--partitions", "0"], "partitions must be >= 1"),
-        (["--samples", "10", "--seed", "1", "--jobs", "2"], "--jobs"),
+        (["--samples", "10", "--seed", "1", "--jobs", "2"], "partitions (1); got 2"),
         (["--samples", "10", "--seed", "-5"], "seed"),
         (["--samples", "10", "--seed", "18446744073709551617"], "seed"),
         (["--prime", "7", "--samples", "200", "--seed", "1"], "repeated prime"),
@@ -97,6 +98,45 @@ def test_verify_reports_match_the_benchmark_digests(key, tmp_path):
     out = tmp_path / "report.json"
     assert run(key.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[key]
+
+
+# sized sweeps, recorded at the commit before the mask list replaced the
+# 2^m-mask passes; the additive one needed a raised budget there
+SIZED_GOLDEN = {
+    "verify --theorem additive --prime 19 --max-size 3 --budget 1073741824 --exhaustive":
+        "ad6e9488ade347f2feb4fbcd506470a06c7484d289adcd3b16b87ad5f2bac70c",
+    "verify --theorem cover --prime 17 --max-size 4 --exhaustive":
+        "ba5bd870e7b940f3e7d1bfeafcaca7f47567e733401ecebbee834a9c83309e5c",
+    "verify --theorem main --prime 19 --max-size 5 --exhaustive":
+        "d1b19d6db45fa1a70f081f49a57e3779e33f8d44ede089d77a9d76d07aa31e27",
+}
+
+
+@pytest.mark.parametrize("key", SIZED_GOLDEN)
+def test_sized_sweep_reports_match_recorded_digests(key, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(key.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIZED_GOLDEN[key]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "additive", "--prime", "23", "--max-size", "3"],
+    ["--theorem", "main", "--prime", "31", "--max-size", "4"],
+    ["--theorem", "cover", "--prime", "61", "--max-size", "3"],
+])
+def test_sized_sweeps_run_at_the_default_budget(argv, capsys):
+    # the work follows the masks within --max-size, not 2^m
+    started = time.monotonic()
+    assert run(["verify", "--exhaustive"] + argv) == 0
+    assert time.monotonic() - started < 5
+    assert capsys.readouterr().out.startswith(f"p={argv[3]}: examined=")
+
+
+def test_verify_refuses_an_exhaustive_sweep_past_63_bits(capsys):
+    assert run(["verify", "--theorem", "main", "--prime", "67", "--max-size", "2", "--exhaustive"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive sweep at p = 67 needs 66-bit masks; at most 63 are supported\n"
+    )
 
 
 @pytest.mark.parametrize("theorem,p", [("mult", 61), ("additive", 31)])
@@ -251,6 +291,26 @@ def test_certificate_config_errors(tmp_path, capsys):
                     "--a", "1,2", "--b", "2,3", "--c", target]) == 2, (mode, target)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and word in err and err.count("\n") == 1, err
+
+
+def test_certificate_cover_refuses_a_target(capsys):
+    # cover takes no target: a --c is refused, not silently dropped
+    assert run(["certificate", "--theorem", "cover", "--mode", "mult", "--prime", "7",
+                "--a", "1,2", "--b", "2,3", "--c", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --theorem cover takes no --c\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,theorem", [
+    (["--theorem", "additive", "--mode", "add", "--a", "0,1", "--b", "1,2"], "additive"),
+    (["--mode", "add", "--a", "0,1", "--b", "1,2"], "additive"),
+    (["--theorem", "mult", "--mode", "mult", "--a", "1,2", "--b", "2,3"], "mult"),
+    (["--theorem", "main", "--mode", "mult", "--a", "2,3"], "main"),
+])
+def test_certificate_without_a_needed_target_names_the_flag(argv, theorem, capsys):
+    assert run(["certificate", "--prime", "7"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --c is required for --theorem {theorem}\n" and captured.out == ""
 
 
 def test_reverify_detects_tampering(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import multiprocessing
 import sys
@@ -116,7 +117,7 @@ def test_pair_sweep_matches_slow_oracle(theorem, mode, p):
 def test_single_sweep_matches_slow_oracle(theorem, p):
     mode_tag = _mode_tag(theorem)
     m = len(group_elements_oracle(mode_tag, p))
-    for size in (None, 2, m // 2):
+    for size in dict.fromkeys((None, 1, 2, 3, m // 2)):
         expected = _slow_sweep(theorem, p, mode_tag, size)
         for partitions in (1, 3):
             config = SweepConfig(theorem=theorem, primes=(p,), max_set_size=size, partitions=partitions)
@@ -294,7 +295,9 @@ def _assert_matches_direct(config, direct, jobs=1):
         _attach_reference_certificates(config, group_elements_oracle(mode_tag, p), expected)
     got = exhaustive_verify(config, jobs=jobs)
     want = Report(config.echo(), None, [expected])
-    assert got.to_json() == want.to_json()
+    # `to_json` indents this compact form, which the C encoder writes fast
+    compact = [json.dumps(report.to_json_dict(), sort_keys=True) for report in (got, want)]
+    assert compact[0] == compact[1]
     assert got.to_csv() == want.to_csv()
 
 
@@ -302,10 +305,11 @@ def _assert_matches_direct(config, direct, jobs=1):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_orbit_sweep_matches_direct_sweep(theorem, mode, p):
     mode_tag = _mode_tag(theorem, mode)
-    for max_set_size in (None, 3):
+    m = len(group_elements_oracle(mode_tag, p))
+    for max_set_size in dict.fromkeys((None, 1, 2, 3, max(m // 2, 1))):
         # a cap above tight_count makes the rebuild find every tight entry;
-        # the unsized sweeps at p = 11 have up to 185k of them
-        every = p <= 7 or max_set_size is not None
+        # the sweeps at p = 11 have up to 185k of them, 7.4k within size 3
+        every = p <= 7 or (max_set_size or m) <= 3
         direct = _direct_pair_stats(
             theorem, mode_tag, p, max_set_size, sys.maxsize if every else search.DEFAULT_TIGHT_CAP
         )
@@ -339,12 +343,35 @@ def test_orbit_sweep_counterexamples_match_direct_sweep(weakened_additive, parti
     assert direct.counterexample_count > 7
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_masks_upto_matches_brute_force(m):
+    every = list(range(1, 1 << m))
+    for k in [None] + list(range(1, m + 2)):
+        masks = search._masks_upto(m, k)
+        expected = [mask for mask in every if k is None or bin(mask).count("1") <= k]
+        assert masks.dtype == np.uint32
+        assert masks.tolist() == expected, k
+        assert len(masks) == sum(math.comb(m, j) for j in range(1, min(k or m, m) + 1))
+
+
+@pytest.mark.parametrize("m,dtype", [(32, np.uint32), (33, np.uint64), (60, np.uint64), (63, np.uint64)])
+def test_masks_upto_past_31_bits(m, dtype):
+    for k in (1, 2, 3):
+        masks = search._masks_upto(m, k)
+        assert masks.dtype == dtype
+        assert len(masks) == sum(math.comb(m, j) for j in range(1, k + 1))
+        assert int(masks[-1]) == ((1 << k) - 1) << (m - k)
+        assert bool(np.all(masks[1:] > masks[:-1]))
+
+
 @pytest.mark.parametrize("m", range(1, 19))
 def test_orbit_weights_count_every_mask(m):
     # every m up to 18: m = p (additive) and m = p - 1 (multiplicative) for
     # each p <= 19 among them
-    _, _, weights = search._orbits(m, None)
-    assert int(weights.sum()) == (1 << m) - 1
+    for k in (None, 2):
+        masks = search._masks_upto(m, k)
+        _, _, weights = search._orbits(m, masks)
+        assert int(weights.sum()) == len(masks)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -354,14 +381,30 @@ def test_orbits_match_brute_force(m):
     for mask in range(1, 1 << m):
         bits = [k for k in range(m) if mask >> k & 1]
         orbit_of[mask] = {sum(1 << (u * k + mu) % m for k in bits) for u in units for mu in range(m)}
-    canon, reps, weights = search._orbits(m, None)
-    assert all(canon[mask] == min(orbit) for mask, orbit in orbit_of.items())
-    expected = {min(orbit): len(orbit) for orbit in orbit_of.values()}
-    assert reps.tolist() == sorted(expected)
-    assert weights.tolist() == [expected[rep] for rep in sorted(expected)]
-    _, small, small_weights = search._orbits(m, 2)
-    assert small.tolist() == [rep for rep in sorted(expected) if bin(rep).count("1") <= 2]
-    assert small_weights.tolist() == [expected[rep] for rep in small.tolist()]
+    for k in (None, 1, 2, m // 2):
+        masks = search._masks_upto(m, k)
+        canon, reps, weights = search._orbits(m, masks)
+        # canon is aligned with the list: canon[i] is the least image of masks[i]
+        assert canon.tolist() == [min(orbit_of[mask]) for mask in masks.tolist()], k
+        expected = {min(orbit_of[mask]): len(orbit_of[mask]) for mask in masks.tolist()}
+        assert reps.tolist() == sorted(expected)
+        assert weights.tolist() == [expected[rep] for rep in sorted(expected)]
+
+
+@pytest.mark.parametrize("p", [23, 29, 31])
+def test_corollary_add_tight_sets_per_size_follow_closed_forms(p):
+    # beyond the reach of the direct sweep: the tight sets of each size n,
+    # tight(n) - tight(n - 1) of the sweeps capped at n, are all 2-sets and
+    # all 3-sets, p(p - 1)(p - 3)/8 sets at n = 4, and from n = 5 to (p + 1)/2
+    # exactly the p(p - 1)/2 arithmetic progressions of length n
+    tight = [0]
+    for n in range(1, 7):
+        report = exhaustive_verify(SweepConfig(theorem="corollary-add", primes=(p,), max_set_size=n))
+        assert report.ok()
+        tight.append(report.stats_for(p).tight_count)
+    progressions = p * (p - 1) // 2
+    expected = {2: math.comb(p, 2), 3: math.comb(p, 3), 4: p * (p - 1) * (p - 3) // 8, 5: progressions, 6: progressions}
+    assert {n: tight[n] - tight[n - 1] for n in range(2, 7)} == expected
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -506,9 +549,10 @@ def test_parallel_jobs_match_serial():
         assert serial.to_json() == parallel.to_json(), theorem
 
 
+@pytest.mark.parametrize("theorem", ["mult", "corollary-add"])
 @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1)])
-def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools):
-    # one universe and one B-list per prime, one pool per command
+def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools, theorem):
+    # one universe and one mask list per prime, one pool per command
     counts = {"universe": 0, "masks": 0, "pool": 0}
     init, masks_upto = search._Universe.__init__, search._masks_upto
 
@@ -532,7 +576,7 @@ def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools):
     monkeypatch.setattr(search._Universe, "__init__", counted_init)
     monkeypatch.setattr(search, "_masks_upto", counted_masks)
     monkeypatch.setattr(search, "multiprocessing", types.SimpleNamespace(get_context=get_context))
-    exhaustive_verify(SweepConfig(theorem="mult", primes=(5, 7, 11), partitions=3), jobs=jobs)
+    exhaustive_verify(SweepConfig(theorem=theorem, primes=(5, 7, 11), partitions=3), jobs=jobs)
     assert counts == {"universe": 3, "masks": 3, "pool": pools}
 
 
@@ -631,17 +675,17 @@ def test_seeds_outside_64_bits_are_rejected(seed):
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_are_rejected(jobs):
     config = SweepConfig(theorem="mult", primes=(5,), partitions=2)
-    with pytest.raises(ValueError, match="jobs"):
+    with pytest.raises(ValueError, match=rf"^jobs must be between 1 and partitions \(2\); got {jobs}$"):
         exhaustive_verify(config, jobs=jobs)
 
 
 @pytest.mark.parametrize("partitions,jobs", [(1, 2), (2, 3)])
 def test_jobs_above_partitions_are_rejected(partitions, jobs):
     config = SweepConfig(theorem="mult", primes=(5,), partitions=partitions)
-    with pytest.raises(ValueError, match=rf"jobs .*partitions \({partitions}\); got {jobs}"):
+    with pytest.raises(ValueError, match=rf"^jobs must be between 1 and partitions \({partitions}\); got {jobs}$"):
         exhaustive_verify(config, jobs=jobs)
     sampled = SweepConfig(theorem="mult", primes=(5,), samples=10, seed=1)
-    with pytest.raises(ValueError, match="partitions"):
+    with pytest.raises(ValueError, match=r"^jobs .* partitions \(1\); got 2$"):
         exhaustive_verify(sampled, jobs=2)
 
 
@@ -650,6 +694,31 @@ def test_budget_enforced():
     with pytest.raises(ValueError, match="budget"):
         exhaustive_verify(config)
     assert (2**17 - 1) ** 2 > DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize("theorem,p,max_size,count", [
+    # the count is of the masks within the size cap, the empty one included
+    ("main", 31, None, (1 << 30) - 1),
+    ("main", 31, 4, 31930),
+    ("corollary-add", 13, 13, (1 << 13) - 1),
+    ("additive", 23, None, 23 * 22 << 23),
+    ("additive", 23, 3, 23 * 22 * 2048),
+    ("cover", 61, 3, 60 * 16 * 36051),
+])
+def test_budget_counts_the_masks_within_the_size_cap(theorem, p, max_size, count):
+    config = SweepConfig(theorem=theorem, primes=(p,), max_set_size=max_size, budget=count)
+    config.validate()
+    with pytest.raises(ValueError, match=f"^exhaustive sweep at p = {p} needs {count} "):
+        dataclasses.replace(config, budget=count - 1).validate()
+
+
+@pytest.mark.parametrize("theorem,p", [("main", 67), ("additive", 67), ("cover", 67), ("corollary-add", 101)])
+def test_exhaustive_sweeps_past_63_bits_are_refused(theorem, p):
+    config = SweepConfig(theorem=theorem, primes=(p,), max_set_size=2)
+    with pytest.raises(ValueError, match=f"^exhaustive sweep at p = {p} needs .*-bit masks; at most 63"):
+        config.validate()
+    # sampled hunts go on past 63 bits
+    dataclasses.replace(config, samples=10, seed=1).validate()
 
 
 def test_nonprime_rejected():
