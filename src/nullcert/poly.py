@@ -141,7 +141,7 @@ class BivariatePolynomial:
     @classmethod
     def from_triples(cls, field: PrimeField, triples) -> "BivariatePolynomial":
         """Parse the `to_triples` form: a list of [i, j, coeff] integer
-        triples (JSON integers, not floats or booleans)."""
+        triples (JSON integers, not floats or booleans), one per monomial."""
         if not isinstance(triples, list) or not all(
             isinstance(t, list)
             and len(t) == 3
@@ -149,7 +149,12 @@ class BivariatePolynomial:
             for t in triples
         ):
             raise ValueError("polynomial must be a list of [i, j, coeff] integer triples")
-        return cls(field, {(i, j): c for i, j, c in triples})
+        terms = {}
+        for i, j, c in triples:
+            if (i, j) in terms:
+                raise ValueError(f"polynomial repeats the monomial [{i}, {j}]")
+            terms[i, j] = c
+        return cls(field, terms)
 
     def _check_field(self, other: "BivariatePolynomial") -> None:
         if self.field != other.field:

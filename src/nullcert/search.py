@@ -11,16 +11,17 @@ exhaustive pair sweep evaluates one A against every B, a single-set sweep a
 block of A-masks, and a sampled hunt a block of drawn sets or pairs while
 masks fit in 63 bits, beyond that one draw at a time as ints.  An exhaustive
 sweep reads one list per prime, the masks within the size cap (`_masks_upto`),
-built at the cost of its length.  Report entries are rebuilt by the same
-kernels from the recorded masks.  The `main` certificate is replayed only
-where the bound fails, the one case in which it can raise.
+built at the cost of its length.  Report entries are the kernel rows that
+the sweep counted, (amask, bmask, size, bound, targets), formatted without a
+second kernel pass.  The `main` certificate is replayed only where the bound
+fails, the one case in which it can raise.
 
 An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
 weighted by the orbit size.  Every pair bound is invariant under g applied to
 A and B together, so sum_B f(gA, B) = sum_B f(A, B): the counts are exact.
-The first entries, in direct (amask, bmask) order, are then rebuilt by the
-same kernel on the orbits that have any (`_first_entries`).
+The first entries, in direct (amask, bmask) order, are then counted by the
+same kernel on the members of the orbits that have any (`_first_entries`).
 
 The CLI hands every `nullcert verify`, sampled runs too, to
 `exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
@@ -166,18 +167,20 @@ class SweepConfig:
             raise ValueError("budget must be positive")
         if self.tight_cap < 0:
             raise ValueError("tight list cap must be >= 0")
-        # every prime, and for an exhaustive sweep the budget's first step and
-        # the 63-bit limit of the masks, is checked before any prime is swept
+        if self.samples is None and self.seed is not None:
+            raise ValueError("exhaustive sweeps take no seed")
+        # every prime is checked before any is swept: for an exhaustive sweep
+        # the 63-bit limit of the masks, then the budget's first step
         for p in self.primes:
             PrimeField(p)
             m = p if mode is GroupMode.ADDITIVE else p - 1
+            if self.samples is None and m >= 64:
+                raise ValueError(f"exhaustive sweep at p = {p} needs {m}-bit masks; at most 63 are supported")
             if self.samples is None and THEOREMS[self.theorem].pair:
                 orbit_ops = m * len(_units(m)) * _mask_count(m, self.max_set_size)
                 _check_budget(p, orbit_ops, "mask operations to find the A-orbits", self.budget)
             elif self.samples is None:
                 _check_budget(p, _mask_count(m, self.max_set_size) - 1, "checks", self.budget)
-            if self.samples is None and m >= 64:
-                raise ValueError(f"exhaustive sweep at p = {p} needs {m}-bit masks; at most 63 are supported")
 
     def echo(self) -> dict:
         return {
@@ -209,9 +212,10 @@ COUNTERS = (
 @dataclass
 class PrimeStats:
     """Counts for one prime.  While a sweep runs, `tight` and
-    `counterexamples` hold raw (amask, bmask) pairs (bmask None for single
-    sets; canonical A's in a pair sweep until `_first_entries`);
-    `_materialize` turns them into report entries."""
+    `counterexamples` hold the kernel rows it counted, (amask, bmask, size,
+    bound, targets), bmask None for single sets (rows of canonical A's in a
+    pair sweep until `_first_entries`); `_materialize` formats them as report
+    entries."""
 
     p: int
     examined: int = 0
@@ -469,28 +473,29 @@ def _single_eval(theorem: str, m: int, amasks) -> tuple:
     return _popcount(once), 2 * n - THEOREMS[theorem].offset, targets
 
 
-def _evaluate(theorem: str, m: int, keys: list) -> tuple:
-    """The kernel of `theorem` on a list of (amask, bmask) keys, bmask None
+def _evaluate(theorem: str, m: int, amasks: list, bmasks: list | None) -> tuple:
+    """The kernel of `theorem` on lists of drawn A's and B's, `bmasks` None
     for a single-set theorem: as uint64 arrays while masks fit in 63 bits
-    (the rotate shifts right by up to m bits), one key at a time as Python
+    (the rotate shifts right by up to m bits), one draw at a time as Python
     ints beyond."""
-    pair = THEOREMS[theorem].pair
     if m >= 64:
-        rows = [_pair_eval(theorem, m, a, b) if pair else _single_eval(theorem, m, a) for a, b in keys]
+        rows = [_single_eval(theorem, m, a) for a in amasks] if bmasks is None \
+            else [_pair_eval(theorem, m, a, b) for a, b in zip(amasks, bmasks)]
         return tuple(np.array(rows, dtype=object).reshape(-1, 3).T)
-    amasks = np.array([a for a, _ in keys], dtype=np.uint64)
-    if pair:
-        return _pair_eval(theorem, m, amasks, np.array([b for _, b in keys], dtype=np.uint64))
-    return _single_eval(theorem, m, amasks)
+    if bmasks is None:
+        return _single_eval(theorem, m, np.array(amasks, dtype=np.uint64))
+    return _pair_eval(theorem, m, np.array(amasks, dtype=np.uint64), np.array(bmasks, dtype=np.uint64))
 
 
-def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tuple,
-           tight_cap: int, key, weight: int = 1) -> None:
-    """Count a block of kernel results into `stats`, each `weight` times;
-    `key(i)` is the (amask, bmask) of the i-th, or None to record no entries.
-    A target is one hypothesis unit, except that a `cover` pair counts once
-    when N is nonempty.  A violated `main` bound replays the certificate for
-    each target: only there can it raise."""
+def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
+           evaluated: tuple, tight_cap: int, weight: int = 1) -> None:
+    """Count the kernel rows `evaluated` into `stats`, each `weight` times,
+    and record the tight and violated rows, up to their caps, as (amask,
+    bmask, size, bound, targets).  `amasks` is one A (an int) or the A of
+    each row, `bmasks` the B of each row or None for single sets.  A target
+    is one hypothesis unit, except that a `cover` pair counts once when N is
+    nonempty.  A violated `main` bound replays the certificate for each
+    target: only there can it raise."""
     size, bound, targets = evaluated
     units = (targets != 0) * 1 if theorem == "cover" else _popcount(targets)
     ok = size >= bound
@@ -502,15 +507,16 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, evaluated: tupl
     stats.bound_holding += weight * int(units[ok].sum())
     stats.tight_count += weight * int(tight.sum())
     stats.counterexample_count += weight * int(violated.sum())
-    if key is not None:
-        room = tight_cap - len(stats.tight)
-        stats.tight += [key(i) for i in np.flatnonzero(tight)[:room]]
-        room = COUNTEREXAMPLE_LIST_CAP - len(stats.counterexamples)
-        stats.counterexamples += [key(i) for i in np.flatnonzero(violated)[:room]]
+    for rows, flags, cap in ((stats.tight, tight, tight_cap),
+                             (stats.counterexamples, violated, COUNTEREXAMPLE_LIST_CAP)):
+        for i in np.flatnonzero(flags)[:cap - len(rows)] if flags.any() else ():
+            amask = amasks if isinstance(amasks, int) else int(amasks[i])
+            bmask = None if bmasks is None else int(bmasks[i])
+            rows.append((amask, bmask, int(size[i]), int(bound[i]), int(targets[i])))
     if not THEOREMS[theorem].replayed:
         return
     for i in np.flatnonzero(violated):
-        a_set = universe.element_set(key(i)[0])
+        a_set = universe.element_set(int(amasks[i]))
         for c in _mask_bits(int(targets[i])):
             try:
                 symmetric_pair_certificate(a_set, universe.residues[c])
@@ -529,47 +535,42 @@ def _partition(universe: _Universe, theorem: str, masks: np.ndarray, tight_cap: 
     stats = PrimeStats(universe.field.p)
     for lo in range(0, len(masks), _BLOCK):
         amasks = masks[lo:lo + _BLOCK]
-        evaluated = _single_eval(theorem, universe.m, amasks)
-        _count(stats, universe, theorem, evaluated, tight_cap, lambda i: (int(amasks[i]), None))
+        _count(stats, universe, theorem, amasks, None, _single_eval(theorem, universe.m, amasks), tight_cap)
     return stats
 
 
 def _pair_partition(universe: _Universe, theorem: str, reps: list[int], weights: list[int],
-                    masks: np.ndarray) -> PrimeStats:
+                    masks: np.ndarray, tight_cap: int) -> PrimeStats:
     """Sweep each canonical A in `reps` against every B in `masks`, its counts
     weighted by its orbit size; returns partial stats whose `tight` and
-    `counterexamples` list the A's with such pairs."""
+    `counterexamples` hold the first rows of the canonical A's."""
     stats = PrimeStats(universe.field.p)
     for amask, weight in zip(reps, weights):
-        before = stats.tight_count, stats.counterexample_count
-        evaluated = _pair_eval(theorem, universe.m, amask, masks)
-        _count(stats, universe, theorem, evaluated, 0, None, weight)
-        if stats.tight_count > before[0]:
-            stats.tight.append(amask)
-        if stats.counterexample_count > before[1]:
-            stats.counterexamples.append(amask)
+        _count(stats, universe, theorem, amask, masks, _pair_eval(theorem, universe.m, amask, masks),
+               tight_cap, weight)
     return stats
 
 
 def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: np.ndarray,
                    canon: np.ndarray, tight_cap: int) -> None:
-    """Replace the canonical A's in merged pair stats by the first entries in
-    direct (amask, bmask) order: `_pair_eval` against every B in `masks` on
-    the members of the listed orbits, ascending, while a list the orbit feeds
-    holds < min(cap, count).  The merge keeps the first cap canonical A's,
-    enough since each is the least of its orbit: the k-th A with entries is
-    in one of their orbits."""
-    orbits = set(stats.tight), set(stats.counterexamples)
+    """Replace the rows of canonical A's in merged pair stats by the first
+    rows in direct (amask, bmask) order: `_pair_eval` against every B in
+    `masks` on the members of the orbits of the listed A's, ascending, while
+    a list the orbit feeds holds < min(cap, count).  The merge keeps the
+    first cap rows of canonical A's, enough since each A is the least of its
+    orbit and every member of an orbit has as many rows: an A whose orbit
+    has no listed row comes after cap rows in direct order too."""
+    orbits = {row[0] for row in stats.tight}, {row[0] for row in stats.counterexamples}
     wanted = min(tight_cap, stats.tight_count), min(COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)
     found = PrimeStats(stats.p)
-    members = np.isin(canon, stats.tight + stats.counterexamples)
+    members = np.isin(canon, list(orbits[0] | orbits[1]))
     for amask, rep in zip(masks[members].tolist(), canon[members].tolist()):
         short = [len(got) < want for got, want in zip((found.tight, found.counterexamples), wanted)]
         if not any(short):
             break
         if any(s and rep in orbit for s, orbit in zip(short, orbits)):
             evaluated = _pair_eval(theorem, universe.m, amask, masks)
-            _count(found, universe, theorem, evaluated, tight_cap, lambda i: (amask, int(masks[i])))
+            _count(found, universe, theorem, amask, masks, evaluated, tight_cap)
     stats.tight, stats.counterexamples = found.tight, found.counterexamples
 
 
@@ -579,19 +580,15 @@ def _runs(n: int, parts: int) -> list[tuple[int, int]]:
 
 
 def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: bool) -> None:
-    """Turn the raw (amask, bmask) pairs of `stats` into report entries, each
-    from the kernel's result for its masks; with `attach`, each tight entry
-    carries the certificate for its first target."""
+    """Format the kernel rows of `stats` as report entries; with `attach`,
+    each tight entry carries the certificate for its first target."""
     build = THEOREMS[theorem].build if attach else None
     for name, builder in (("tight", build), ("counterexamples", None)):
-        keys = getattr(stats, name)
-        sizes, bounds, targets = _evaluate(theorem, universe.m, keys)
         entries = []
-        for (amask, bmask), size, bound, target in zip(keys, sizes, bounds, targets):
-            entry = {"A": universe.mask_to_values(amask), "size": int(size), "bound": int(bound)}
+        for amask, bmask, size, bound, target in getattr(stats, name):
+            entry = {"A": universe.mask_to_values(amask), "size": size, "bound": bound}
             if bmask is not None:
                 entry["B"] = universe.mask_to_values(bmask)
-            target = int(target)
             entry["N" if theorem == "cover" else "c"] = universe.mask_to_values(target)
             if builder is not None:
                 A = universe.element_set(amask)
@@ -651,7 +648,7 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
             canon, reps, weights = _orbits(m, masks)
             _check_budget(p, len(reps) * len(masks), "checks", config.budget)
             worker, tasks = _pair_partition, [
-                (universe, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), masks)
+                (universe, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), masks, config.tight_cap)
                 for lo, hi in _runs(len(reps), config.partitions)
             ]
         else:
@@ -714,9 +711,9 @@ def hunt_counterexample(config: SweepConfig) -> Report:
             count = min(_BLOCK, config.samples - done)
             masks = _draw_masks(words, universe.m, config.max_set_size, 2 * count if is_pair else count)
             # a pair theorem draws A and B alternately
-            keys = list(zip(masks[::2], masks[1::2])) if is_pair else [(a, None) for a in masks]
-            evaluated = _evaluate(theorem, universe.m, keys)
-            _count(stats, universe, theorem, evaluated, config.tight_cap, keys.__getitem__)
+            amasks, bmasks = (masks[::2], masks[1::2]) if is_pair else (masks, None)
+            evaluated = _evaluate(theorem, universe.m, amasks, bmasks)
+            _count(stats, universe, theorem, amasks, bmasks, evaluated, config.tight_cap)
         return stats
 
     return _sweep(config, {"algorithm": PRNG_ALGORITHM, "seed": config.seed}, prime_stats)

@@ -69,6 +69,7 @@ def test_verify_bad_jobs_and_seeds_exit_2_with_one_line(capsys):
         (["--samples", "10", "--seed", "18446744073709551617"], "seed"),
         (["--prime", "7", "--samples", "200", "--seed", "1"], "repeated prime"),
         (["--exhaustive", "--samples", "10", "--seed", "1"], "mutually exclusive"),
+        (["--exhaustive", "--seed", "5"], "error: exhaustive sweeps take no seed\n"),
     ]:
         capsys.readouterr()
         assert run(sweep + extra) == 2, extra
@@ -136,6 +137,16 @@ def test_verify_refuses_an_exhaustive_sweep_past_63_bits(capsys):
     assert run(["verify", "--theorem", "main", "--prime", "67", "--max-size", "2", "--exhaustive"]) == 2
     assert capsys.readouterr().err == (
         "error: exhaustive sweep at p = 67 needs 66-bit masks; at most 63 are supported\n"
+    )
+
+
+@pytest.mark.parametrize("theorem,m", [("additive", 100003), ("main", 100002), ("mult", 100002)])
+def test_verify_refuses_an_exhaustive_sweep_at_a_huge_prime_in_one_line(theorem, m, capsys):
+    # the 63-bit limit is checked before the budget, whose count would run
+    # to 30,000 digits
+    assert run(["verify", "--theorem", theorem, "--prime", "100003", "--exhaustive"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: exhaustive sweep at p = 100003 needs {m}-bit masks; at most 63 are supported\n"
     )
 
 
@@ -431,6 +442,7 @@ def test_coefficient_malformed_input_exits_2_with_one_line(tmp_path, capsys):
     cases = [(text, "1,2", "polynomial") for text in ("5", "null", "[1]", "[[1.5,0,1]]",
                                                       "[[0,0,true]]", "[[1,1]]", "{}")]
     cases += [("[[1,1,1]]", a, "out of range") for a in ("1,7", "-1,2")]
+    cases += [("[[1,1,2],[1,1,3]]", "1,2", "repeats the monomial [1, 1]"), ("[[1,1,2]", "1,2", "Expecting")]
     poly_file = tmp_path / "poly.json"
     capsys.readouterr()
     for text, set_a, word in cases:

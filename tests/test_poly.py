@@ -82,6 +82,13 @@ def test_triples_round_trip():
     assert f.to_triples() == [[0, 0, 6], [1, 5, 2], [2, 1, 3]]
 
 
+def test_from_triples_refuses_a_repeated_monomial():
+    # the constructor sums repeated terms; the triples form lists each once
+    assert P(7, [((1, 1), 2), ((1, 1), 3)]).terms == {(1, 1): 5}
+    with pytest.raises(ValueError, match=r"^polynomial repeats the monomial \[1, 1\]$"):
+        BivariatePolynomial.from_triples(PrimeField(7), [[1, 1, 2], [0, 0, 1], [1, 1, 3]])
+
+
 def test_top_coefficient_hand_example():
     # f = xy on {1,2} x {3,4} mod 7: row weights 1/(1-2), 1/(2-1); column
     # weights 1/(3-4), 1/(4-3); terms 3, -4, -6, 8 sum to 1.

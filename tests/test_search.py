@@ -518,6 +518,114 @@ def test_hunt_counterexample_path_matches_reference_loop(monkeypatch, weakened_m
     assert 0 < stats.contradictions
 
 
+# ------------------------------------------ recorded rows are kernel rows
+
+
+def _recorded_rows(config):
+    """Run the sweep of `config`; return the tight and violated rows it hands
+    to `_materialize`, per prime, with the index count m of each prime."""
+    rows = {}
+    materialize = search._materialize
+
+    def recording(universe, theorem, stats, attach):
+        rows[stats.p] = universe.m, stats.tight + stats.counterexamples
+        materialize(universe, theorem, stats, attach)
+
+    with mock.patch.object(search, "_materialize", recording):
+        exhaustive_verify(config)
+    return rows
+
+
+def _assert_rows_are_fresh_kernel_rows(config):
+    theorem = config.theorem
+    for m, rows in _recorded_rows(config).values():
+        for amask, bmask, *result in rows:
+            if bmask is None:
+                fresh = search._single_eval(theorem, m, amask)
+            else:
+                fresh = search._pair_eval(theorem, m, amask, bmask)
+            assert tuple(result) == fresh, (amask, bmask)
+            assert all(type(v) is int for v in (amask, *result))
+
+
+def _weakened(theorem, weaken):
+    # no real bound fails, so raise it by `weaken`: its tight rows become
+    # violated ones
+    spec = THEOREMS[theorem]
+    return mock.patch.dict(THEOREMS, {theorem: dataclasses.replace(spec, offset=spec.offset - weaken)})
+
+
+@settings(max_examples=40)
+@given(
+    variant=st.sampled_from(_PAIR_VARIANTS + [(tag, None) for tag in ("main", "corollary-add", "corollary-mult")]),
+    p=st.sampled_from([5, 7, 11]),
+    max_set_size=st.none() | st.integers(1, 5),
+    partitions=st.integers(1, 3),
+    tight_cap=st.integers(1, 40),
+    weaken=st.integers(0, 1),
+)
+def test_exhaustive_sweeps_record_kernel_rows(variant, p, max_set_size, partitions, tight_cap, weaken):
+    # the single-set partitions and the pair sweep's `_first_entries`
+    theorem, mode = variant
+    if THEOREMS[theorem].pair and p == 11:
+        max_set_size = min(max_set_size or 3, 3)
+    config = SweepConfig(theorem=theorem, primes=(p,), group_mode=mode, max_set_size=max_set_size,
+                         partitions=partitions, tight_cap=tight_cap)
+    with _weakened(theorem, weaken):
+        _assert_rows_are_fresh_kernel_rows(config)
+
+
+@settings(max_examples=40)
+@given(
+    variant=st.sampled_from(
+        [("ks", GroupMode.ADDITIVE), ("ks", GroupMode.MULTIPLICATIVE)]
+        + [(tag, None) for tag in ALL_THEOREMS if tag != "ks"]
+    ),
+    seed=st.integers(0, (1 << 64) - 1),
+    max_set_size=st.integers(2, 6),
+    weaken=st.integers(0, 1),
+)
+def test_hunts_record_kernel_rows(variant, seed, max_set_size, weaken):
+    # p = 31 runs the array kernels, p = 67 the Python-int fork past 63
+    # bits; uncapped draws are too large to meet the hypotheses, so the size
+    # is capped
+    theorem, mode = variant
+    config = SweepConfig(theorem=theorem, primes=(31, 67), group_mode=mode, samples=120, seed=seed,
+                         max_set_size=max_set_size, tight_cap=30)
+    with _weakened(theorem, weaken):
+        _assert_rows_are_fresh_kernel_rows(config)
+
+
+@pytest.mark.parametrize("theorem,primes,samples,weaken", [
+    ("mult", (7,), None, 0),
+    ("cover", (7,), None, 0),
+    ("additive", (7,), None, 1),
+    ("main", (11,), None, 0),
+    ("corollary-add", (11,), None, 1),
+    ("mult", (31, 67), 600, 1),
+    ("main", (31, 67), 600, 0),
+])
+def test_materialize_makes_no_kernel_call(monkeypatch, theorem, primes, samples, weaken):
+    def refuse(*args):
+        raise AssertionError("a kernel ran while report entries were formatted")
+
+    materialize = search._materialize
+    formatted = []
+
+    def kernels_off(universe, theorem, stats, attach):
+        with mock.patch.multiple(search, _pair_eval=refuse, _single_eval=refuse, _evaluate=refuse):
+            materialize(universe, theorem, stats, attach)
+        formatted.append(len(stats.tight) + len(stats.counterexamples))
+
+    monkeypatch.setattr(search, "_materialize", kernels_off)
+    config = SweepConfig(theorem=theorem, primes=primes, samples=samples,
+                         seed=None if samples is None else 3, max_set_size=4, tight_cap=20,
+                         attach_certificates=True)
+    with _weakened(theorem, weaken):
+        exhaustive_verify(config)
+    assert len(formatted) == len(primes) and all(formatted)
+
+
 # ----------------------------------------------------------- determinism
 
 
@@ -649,6 +757,10 @@ def test_config_validation_errors():
         hunt_counterexample(SweepConfig(theorem="mult", primes=(5,)))
     with pytest.raises(ValueError, match="repeated prime 7"):
         SweepConfig(theorem="mult", primes=(7, 5, 7), samples=200, seed=1).validate()
+    # a seed changes nothing in an exhaustive sweep; the field checks below
+    # come first, with a seed set
+    with pytest.raises(ValueError, match="^exhaustive sweeps take no seed$"):
+        exhaustive_verify(SweepConfig(theorem="mult", primes=(5,), seed=1))
     for field, value, word in [
         ("samples", -1, "sample count"),
         ("partitions", 0, "partitions"),
