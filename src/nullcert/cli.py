@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--attach-certificates", action="store_true",
                         help="attach a certificate to each recorded tight instance")
     verify.add_argument("--out", help="report file path")
-    verify.add_argument("--format", choices=["json", "csv"], default="json")
+    verify.add_argument("--format", choices=["json", "csv"], help="report format with --out (default json)")
 
     cert = sub.add_parser("certificate", help="build one proof certificate")
     cert.add_argument("--theorem",
@@ -124,6 +124,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("choose --exhaustive or --samples N --seed S")
     if args.samples is not None and args.exhaustive:
         raise ValueError("--exhaustive and --samples are mutually exclusive")
+    if args.format and not args.out:
+        raise ValueError("--format needs --out")
     config = search.SweepConfig(
         theorem=args.theorem,
         primes=_parse_primes(args.prime),
@@ -138,7 +140,7 @@ def _cmd_verify(args) -> int:
     )
     report = search.exhaustive_verify(config, jobs=args.jobs)
     if args.out:
-        text = report.to_json() if args.format == "json" else report.to_csv()
+        text = report.to_csv() if args.format == "csv" else report.to_json()
         Path(args.out).write_text(text)
     replayed = certify.THEOREMS[args.theorem].replayed
     for stats in report.per_prime:

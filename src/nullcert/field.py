@@ -1,7 +1,7 @@
 """Prime-field arithmetic and root-of-unity machinery.
 
 Everything here works with canonical residues in [0, p).  Moduli are
-deliberately small (trial-division primality, default cap 2**20), so clarity
+deliberately small (trial-division primality, capped at 2**20), so clarity
 wins over clever reduction tricks.  All values are immutable and every
 operation is pure.
 """
@@ -11,13 +11,12 @@ from __future__ import annotations
 import operator
 
 PRIMALITY_CAP = 1 << 20
-PRIME_SEARCH_CAP = 1 << 20
 
 
-def is_prime(n: int, cap: int = PRIMALITY_CAP) -> bool:
-    """Deterministic trial-division primality test for n <= cap."""
-    if n > cap:
-        raise ValueError(f"{n} exceeds the primality-test cap {cap}")
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test for n <= `PRIMALITY_CAP`."""
+    if n > PRIMALITY_CAP:
+        raise ValueError(f"{n} exceeds the primality-test cap {PRIMALITY_CAP}")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -57,8 +56,8 @@ class PrimeField:
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int, cap: int = PRIMALITY_CAP):
-        if not isinstance(p, int) or not is_prime(p, cap=cap):
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -203,20 +202,20 @@ def element_order(x: FieldElement) -> int:
     raise AssertionError("order search failed; field invariant broken")
 
 
-def find_prime_with_subgroup(d: int, start: int = 3, cap: int = PRIME_SEARCH_CAP) -> PrimeField:
+def find_prime_with_subgroup(d: int, start: int = 3) -> PrimeField:
     """Smallest prime p >= max(start, 3) with p = 1 (mod d).
 
     Such a field carries a cyclic multiplicative subgroup of order d.
-    Raises if the search passes `cap`.
+    Raises if the search passes `PRIMALITY_CAP`.
     """
     if d < 1:
         raise ValueError("subgroup order must be >= 1")
     p = max(start, 3)
-    while p <= cap:
-        if p % d == 1 % d and is_prime(p, cap=cap):
-            return PrimeField(p, cap=cap)
+    while p <= PRIMALITY_CAP:
+        if p % d == 1 % d and is_prime(p):
+            return PrimeField(p)
         p += 1
-    raise ValueError(f"no prime = 1 (mod {d}) found in [{start}, {cap}]")
+    raise ValueError(f"no prime = 1 (mod {d}) found in [{start}, {PRIMALITY_CAP}]")
 
 
 def primitive_root_of_unity(field: PrimeField, d: int) -> FieldElement:

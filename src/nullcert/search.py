@@ -6,10 +6,12 @@ root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
 bitmasks over group indices (`_Universe`).  One kernel per kind of bound,
 `_pair_eval` or `_single_eval`, evaluates every instance with an arithmetic
-cyclic rotate, on one mask as a Python int or on a numpy array of masks: an
-exhaustive pair sweep evaluates one A against every B, a single-set sweep a
-block of A-masks, and a sampled hunt a block of drawn sets or pairs while
-masks fit in 63 bits, beyond that one draw at a time as ints.  An exhaustive
+cyclic rotate, on one mask as a Python int or on a numpy array of masks.
+Every sweep counts through one worker, `_partition`, which hands each block
+(amasks, bmasks, weight) to one step, `_count`, which evaluates it
+(`_evaluate`): a run of `_BLOCK` A-masks of a single-set sweep, one A against
+every B of a pair sweep, or a block of a hunt's draws, as an array while
+masks fit in 63 bits and one draw at a time as ints beyond.  An exhaustive
 sweep reads one list per prime, the masks within the size cap (`_masks_upto`),
 built at the cost of its length.  Report entries are the kernel rows that
 the sweep counted, (amask, bmask, size, bound, targets), formatted without a
@@ -21,13 +23,13 @@ maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
 weighted by the orbit size.  Every pair bound is invariant under g applied to
 A and B together, so sum_B f(gA, B) = sum_B f(A, B): the counts are exact.
 The first entries, in direct (amask, bmask) order, are then counted by the
-same kernel on the members of the orbits that have any (`_first_entries`).
+same step on the members of the orbits that have any (`_first_entries`).
 
 The CLI hands every `nullcert verify`, sampled runs too, to
 `exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
-Both run one per-prime loop (`_sweep`) and count through one step (`_count`).
-Each prime's set-up (its `_Universe`, its mask list) is built once
-and handed to the partitions, which share one worker pool per command.
+Both run one per-prime loop (`_sweep`).  Each prime's set-up (its
+`_Universe`, its mask list) is built once and its blocks split into
+partitions, which share one worker pool per command.
 
 Instance accounting, used consistently by reports:
 
@@ -473,30 +475,30 @@ def _single_eval(theorem: str, m: int, amasks) -> tuple:
     return _popcount(once), 2 * n - THEOREMS[theorem].offset, targets
 
 
-def _evaluate(theorem: str, m: int, amasks: list, bmasks: list | None) -> tuple:
-    """The kernel of `theorem` on lists of drawn A's and B's, `bmasks` None
-    for a single-set theorem: as uint64 arrays while masks fit in 63 bits
-    (the rotate shifts right by up to m bits), one draw at a time as Python
-    ints beyond."""
-    if m >= 64:
+def _evaluate(theorem: str, m: int, amasks, bmasks) -> tuple:
+    """The kernel of `theorem`, `_single_eval` when `bmasks` is None and
+    `_pair_eval` otherwise.  Arrays and one int A go to the kernel as they
+    are; lists of Python ints, the draws of a hunt whose masks pass 63 bits
+    (the rotate shifts right by up to m bits), go one draw at a time."""
+    if isinstance(amasks, list):
         rows = [_single_eval(theorem, m, a) for a in amasks] if bmasks is None \
             else [_pair_eval(theorem, m, a, b) for a, b in zip(amasks, bmasks)]
         return tuple(np.array(rows, dtype=object).reshape(-1, 3).T)
     if bmasks is None:
-        return _single_eval(theorem, m, np.array(amasks, dtype=np.uint64))
-    return _pair_eval(theorem, m, np.array(amasks, dtype=np.uint64), np.array(bmasks, dtype=np.uint64))
+        return _single_eval(theorem, m, amasks)
+    return _pair_eval(theorem, m, amasks, bmasks)
 
 
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
-           evaluated: tuple, tight_cap: int, weight: int = 1) -> None:
-    """Count the kernel rows `evaluated` into `stats`, each `weight` times,
-    and record the tight and violated rows, up to their caps, as (amask,
-    bmask, size, bound, targets).  `amasks` is one A (an int) or the A of
-    each row, `bmasks` the B of each row or None for single sets.  A target
-    is one hypothesis unit, except that a `cover` pair counts once when N is
-    nonempty.  A violated `main` bound replays the certificate for each
-    target: only there can it raise."""
-    size, bound, targets = evaluated
+           tight_cap: int, weight: int = 1) -> None:
+    """Evaluate the rows of `amasks` and `bmasks` (`_evaluate`) and count them
+    into `stats`, each `weight` times, recording the tight and violated rows,
+    up to their caps, as (amask, bmask, size, bound, targets).  `amasks` is
+    one A (an int) or the A of each row, `bmasks` the B of each row or None
+    for single sets.  A target is one hypothesis unit, except that a `cover`
+    pair counts once when N is nonempty.  A violated `main` bound replays the
+    certificate for each target: only there can it raise."""
+    size, bound, targets = _evaluate(theorem, universe.m, amasks, bmasks)
     units = (targets != 0) * 1 if theorem == "cover" else _popcount(targets)
     ok = size >= bound
     has_c = units > 0
@@ -529,32 +531,20 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
 # --------------------------------------------------------------------------
 
 
-def _partition(universe: _Universe, theorem: str, masks: np.ndarray, tight_cap: int) -> PrimeStats:
-    """Sweep the single sets in `masks`, a block at a time; returns partial
-    stats."""
+def _partition(universe: _Universe, theorem: str, blocks: Iterable[tuple], tight_cap: int) -> PrimeStats:
+    """Count each block (amasks, bmasks, weight) of `blocks` (`_count`); returns
+    partial stats.  A block is a run of A-masks of a single-set sweep, one
+    canonical A with every B of a pair sweep, or a block of a hunt's draws."""
     stats = PrimeStats(universe.field.p)
-    for lo in range(0, len(masks), _BLOCK):
-        amasks = masks[lo:lo + _BLOCK]
-        _count(stats, universe, theorem, amasks, None, _single_eval(theorem, universe.m, amasks), tight_cap)
-    return stats
-
-
-def _pair_partition(universe: _Universe, theorem: str, reps: list[int], weights: list[int],
-                    masks: np.ndarray, tight_cap: int) -> PrimeStats:
-    """Sweep each canonical A in `reps` against every B in `masks`, its counts
-    weighted by its orbit size; returns partial stats whose `tight` and
-    `counterexamples` hold the first rows of the canonical A's."""
-    stats = PrimeStats(universe.field.p)
-    for amask, weight in zip(reps, weights):
-        _count(stats, universe, theorem, amask, masks, _pair_eval(theorem, universe.m, amask, masks),
-               tight_cap, weight)
+    for amasks, bmasks, weight in blocks:
+        _count(stats, universe, theorem, amasks, bmasks, tight_cap, weight)
     return stats
 
 
 def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: np.ndarray,
                    canon: np.ndarray, tight_cap: int) -> None:
     """Replace the rows of canonical A's in merged pair stats by the first
-    rows in direct (amask, bmask) order: `_pair_eval` against every B in
+    rows in direct (amask, bmask) order: `_count` against every B in
     `masks` on the members of the orbits of the listed A's, ascending, while
     a list the orbit feeds holds < min(cap, count).  The merge keeps the
     first cap rows of canonical A's, enough since each A is the least of its
@@ -569,8 +559,7 @@ def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: 
         if not any(short):
             break
         if any(s and rep in orbit for s, orbit in zip(short, orbits)):
-            evaluated = _pair_eval(theorem, universe.m, amask, masks)
-            _count(found, universe, theorem, amask, masks, evaluated, tight_cap)
+            _count(found, universe, theorem, amask, masks, tight_cap)
     stats.tight, stats.counterexamples = found.tight, found.counterexamples
 
 
@@ -647,16 +636,12 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
         if is_pair:
             canon, reps, weights = _orbits(m, masks)
             _check_budget(p, len(reps) * len(masks), "checks", config.budget)
-            worker, tasks = _pair_partition, [
-                (universe, theorem, reps[lo:hi].tolist(), weights[lo:hi].tolist(), masks, config.tight_cap)
-                for lo, hi in _runs(len(reps), config.partitions)
-            ]
+            blocks = [(rep, masks, weight) for rep, weight in zip(reps.tolist(), weights.tolist())]
         else:
-            worker, tasks = _partition, [
-                (universe, theorem, masks[lo:hi], config.tight_cap)
-                for lo, hi in _runs(len(masks), config.partitions)
-            ]
-        stats = PrimeStats.merge(p, starmap(worker, tasks), config.tight_cap)
+            blocks = [(masks[lo:lo + _BLOCK], None, 1) for lo in range(0, len(masks), _BLOCK)]
+        tasks = [(universe, theorem, blocks[lo:hi], config.tight_cap)
+                 for lo, hi in _runs(len(blocks), config.partitions)]
+        stats = PrimeStats.merge(p, starmap(_partition, tasks), config.tight_cap)
         if is_pair:
             _first_entries(universe, theorem, stats, masks, canon, config.tight_cap)
         return stats
@@ -695,28 +680,28 @@ def _draw_masks(words, m: int, max_set_size: int | None, count: int) -> list[int
 def hunt_counterexample(config: SweepConfig) -> Report:
     """Sampled version of the sweep: seeded, reproducible, same checks.
 
-    Draws are evaluated a block of `_BLOCK` at a time by the exhaustive
-    sweeps' kernels (`_evaluate`).
+    Draws are counted a block of `_BLOCK` at a time by the exhaustive
+    sweeps' worker (`_partition`), as uint64 arrays while masks fit in 63
+    bits and as lists of Python ints beyond.
     """
-    config.validate()
     if config.samples is None:
         raise ValueError("hunt_counterexample needs a sample count")
+    config.validate()
     theorem = config.theorem
     is_pair = THEOREMS[theorem].pair
     words = SplitMix64(config.seed).words()
 
-    def prime_stats(universe: _Universe) -> PrimeStats:
-        stats = PrimeStats(universe.field.p)
+    def blocks(m: int):
         for done in range(0, config.samples, _BLOCK):
             count = min(_BLOCK, config.samples - done)
-            masks = _draw_masks(words, universe.m, config.max_set_size, 2 * count if is_pair else count)
+            masks = _draw_masks(words, m, config.max_set_size, 2 * count if is_pair else count)
+            if m < 64:
+                masks = np.array(masks, dtype=np.uint64)
             # a pair theorem draws A and B alternately
-            amasks, bmasks = (masks[::2], masks[1::2]) if is_pair else (masks, None)
-            evaluated = _evaluate(theorem, universe.m, amasks, bmasks)
-            _count(stats, universe, theorem, amasks, bmasks, evaluated, config.tight_cap)
-        return stats
+            yield (masks[::2], masks[1::2], 1) if is_pair else (masks, None, 1)
 
-    return _sweep(config, {"algorithm": PRNG_ALGORITHM, "seed": config.seed}, prime_stats)
+    return _sweep(config, {"algorithm": PRNG_ALGORITHM, "seed": config.seed},
+                  lambda universe: _partition(universe, theorem, blocks(universe.m), config.tight_cap))
 
 
 # --------------------------------------------------------------------------

@@ -193,6 +193,16 @@ def test_verify_csv_format(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_format_needs_out(fmt, tmp_path, capsys, monkeypatch):
+    # without --out no report is written, so --format would change nothing
+    monkeypatch.chdir(tmp_path)
+    assert run(["verify", "--theorem", "mult", "--prime", "7", "--exhaustive", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --format needs --out\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("sweep", [["--exhaustive"], ["--samples", "200", "--seed", "3"]])
 def test_verify_validates_the_config_once(sweep, monkeypatch):
     calls = []

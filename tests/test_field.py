@@ -93,8 +93,8 @@ def test_find_prime_with_subgroup():
     assert find_prime_with_subgroup(10).p == 11
     with pytest.raises(ValueError):
         find_prime_with_subgroup(0)
-    with pytest.raises(ValueError):
-        find_prime_with_subgroup(6, start=100, cap=102)
+    with pytest.raises(ValueError, match="no prime"):
+        find_prime_with_subgroup(6, start=(1 << 20) - 1)  # no candidate below the cap
 
 
 def test_primitive_root_examples():
@@ -127,7 +127,7 @@ def test_primality_validation():
     with pytest.raises(ValueError):
         PrimeField(9)
     with pytest.raises(ValueError):
-        PrimeField(1_048_583, cap=1 << 20)  # above the trial-division cap
+        PrimeField(1_048_583)  # above the trial-division cap
     assert PrimeField(2).p == 2
     assert is_prime(65521)
 

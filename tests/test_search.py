@@ -243,6 +243,9 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     assert run(1) == reference
     assert run(3) == reference
     assert run(3, jobs=2) == reference
+    # more partitions than blocks (21 at p = 11 for corollary-add): some are empty
+    assert run(25) == reference
+    assert run(25, jobs=2) == reference
 
 
 # ---------------------------------- orbit-reduced pair sweeps vs the direct sweep
@@ -755,6 +758,9 @@ def test_config_validation_errors():
         SweepConfig(theorem="mult", primes=(5,), samples=5, seed=1, partitions=2).validate()
     with pytest.raises(ValueError, match="hunt_counterexample needs a sample count"):
         hunt_counterexample(SweepConfig(theorem="mult", primes=(5,)))
+    # named before the 63-bit limit of an exhaustive sweep, which is not asked for
+    with pytest.raises(ValueError, match="^hunt_counterexample needs a sample count$"):
+        hunt_counterexample(SweepConfig(theorem="main", primes=(67,)))
     with pytest.raises(ValueError, match="repeated prime 7"):
         SweepConfig(theorem="mult", primes=(7, 5, 7), samples=200, seed=1).validate()
     # a seed changes nothing in an exhaustive sweep; the field checks below
