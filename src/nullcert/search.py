@@ -4,19 +4,20 @@ The sweeps enumerate subsets of the additive group Z_p or of the
 multiplicative group GF(p)* (mapped to exponents of the smallest primitive
 root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
-bitmasks over group indices (`_Universe`).  One kernel per kind of bound,
-`_pair_eval` or `_single_eval`, evaluates every instance with an arithmetic
-cyclic rotate, on one mask as a Python int or on a numpy array of masks.
-Every sweep counts through one worker, `_partition`, which hands each block
-(amasks, bmasks, weight) to one step, `_count`, which evaluates it
-(`_evaluate`): a run of `_BLOCK` A-masks of a single-set sweep, one A against
-every B of a pair sweep, or a block of a hunt's draws, as an array while
-masks fit in 63 bits and one draw at a time as ints beyond.  An exhaustive
-sweep reads one list per prime, the masks within the size cap (`_masks_upto`),
-built at the cost of its length.  Report entries are the kernel rows that
-the sweep counted, (amask, bmask, size, bound, targets), formatted without a
-second kernel pass.  The `main` certificate is replayed only where the bound
-fails, the one case in which it can raise.
+bitmasks over group indices (`_Universe`).  One kernel, `_eval`, evaluates
+every bound, a single-set bound as the pair (A, A), by counting the
+representations of each element with an arithmetic cyclic rotate, on one
+mask as a Python int or on a numpy array of masks.  Every sweep counts
+through one worker, `_partition`, which hands each block (amasks, bmasks,
+weight) to one step, `_count`, which evaluates it: a run of `_BLOCK` A-masks
+of a single-set sweep (B = A), one A against every B of a pair sweep, or a
+block of a hunt's draws, as an array while masks fit in 63 bits and one draw
+at a time as ints beyond.  An exhaustive sweep reads one list per prime, the
+masks within the size cap (`_masks_upto`), built at the cost of its length.
+Report entries are the kernel rows that the sweep counted, (amask, bmask,
+size, bound, targets), formatted without a second kernel pass.  The `main`
+certificate is replayed only where the bound fails, the one case in which it
+can raise.
 
 An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
@@ -215,9 +216,9 @@ COUNTERS = (
 class PrimeStats:
     """Counts for one prime.  While a sweep runs, `tight` and
     `counterexamples` hold the kernel rows it counted, (amask, bmask, size,
-    bound, targets), bmask None for single sets (rows of canonical A's in a
-    pair sweep until `_first_entries`); `_materialize` formats them as report
-    entries."""
+    bound, targets), bmask = amask for single sets (rows of canonical A's in
+    a pair sweep until `_first_entries`); `_materialize` formats them as
+    report entries."""
 
     p: int
     examined: int = 0
@@ -390,12 +391,12 @@ def _mask_bits(mask) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# the mask kernels: every bound is evaluated here, on one mask as a Python
+# the mask kernel: every bound is evaluated here, on one mask as a Python
 # int or on a numpy array of masks
 # --------------------------------------------------------------------------
 
 # A-masks per array in a single-set sweep, draws per array in a sampled hunt
-# and words per PRNG fetch; bounds the kernels' memory.
+# and words per PRNG fetch; bounds the kernel's memory.
 _BLOCK = 4096
 
 
@@ -419,20 +420,49 @@ def _shifts(amask, masks, m: int, restricted: bool):
         yield a, _cyclic_shift(shifted, a, m)
 
 
-def _pair_eval(theorem: str, m: int, amask, bmasks) -> tuple:
-    """(size of A o B, bound, targets) for a pair theorem.  `targets` is the
-    mask of the uniquely represented elements, or of N for `cover`.  `amask`
+def _subgroup_mask(k: int, m: int) -> int:
+    """The d in Z_m with k * d = 0 (mod m), as a mask: the multiples of
+    m / gcd(k, m)."""
+    step = m // math.gcd(k, m)
+    return ((1 << m) - 1) // ((1 << step) - 1)
+
+
+def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
+    """(size of A o B, bound, targets) for `theorem`, with B = A for a
+    single-set bound.  `targets` is the mask of the c with exactly one
+    representation for a pair bound (unique representability) and exactly
+    two for a single-set bound (a symmetric pair), for `main` only those
+    whose pair has distinct (n-2)-th powers; for `cover` it is N.  `amask`
     is one A (an int) or an array with the A of each B; `bmasks` is one B or
-    an array."""
+    an array.  Lists of Python ints, the draws of a hunt whose masks pass 63
+    bits (the rotate shifts right by up to m bits), go one draw at a time."""
+    if isinstance(amask, list):
+        rows = [_eval(theorem, m, a, b) for a, b in zip(amask, bmasks)]
+        return tuple(np.array(rows, dtype=object).reshape(-1, 3).T)
     spec = THEOREMS[theorem]
-    once, twice = bmasks & 0, bmasks & 0
+    pair = spec.pair
+    # the elements with at least one, two and three representations; a pair
+    # bound needs no third count
+    once, twice, thrice = bmasks & 0, bmasks & 0, bmasks & 0
     for _, shifted in _shifts(amask, bmasks, m, spec.restricted):
+        if not pair:
+            thrice |= twice & shifted
         twice |= once & shifted
         once |= shifted
-    size = _popcount(once)
-    bound = _popcount(amask) + _popcount(bmasks) - spec.offset
+    size, n = _popcount(once), _popcount(amask)
+    bound = n + _popcount(bmasks) - spec.offset
+    targets = once & ~twice if pair else twice & ~thrice
+    if theorem == "main" and (not isinstance(amask, int) or targets):
+        # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
+        # subgroup killed by n - 2; drop the targets a + b of such pairs
+        if isinstance(amask, int):
+            killed = _subgroup_mask(n - 2, m)
+        else:
+            killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amask.dtype)[n]
+        for a, shifted in _shifts(amask, bmasks, m, spec.restricted):
+            targets &= ~(shifted & _cyclic_shift(killed, 2 * a % m, m))
     if theorem != "cover":
-        return size, bound, once & ~twice
+        return size, bound, targets
     # N: a in A and B whose square (index 2a) is missing from A x. B
     both, absent = amask & bmasks, ~once
     n_mask = both & 0
@@ -442,63 +472,16 @@ def _pair_eval(theorem: str, m: int, amask, bmasks) -> tuple:
     return size, bound - _popcount(n_mask) // 2, n_mask
 
 
-def _subgroup_mask(k: int, m: int) -> int:
-    """The d in Z_m with k * d = 0 (mod m), as a mask: the multiples of
-    m / gcd(k, m)."""
-    step = m // math.gcd(k, m)
-    return ((1 << m) - 1) // ((1 << step) - 1)
-
-
-def _single_eval(theorem: str, m: int, amasks) -> tuple:
-    """(size of A o. A, bound, targets) for a single-set theorem, where
-    `targets` is the mask of the qualifying c: exactly two representations
-    and, for `main`, distinct (n-2)-th powers.  `amasks` is one A (an int) or
-    an array."""
-    one_a = isinstance(amasks, int)
-    once, twice, three = amasks & 0, amasks & 0, amasks & 0
-    shifts = list(_shifts(amasks, amasks, m, True))
-    for _, shifted in shifts:
-        three |= twice & shifted
-        twice |= once & shifted
-        once |= shifted
-    n = _popcount(amasks)
-    targets = twice & ~three
-    if theorem == "main" and (not one_a or targets):
-        # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
-        # subgroup killed by n - 2; drop the targets a + b of such pairs
-        if one_a:
-            killed = _subgroup_mask(n - 2, m)
-        else:
-            killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amasks.dtype)[n]
-        for a, shifted in shifts:
-            targets &= ~(shifted & _cyclic_shift(killed, 2 * a % m, m))
-    return _popcount(once), 2 * n - THEOREMS[theorem].offset, targets
-
-
-def _evaluate(theorem: str, m: int, amasks, bmasks) -> tuple:
-    """The kernel of `theorem`, `_single_eval` when `bmasks` is None and
-    `_pair_eval` otherwise.  Arrays and one int A go to the kernel as they
-    are; lists of Python ints, the draws of a hunt whose masks pass 63 bits
-    (the rotate shifts right by up to m bits), go one draw at a time."""
-    if isinstance(amasks, list):
-        rows = [_single_eval(theorem, m, a) for a in amasks] if bmasks is None \
-            else [_pair_eval(theorem, m, a, b) for a, b in zip(amasks, bmasks)]
-        return tuple(np.array(rows, dtype=object).reshape(-1, 3).T)
-    if bmasks is None:
-        return _single_eval(theorem, m, amasks)
-    return _pair_eval(theorem, m, amasks, bmasks)
-
-
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
            tight_cap: int, weight: int = 1) -> None:
-    """Evaluate the rows of `amasks` and `bmasks` (`_evaluate`) and count them
+    """Evaluate the rows of `amasks` and `bmasks` (`_eval`) and count them
     into `stats`, each `weight` times, recording the tight and violated rows,
     up to their caps, as (amask, bmask, size, bound, targets).  `amasks` is
-    one A (an int) or the A of each row, `bmasks` the B of each row or None
-    for single sets.  A target is one hypothesis unit, except that a `cover`
-    pair counts once when N is nonempty.  A violated `main` bound replays the
-    certificate for each target: only there can it raise."""
-    size, bound, targets = _evaluate(theorem, universe.m, amasks, bmasks)
+    one A (an int) or the A of each row, `bmasks` the B of each row, the A
+    itself for single sets.  A target is one hypothesis unit, except that a
+    `cover` pair counts once when N is nonempty.  A violated `main` bound
+    replays the certificate for each target: only there can it raise."""
+    size, bound, targets = _eval(theorem, universe.m, amasks, bmasks)
     units = (targets != 0) * 1 if theorem == "cover" else _popcount(targets)
     ok = size >= bound
     has_c = units > 0
@@ -513,8 +496,7 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
                              (stats.counterexamples, violated, COUNTEREXAMPLE_LIST_CAP)):
         for i in np.flatnonzero(flags)[:cap - len(rows)] if flags.any() else ():
             amask = amasks if isinstance(amasks, int) else int(amasks[i])
-            bmask = None if bmasks is None else int(bmasks[i])
-            rows.append((amask, bmask, int(size[i]), int(bound[i]), int(targets[i])))
+            rows.append((amask, int(bmasks[i]), int(size[i]), int(bound[i]), int(targets[i])))
     if not THEOREMS[theorem].replayed:
         return
     for i in np.flatnonzero(violated):
@@ -533,8 +515,9 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
 
 def _partition(universe: _Universe, theorem: str, blocks: Iterable[tuple], tight_cap: int) -> PrimeStats:
     """Count each block (amasks, bmasks, weight) of `blocks` (`_count`); returns
-    partial stats.  A block is a run of A-masks of a single-set sweep, one
-    canonical A with every B of a pair sweep, or a block of a hunt's draws."""
+    partial stats.  A block is a run of A-masks of a single-set sweep, as both
+    A and B, one canonical A with every B of a pair sweep, or a block of a
+    hunt's draws."""
     stats = PrimeStats(universe.field.p)
     for amasks, bmasks, weight in blocks:
         _count(stats, universe, theorem, amasks, bmasks, tight_cap, weight)
@@ -571,17 +554,16 @@ def _runs(n: int, parts: int) -> list[tuple[int, int]]:
 def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: bool) -> None:
     """Format the kernel rows of `stats` as report entries; with `attach`,
     each tight entry carries the certificate for its first target."""
-    build = THEOREMS[theorem].build if attach else None
-    for name, builder in (("tight", build), ("counterexamples", None)):
+    spec = THEOREMS[theorem]
+    for name, builder in (("tight", spec.build if attach else None), ("counterexamples", None)):
         entries = []
         for amask, bmask, size, bound, target in getattr(stats, name):
             entry = {"A": universe.mask_to_values(amask), "size": size, "bound": bound}
-            if bmask is not None:
+            if spec.pair:
                 entry["B"] = universe.mask_to_values(bmask)
             entry["N" if theorem == "cover" else "c"] = universe.mask_to_values(target)
             if builder is not None:
-                A = universe.element_set(amask)
-                B = A if bmask is None else universe.element_set(bmask)
+                A, B = universe.element_set(amask), universe.element_set(bmask)
                 c = universe.residues[_mask_bits(target)[0]] if target else None
                 entry["certificate"] = builder(A, B, c).to_json_dict()
             entries.append(entry)
@@ -638,9 +620,9 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
             _check_budget(p, len(reps) * len(masks), "checks", config.budget)
             blocks = [(rep, masks, weight) for rep, weight in zip(reps.tolist(), weights.tolist())]
         else:
-            blocks = [(masks[lo:lo + _BLOCK], None, 1) for lo in range(0, len(masks), _BLOCK)]
+            blocks = [(block, block, 1) for block in np.split(masks, range(_BLOCK, len(masks), _BLOCK))]
         tasks = [(universe, theorem, blocks[lo:hi], config.tight_cap)
-                 for lo, hi in _runs(len(blocks), config.partitions)]
+                 for lo, hi in _runs(len(blocks), min(config.partitions, len(blocks)))]
         stats = PrimeStats.merge(p, starmap(_partition, tasks), config.tight_cap)
         if is_pair:
             _first_entries(universe, theorem, stats, masks, canon, config.tight_cap)
@@ -698,7 +680,7 @@ def hunt_counterexample(config: SweepConfig) -> Report:
             if m < 64:
                 masks = np.array(masks, dtype=np.uint64)
             # a pair theorem draws A and B alternately
-            yield (masks[::2], masks[1::2], 1) if is_pair else (masks, None, 1)
+            yield (masks[::2], masks[1::2], 1) if is_pair else (masks, masks, 1)
 
     return _sweep(config, {"algorithm": PRNG_ALGORITHM, "seed": config.seed},
                   lambda universe: _partition(universe, theorem, blocks(universe.m), config.tight_cap))

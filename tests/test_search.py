@@ -146,7 +146,8 @@ def test_single_kernel_matches_reference_per_mask(theorem, p):
     mode_tag = _mode_tag(theorem)
     elements = group_elements_oracle(mode_tag, p)
     m = len(elements)
-    size, bound, targets = search._single_eval(theorem, m, np.arange(1, 1 << m, dtype=np.uint32))
+    amasks = np.arange(1, 1 << m, dtype=np.uint32)
+    size, bound, targets = search._eval(theorem, m, amasks, amasks)
     for i, amask in enumerate(range(1, 1 << m)):
         expected = instance_oracle(theorem, mode_tag, p, mask_values_oracle(elements, amask))
         assert _oracle_form(elements, size[i], bound[i], targets[i]) == expected, amask
@@ -165,37 +166,57 @@ def _cases(draw, theorems):
     return theorem, mode_tag, p, elements, draw(masks), draw(st.lists(masks, min_size=1, max_size=8))
 
 
-@settings(max_examples=200)
-@given(_cases(list(_PAIR)))
+@settings(max_examples=400)
+@given(_cases(list(ALL_THEOREMS)))
 def test_pair_kernel_matches_reference_and_oracles(case):
-    # one A as an int against a uint32 array of B (the exhaustive sweeps),
-    # against each B as an int (hunts past 63 bits and report entries), and
-    # a uint64 array of A against one of B (hunts)
+    # rows (A, B), with B = A for a single-set bound, as the sweeps pass
+    # them: uint32 arrays (exhaustive sweeps: one int A against an array of
+    # B for a pair bound, one array as A and B for a single-set bound),
+    # uint64 arrays (hunts), lists of ints (hunts past 63 bits) and one row
+    # of ints (report entries)
     theorem, mode_tag, p, elements, amask, bmasks = case
     m = len(elements)
-    arrays = search._pair_eval(theorem, m, amask, np.array(bmasks, dtype=np.uint32))
-    hunt = search._pair_eval(
-        theorem, m, np.full(len(bmasks), amask, dtype=np.uint64), np.array(bmasks, dtype=np.uint64)
-    )
-    A = mask_values_oracle(elements, amask)
-    for i, bmask in enumerate(bmasks):
-        expected = instance_oracle(theorem, mode_tag, p, A, mask_values_oracle(elements, bmask))
-        one = search._pair_eval(theorem, m, amask, bmask)
+    if THEOREMS[theorem].pair:
+        amasks = [amask] * len(bmasks)
+        arrays = search._eval(theorem, m, amask, np.array(bmasks, dtype=np.uint32))
+    else:
+        amasks = bmasks = [amask] + bmasks
+        block = np.array(amasks, dtype=np.uint32)
+        arrays = search._eval(theorem, m, block, block)
+    ints = search._eval(theorem, m, amasks, bmasks)
+    hunt = search._eval(theorem, m, np.array(amasks, dtype=np.uint64), np.array(bmasks, dtype=np.uint64))
+    for i, (a, b) in enumerate(zip(amasks, bmasks)):
+        B = mask_values_oracle(elements, b) if THEOREMS[theorem].pair else None
+        expected = instance_oracle(theorem, mode_tag, p, mask_values_oracle(elements, a), B)
+        one = search._eval(theorem, m, a, b)
         assert all(type(v) is int for v in one)
         assert _oracle_form(elements, *one) == expected
-        assert _oracle_form(elements, *(column[i] for column in arrays)) == expected
-        assert _oracle_form(elements, *(column[i] for column in hunt)) == expected
+        for rows in (arrays, ints, hunt):
+            assert _oracle_form(elements, *(column[i] for column in rows)) == expected
 
 
-@settings(max_examples=200)
-@given(_cases(["main", "corollary-add", "corollary-mult"]))
-def test_single_kernel_on_ints_matches_oracle(case):
-    theorem, mode_tag, p, elements, amask, more = case
-    for mask in [amask] + more:
-        one = search._single_eval(theorem, len(elements), mask)
-        assert all(type(v) is int for v in one)
-        expected = instance_oracle(theorem, mode_tag, p, mask_values_oracle(elements, mask))
-        assert _oracle_form(elements, *one) == expected
+def _image(mask, u, mu, m):
+    """The mask of {u*k + mu (mod m) : k in mask}."""
+    return sum(1 << (u * k + mu) % m for k in range(m) if mask >> k & 1)
+
+
+@settings(max_examples=300)
+@given(_cases(list(ALL_THEOREMS)), st.data())
+def test_kernel_is_symmetric_and_affine_invariant(case, data):
+    # what the orbit-reduced pair sweep rests on: a pair bound is symmetric
+    # in A and B, and every bound is invariant under g: k -> u*k + mu applied
+    # to A and B together, which maps a c-target k to u*k + 2*mu and an
+    # element of N to u*k + mu
+    theorem, _, _, elements, amask, bmasks = case
+    m = len(elements)
+    bmask = bmasks[0] if THEOREMS[theorem].pair else amask
+    size, bound, targets = search._eval(theorem, m, amask, bmask)
+    if THEOREMS[theorem].pair:
+        assert search._eval(theorem, m, bmask, amask) == (size, bound, targets)
+    u = data.draw(st.sampled_from([u for u in range(1, m + 1) if math.gcd(u, m) == 1]))
+    mu = data.draw(st.integers(0, m - 1))
+    moved = _image(targets, u, mu if theorem == "cover" else 2 * mu, m)
+    assert search._eval(theorem, m, _image(amask, u, mu, m), _image(bmask, u, mu, m)) == (size, bound, moved)
 
 
 @pytest.fixture
@@ -243,15 +264,22 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     assert run(1) == reference
     assert run(3) == reference
     assert run(3, jobs=2) == reference
-    # more partitions than blocks (21 at p = 11 for corollary-add): some are empty
+    # more partitions than blocks (21 at p = 11 for corollary-add): one
+    # partition per block, however many are asked for
     assert run(25) == reference
     assert run(25, jobs=2) == reference
+    calls = []
+    partition = search._partition
+    monkeypatch.setattr(search, "_partition", lambda *args: calls.append(args) or partition(*args))
+    assert run(1000) == reference
+    m = 11 if theorem == "corollary-add" else 10
+    assert len(calls) <= -(-((1 << m) - 1) // 100)
 
 
 # ---------------------------------- orbit-reduced pair sweeps vs the direct sweep
 
 def _direct_pair_stats(theorem, mode_tag, p, max_set_size, tight_cap):
-    """The direct pair sweep: `_pair_eval` on every A against every B within
+    """The direct pair sweep: `_eval` on every A against every B within
     the size cap, in (amask, bmask) order, counted per A, with the first
     entries built as `_reference_count` builds them."""
     elements = group_elements_oracle(mode_tag, p)
@@ -262,7 +290,7 @@ def _direct_pair_stats(theorem, mode_tag, p, max_set_size, tight_cap):
     b_all = np.array(masks, dtype=np.uint32)
     stats = PrimeStats(p)
     for amask in masks:
-        size, bound, targets = search._pair_eval(theorem, len(elements), amask, b_all)
+        size, bound, targets = search._eval(theorem, len(elements), amask, b_all)
         units = np.minimum(targets, 1) if theorem == "cover" else np.bitwise_count(targets)
         units = units.astype(np.int64)
         tight, violated = (units > 0) & (size == bound), (units > 0) & (size < bound)
@@ -543,10 +571,7 @@ def _assert_rows_are_fresh_kernel_rows(config):
     theorem = config.theorem
     for m, rows in _recorded_rows(config).values():
         for amask, bmask, *result in rows:
-            if bmask is None:
-                fresh = search._single_eval(theorem, m, amask)
-            else:
-                fresh = search._pair_eval(theorem, m, amask, bmask)
+            fresh = search._eval(theorem, m, amask, bmask)
             assert tuple(result) == fresh, (amask, bmask)
             assert all(type(v) is int for v in (amask, *result))
 
@@ -616,7 +641,7 @@ def test_materialize_makes_no_kernel_call(monkeypatch, theorem, primes, samples,
     formatted = []
 
     def kernels_off(universe, theorem, stats, attach):
-        with mock.patch.multiple(search, _pair_eval=refuse, _single_eval=refuse, _evaluate=refuse):
+        with mock.patch.object(search, "_eval", refuse):
             materialize(universe, theorem, stats, attach)
         formatted.append(len(stats.tight) + len(stats.counterexamples))
 
