@@ -3,9 +3,10 @@
 Each constructor replays one cover argument: it lays down an explicit list of
 linear factors (plus, in multiplicative settings, the hyperbola factor
 x*y - 1) whose product vanishes on a grid except at designated points, checks
-that profile exhaustively, and records the cardinality inequality the degree
-count implies.  Certificates embed all of their inputs, so a written-out
-certificate can be re-verified from the JSON file alone.
+that profile on the whole grid by solving for each factor's zeros (exact:
+GF(p) has no zero divisors), and records the degree count's inequality.
+Certificates embed all of their inputs, so a written-out certificate can be
+re-verified from the JSON file alone.
 
 Verdicts:
 
@@ -197,23 +198,22 @@ def _covered(
     """The last step of every cover argument, and its certificate.
 
     The product of `lines`, times x*y - 1 when `hyperbola`, must vanish on
-    A x `grid` except at `point`; this is checked factor by factor at every
-    grid point, with early exit and without expanding the product.  Its
-    degree then forces `size` >= |A| + |B| - offset - `extra`, with the
-    theorem's offset from `THEOREMS`.
+    A x `grid` (reduced residues) except at `point`.  Without zero divisors
+    in GF(p) it vanishes where a factor does, so each row x = t solves for
+    its zeros: a*x + b*y + g at y = -(a*t + g)/b when b != 0, on the whole
+    row or nowhere when b = 0; x*y - 1 at y = 1/t.  The degree then forces
+    `size` >= |A| + |B| - offset - `extra`, offset from `THEOREMS`.
     """
     p = A.field.p
+    flat = [(a, g) for a, b, g in lines if not b % p]
+    sloped = [(a * u, g * u) for a, b, g in lines if b % p for u in [-pow(b, -1, p)]]
     profile = []
     for t in A.values:
-        for s in grid:
-            v = (t * s - 1) % p if hyperbola else 1
-            if v:
-                for alpha, beta, gamma in lines:
-                    v = v * (alpha * t + beta * s + gamma) % p
-                    if not v:
-                        break
-            if v:
-                profile.append((t, s))
+        if not any((a * t + g) % p == 0 for a, g in flat):
+            zeros = {(k * t + h) % p for k, h in sloped}
+            if hyperbola and t:
+                zeros.add(pow(t, -1, p))
+            profile.extend((t, s) for s in grid if s not in zeros)
     if profile != [point]:
         raise AssertionError(f"cover profile {profile} != [{point}]")
     bound = len(A) + len(B) - THEOREMS[theorem].offset - extra

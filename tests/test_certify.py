@@ -21,6 +21,7 @@ from nullcert.certify import (
     symmetric_pair_summand,
     verify_certificate,
 )
+from nullcert import field as field_module
 from nullcert.field import PrimeField
 from nullcert.poly import (
     BivariatePolynomial,
@@ -468,6 +469,74 @@ def test_cover_check_rejects_a_size_below_the_bound():
     assert _covered("additive", A, B, 1, lines, False, B.values, point, 3) == cert
     with pytest.raises(TheoremContradictionError, match="1 < 2"):
         _covered("additive", A, B, 1, lines, False, B.values, point, 1)
+
+
+def test_cover_check_rejects_an_extra_line_through_the_exceptional_point():
+    # the vertical line x = a* covers the one point the cover must leave
+    A = mk(7, MULT, [1, 2, 5])
+    cert = hyperbola_cover_certificate(A, A)
+    point = cert.exceptional[0]
+    lines, grid = list(cert.lines) + [(1, 0, -point[0])], inverse_set(A).values
+    size = len(restricted_combine(A, A))
+    with pytest.raises(AssertionError, match=r"cover profile \[\] !="):
+        _covered("cover", A, A, None, lines, False, grid, point, size, 1)
+
+
+def _product_profile(p, A, lines, hyperbola, grid):
+    """Slow oracle: multiply the factors out at every grid point."""
+    profile = []
+    for t in A:
+        for s in grid:
+            v = (t * s - 1) % p if hyperbola else 1
+            for alpha, beta, gamma in lines:
+                v = v * (alpha * t + beta * s + gamma) % p
+            if v:
+                profile.append((t, s))
+    return profile
+
+
+@st.composite
+def _cover_checks(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    coefficient = st.integers(-2 * p, 3 * p)  # unreduced on purpose
+    A = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+    grid = draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True))
+    line = st.one_of(
+        st.tuples(coefficient, coefficient, coefficient),
+        st.tuples(coefficient, st.integers(-2, 2).map(lambda k: k * p), coefficient),
+        st.tuples(st.just(0), st.just(0), coefficient),
+    )
+    return p, A, draw(st.lists(line, max_size=8)), draw(st.booleans()), grid
+
+
+@settings(max_examples=400)
+@given(_cover_checks())
+def test_cover_profile_matches_the_product_loop(case):
+    p, A_vals, lines, hyperbola, grid = case
+    A = mk(p, ADD, A_vals)
+    expected = _product_profile(p, A.values, lines, hyperbola, grid)
+    # (-1, -1) lies off every grid, so the check always fails and prints its profile
+    with pytest.raises(AssertionError) as failure:
+        _covered("additive", A, A, None, lines, hyperbola, grid, (-1, -1), 2 * p)
+    assert str(failure.value) == f"cover profile {expected} != [(-1, -1)]"
+
+
+def test_certificates_are_exact_above_64_bits(monkeypatch):
+    # the field's trial-division primality test stops at 2**20; 2**89 - 1 is a
+    # Mersenne prime, so its check is stood in for here
+    p = (1 << 89) - 1
+    monkeypatch.setattr(field_module, "is_prime", lambda n: n == p)
+    A, B = [1, 2, 1 << 70], [3, (1 << 80) + 5]
+    U = mk(p, MULT, [2, 3, (1 << 70) + 1])  # N = U: a* and one secant
+    built = [
+        additive_cover_certificate(mk(p, ADD, A), mk(p, ADD, B), 4),
+        multiplicative_cover_certificate(mk(p, MULT, A), mk(p, MULT, B), 3),
+        hyperbola_cover_certificate(U, U),
+    ]
+    for cert in built:
+        assert cert.verdict == BOUND_CERTIFIED, cert
+        assert verify_certificate(Certificate.from_json(cert.to_json())) == (True, [])
+    assert len(built[2].lines) == len(restricted_combine(U, U)) + 1
 
 
 # --------------------------------------------------- re-validation battery
