@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-from .field import FieldElement, PrimeField
+from .field import FieldElement, PrimeField, json_text
 from .poly import (
     BivariatePolynomial,
     line_product,
@@ -139,7 +139,7 @@ class Certificate:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import certify, search
-from .field import PrimeField
+from .field import PrimeField, json_text
 from .poly import BivariatePolynomial, top_coefficient_interpolation
 from .sets import ElementSet, GroupMode
 
@@ -202,7 +202,7 @@ def _cmd_tight(args) -> int:
     example = search.construct_tight_example(args.n)
     data = example.to_json_dict()
     if args.format == "json":
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        text = json_text(data)
     else:
         text = "".join(f"{key} = {value}\n" for key, value in data.items())
     _write_or_print(text, args.out)

@@ -4,10 +4,15 @@ Everything here works with canonical residues in [0, p).  Moduli are
 deliberately small (trial-division primality, capped at 2**20), so clarity
 wins over clever reduction tricks.  All values are immutable and every
 operation is pure.
+
+`json_text` writes the package's JSON files (reports, certificates, tight
+examples); it lives here, in the module every other one imports.
 """
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
 import operator
 
 PRIMALITY_CAP = 1 << 20
@@ -239,3 +244,28 @@ def primitive_root_of_unity(field: PrimeField, d: int) -> FieldElement:
 def smallest_generator(field: PrimeField) -> FieldElement:
     """Smallest primitive root of GF(p)* (generator of the full unit group)."""
     return primitive_root_of_unity(field, field.p - 1)
+
+
+def json_text(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2) + "\n"`, byte for byte.
+
+    With an indent the stdlib falls back to its pure-Python encoder; this
+    writes each container with one `str.join`, a plain int (`type is int`,
+    as a bool is an int written `true`) and a list of them without a call
+    per element, and leaves every other scalar to `json.dumps`.  Dict keys
+    must be strings."""
+    return _json_text(value, "\n") + "\n"
+
+
+def _json_text(value, newline: str) -> str:
+    if type(value) is int:
+        return str(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json_text(v, inner) for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if all(type(v) is int for v in value):
+        return "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"

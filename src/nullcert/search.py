@@ -23,8 +23,8 @@ An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
 weighted by the orbit size.  Every pair bound is invariant under g applied to
 A and B together, so sum_B f(gA, B) = sum_B f(A, B): the counts are exact.
-The first entries, in direct (amask, bmask) order, are then counted by the
-same step on the members of the orbits that have any (`_first_entries`).
+The first entries, in direct (amask, bmask) order, are the rows of the
+canonical A's mapped onto the members of their orbits (`_first_entries`).
 
 The CLI hands every `nullcert verify`, sampled runs too, to
 `exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
@@ -58,7 +58,6 @@ import contextlib
 import itertools
 import multiprocessing
 from dataclasses import dataclass, field as dataclass_field
-import json
 import math
 import time
 from typing import Iterable
@@ -70,7 +69,8 @@ from .certify import (
     TheoremContradictionError,
     symmetric_pair_certificate,
 )
-from .field import FieldElement, PrimeField, find_prime_with_subgroup, primitive_root_of_unity, smallest_generator
+from .field import (FieldElement, PrimeField, find_prime_with_subgroup, json_text, primitive_root_of_unity,
+                    smallest_generator)
 from .sets import ElementSet, GroupMode, representations, restricted_combine
 
 DEFAULT_BUDGET = 1 << 26
@@ -291,7 +291,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
     def to_csv(self) -> str:
         rows = [",".join(("theorem", "p") + COUNTERS)]
@@ -376,6 +376,25 @@ def _orbits(m: int, masks: np.ndarray) -> tuple:
         for mu in range(m):
             np.minimum(canon, _cyclic_shift(image, mu, m), out=canon)
     return (canon, *np.unique(canon, return_counts=True))
+
+
+def _scale(mask: int, u: int, m: int) -> int:
+    """The image of an m-bit mask under k -> u*k (mod m), the bit
+    permutation that `_orbits` applies to the mask list."""
+    return sum(1 << (u * k % m) for k in _mask_bits(mask))
+
+
+def _index_map(rep: int, amask: int, m: int) -> tuple[int, int]:
+    """A map (u, mu), k -> u*k + mu (mod m), that carries `rep` onto
+    `amask`, a member of its orbit: mu takes the lowest bit of `amask` to
+    the image of a bit of `rep`."""
+    low = (amask & -amask).bit_length() - 1
+    for u in _units(m):
+        scaled = _scale(rep, u, m)
+        for k in _mask_bits(scaled):
+            if _cyclic_shift(scaled, (low - k) % m, m) == amask:
+                return u, (low - k) % m
+    raise AssertionError(f"{amask:#x} is not in the orbit of {rep:#x}")
 
 
 def _mask_bits(mask) -> list[int]:
@@ -527,23 +546,36 @@ def _partition(universe: _Universe, theorem: str, blocks: Iterable[tuple], tight
 def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: np.ndarray,
                    canon: np.ndarray, tight_cap: int) -> None:
     """Replace the rows of canonical A's in merged pair stats by the first
-    rows in direct (amask, bmask) order: `_count` against every B in
-    `masks` on the members of the orbits of the listed A's, ascending, while
-    a list the orbit feeds holds < min(cap, count).  The merge keeps the
-    first cap rows of canonical A's, enough since each A is the least of its
-    orbit and every member of an orbit has as many rows: an A whose orbit
-    has no listed row comes after cap rows in direct order too."""
-    orbits = {row[0] for row in stats.tight}, {row[0] for row in stats.counterexamples}
-    wanted = min(tight_cap, stats.tight_count), min(COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)
-    found = PrimeStats(stats.p)
-    members = np.isin(canon, list(orbits[0] | orbits[1]))
-    for amask, rep in zip(masks[members].tolist(), canon[members].tolist()):
-        short = [len(got) < want for got, want in zip((found.tight, found.counterexamples), wanted)]
-        if not any(short):
-            break
-        if any(s and rep in orbit for s, orbit in zip(short, orbits)):
-            _count(found, universe, theorem, amask, masks, tight_cap)
-    stats.tight, stats.counterexamples = found.tight, found.counterexamples
+    rows in direct (amask, bmask) order, min(cap, count) per list, without a
+    kernel pass.
+
+    A member gA of an orbit has the rows of its canonical A mapped by g
+    (`_index_map`): the same size and bound, gB, and the targets mapped as
+    A o B is (k -> u*k + 2mu; N by g itself); sorted by B they are its rows
+    in direct order.  The merge lists the first cap rows of canonical A's,
+    ascending, so every listed A has all of its rows but maybe the last,
+    whose own rows fill the list before any other member of its orbit, all
+    larger, comes up.  An A whose orbit has no listed row comes after cap
+    rows in direct order, as every member of an orbit has as many rows as
+    its canonical A, the least."""
+    m = universe.m
+    for name, cap, count in (("tight", tight_cap, stats.tight_count),
+                             ("counterexamples", COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)):
+        listed = {rep: list(rows) for rep, rows in itertools.groupby(getattr(stats, name), lambda row: row[0])}
+        want, found = min(cap, count), []
+        members = np.isin(canon, list(listed))
+        for amask, rep in zip(masks[members].tolist(), canon[members].tolist()):
+            if len(found) == want:
+                break
+            rows = listed[rep]
+            if amask != rep:
+                u, mu = _index_map(rep, amask, m)
+                nu = mu if theorem == "cover" else 2 * mu % m
+                rows = sorted((amask, _cyclic_shift(_scale(bmask, u, m), mu, m), size, bound,
+                               _cyclic_shift(_scale(targets, u, m), nu, m))
+                              for _, bmask, size, bound, targets in rows)
+            found += rows[:want - len(found)]
+        setattr(stats, name, found)
 
 
 def _runs(n: int, parts: int) -> list[tuple[int, int]]:

@@ -426,6 +426,20 @@ def test_tight_output_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    *(["tight", "--n", str(n), "--format", "json"] for n in (3, 4, 9, 32)),
+    ["certificate", "--mode", "mult", "--prime", "7", "--a", "1,2", "--b", "2,3", "--c", "3"],
+    ["certificate", "--theorem", "cover", "--mode", "mult", "--prime", "13", "--a", "1,2,3,5", "--b", "2,3,5,7"],
+    ["certificate", "--theorem", "main", "--mode", "mult", "--prime", "13", "--a", "1,3,9,5", "--c", "6"],
+    ["verify", "--theorem", "cover", "--prime", "7", "--exhaustive", "--tight-cap", "20", "--attach-certificates"],
+])
+def test_json_files_are_the_stdlib_indented_form(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) in (0, 3)
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 # -------------------------------------------------------------- coefficient
 
 

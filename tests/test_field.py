@@ -1,8 +1,9 @@
+import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nullcert.field import (
     FieldElement,
@@ -11,6 +12,7 @@ from nullcert.field import (
     element_order,
     find_prime_with_subgroup,
     is_prime,
+    json_text,
     primitive_root_of_unity,
     smallest_generator,
 )
@@ -207,3 +209,26 @@ def test_element_arithmetic_matches_integers_mod_p(operands):
         x / 0
     with pytest.raises(ZeroDivisionError):
         field.zero() ** -1
+
+
+# ------------------------------------------------------------ JSON writer
+
+_KEYS = st.text(st.sampled_from('aZ\u00e9\u4e2d\U0001f600"\\/\x00\x1f\x7f\n\t') | st.characters(), max_size=6)
+_SCALARS = (
+    st.none() | st.booleans() | st.floats() | _KEYS
+    | st.integers(-(1 << 70), 1 << 70) | st.sampled_from([-1, 0, (1 << 64) + 1, -(1 << 64) - 1])
+)
+# int lists take the writer's one-join path unless a bool or None sits inside
+_INT_LISTS = st.lists(st.integers(-(1 << 70), 1 << 70) | st.sampled_from([True, False, None]), max_size=6)
+_VALUES = st.recursive(
+    _SCALARS | _INT_LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_VALUES)
+@example({"a": [[{"b": {}}, []], ()], "\x00": [1, [], {"c": [{"d": [[[]]]}]}]})
+@example([float("nan"), float("inf"), -0.0, [True, 1, None], (2, -3)])
+def test_json_text_is_the_stdlib_indented_form(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

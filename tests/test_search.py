@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import multiprocessing
 import sys
@@ -326,9 +325,7 @@ def _assert_matches_direct(config, direct, jobs=1):
         _attach_reference_certificates(config, group_elements_oracle(mode_tag, p), expected)
     got = exhaustive_verify(config, jobs=jobs)
     want = Report(config.echo(), None, [expected])
-    # `to_json` indents this compact form, which the C encoder writes fast
-    compact = [json.dumps(report.to_json_dict(), sort_keys=True) for report in (got, want)]
-    assert compact[0] == compact[1]
+    assert got.to_json() == want.to_json()
     assert got.to_csv() == want.to_csv()
 
 
@@ -372,6 +369,58 @@ def test_orbit_sweep_counterexamples_match_direct_sweep(weakened_additive, parti
     _assert_matches_direct(config, direct)
     assert len(direct.counterexamples) == 7
     assert direct.counterexample_count > 7
+
+
+def _first_rows_member_by_member(universe, theorem, stats, masks, canon, tight_cap):
+    """The first rows of merged pair stats from a kernel pass on each member
+    of the listed orbits, ascending, until both lists are full."""
+    listed = {row[0] for row in stats.tight + stats.counterexamples}
+    wanted = min(tight_cap, stats.tight_count), min(search.COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)
+    found = PrimeStats(stats.p)
+    for amask, rep in zip(masks.tolist(), canon.tolist()):
+        if len(found.tight) >= wanted[0] and len(found.counterexamples) >= wanted[1]:
+            break
+        if rep in listed:
+            search._count(found, universe, theorem, amask, masks, tight_cap)
+    return found.tight[:wanted[0]], found.counterexamples[:wanted[1]]
+
+
+def _first_entries_without_kernel(config):
+    """Sweep `config` with `_count` refused inside `_first_entries`, whose
+    rows must equal the member-by-member ones; the list lengths per prime."""
+    first_entries, lengths = search._first_entries, []
+
+    def refuse(*args):
+        raise AssertionError("_first_entries ran a kernel pass")
+
+    def checked(universe, theorem, stats, masks, canon, tight_cap):
+        expected = _first_rows_member_by_member(universe, theorem, stats, masks, canon, tight_cap)
+        with mock.patch.object(search, "_count", refuse):
+            first_entries(universe, theorem, stats, masks, canon, tight_cap)
+        assert (stats.tight, stats.counterexamples) == expected
+        lengths.append((len(stats.tight), len(stats.counterexamples)))
+
+    with mock.patch.object(search, "_first_entries", checked):
+        exhaustive_verify(config)
+    return lengths
+
+
+@pytest.mark.parametrize("p,partitions", [(11, 1), (13, 1), (13, 3)])
+def test_first_entries_take_no_kernel_pass(p, partitions):
+    # sparse `mult` lists, which a kernel pass per member filled in 420
+    # passes at p = 13; caps 1 and 3 cut the last listed A's rows
+    config = SweepConfig(theorem="mult", primes=(p,), partitions=partitions)
+    tight_count = exhaustive_verify(config).stats_for(p).tight_count
+    for tight_cap in (search.DEFAULT_TIGHT_CAP, 0, 1, 3, tight_count + 1):
+        lengths = _first_entries_without_kernel(dataclasses.replace(config, tight_cap=tight_cap))
+        assert lengths == [(min(tight_cap, tight_count), 0)]
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+@pytest.mark.parametrize("p", [7, 11])
+def test_first_counterexamples_take_no_kernel_pass(weakened_additive, partitions, p):
+    config = SweepConfig(theorem="additive", primes=(p,), partitions=partitions, tight_cap=5)
+    assert _first_entries_without_kernel(config) == [(5, 7)]
 
 
 @pytest.mark.parametrize("m", range(1, 13))
