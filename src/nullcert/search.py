@@ -8,11 +8,12 @@ bitmasks over group indices (`_Universe`).  One kernel, `_eval`, evaluates
 every bound, a single-set bound as the pair (A, A), by counting the
 representations of each element with an arithmetic cyclic rotate, on one
 mask as a Python int or on a numpy array of masks.  Every sweep counts
-through one worker, `_partition`, which hands each block (amasks, bmasks,
-weight) to one step, `_count`, which evaluates it: a run of `_BLOCK` A-masks
-of a single-set sweep (B = A), one A against every B of a pair sweep, or a
-block of a hunt's draws, as an array while masks fit in 63 bits and one draw
-at a time as ints beyond.  An exhaustive sweep reads one list per prime, the
+through one worker, `_partition`, whose blocks (amasks, bmasks, weight) are
+a run of A-masks of a single-set sweep (B = A), one A with every B of a pair
+sweep, or a block of a hunt's draws; it hands them to one step, `_count`,
+`_BLOCK` rows at a time, as arrays while masks fit in 63 bits and one draw
+at a time as ints beyond.  No array pass, `_orbits` included, holds more
+than `_BLOCK` masks.  An exhaustive sweep reads one list per prime, the
 masks within the size cap (`_masks_upto`), built at the cost of its length.
 Report entries are the kernel rows that the sweep counted, (amask, bmask,
 size, bound, targets), formatted without a second kernel pass.  The `main`
@@ -366,22 +367,27 @@ def _masks_upto(m: int, max_set_size: int | None) -> np.ndarray:
 def _orbits(m: int, masks: np.ndarray) -> tuple:
     """(canon, reps, weights) for the index maps k -> u*k + mu (mod m) on an
     ascending list of masks closed under them (`_masks_upto`): canon[i] is
-    the least image of masks[i], found with one array pass per map; reps are
-    the canonical masks, ascending, and weights their orbit sizes."""
+    the least image of masks[i], found with one array pass per map over each
+    run of `_BLOCK` masks; reps are the canonical masks, ascending, and
+    weights their orbit sizes."""
     canon = masks.copy()
-    for u in _units(m):
-        image = masks & 0
-        for k in range(m):
-            image |= (masks >> k & 1) << (u * k % m)
-        for mu in range(m):
-            np.minimum(canon, _cyclic_shift(image, mu, m), out=canon)
+    for lo in range(0, len(masks), _BLOCK):
+        run, least = masks[lo:lo + _BLOCK], canon[lo:lo + _BLOCK]
+        for u in _units(m):
+            # scale the masks, not `least`: that would compound the units
+            image = _scale(run, u, m)
+            for mu in range(m):
+                np.minimum(least, _cyclic_shift(image, mu, m), out=least)
     return (canon, *np.unique(canon, return_counts=True))
 
 
-def _scale(mask: int, u: int, m: int) -> int:
-    """The image of an m-bit mask under k -> u*k (mod m), the bit
-    permutation that `_orbits` applies to the mask list."""
-    return sum(1 << (u * k % m) for k in _mask_bits(mask))
+def _scale(mask, u: int, m: int):
+    """The image of an m-bit mask, or of each mask in an array, under
+    k -> u*k (mod m): the bit permutation of the index maps."""
+    image = mask & 0
+    for k in _mask_bits(mask):
+        image |= (mask >> k & 1) << (u * k % m)
+    return image
 
 
 def _index_map(rep: int, amask: int, m: int) -> tuple[int, int]:
@@ -414,29 +420,26 @@ def _mask_bits(mask) -> list[int]:
 # int or on a numpy array of masks
 # --------------------------------------------------------------------------
 
-# A-masks per array in a single-set sweep, draws per array in a sampled hunt
-# and words per PRNG fetch; bounds the kernel's memory.
-_BLOCK = 4096
+# Masks per array pass (the rows of a `_count` call, a run of `_orbits`, a
+# hunt's block of draws, a PRNG fetch); bounds every pass's temporaries.
+_BLOCK = 16384
 
 
 def _popcount(masks):
-    """Set bits of an int mask, or of each mask in an array (as int64)."""
+    """Set bits of an int mask, or of each mask in an array (as int16: it holds
+    any bound, and keeps the kernel's temporaries small)."""
     if isinstance(masks, int):
         return masks.bit_count()
-    return np.bitwise_count(masks).astype(np.int64)
+    return np.bitwise_count(masks).astype(np.int16)
 
 
 def _shifts(amask, masks, m: int, restricted: bool):
     """Yield (a, masks rotated by a) for each a in A, bit a dropped first if
     `restricted`.  `amask` is one A (an int) or an array holding the A of each
     mask; then the rotation is zero where a is not in that A."""
-    one_a = isinstance(amask, int)
     full = (1 << m) - 1
     for a in _mask_bits(amask):
-        shifted = masks & (full ^ 1 << a) if restricted else masks
-        if not one_a:
-            shifted = shifted & -((amask >> a) & 1)
-        yield a, _cyclic_shift(shifted, a, m)
+        yield a, _cyclic_shift(masks & ((full ^ restricted << a) & -(amask >> a & 1)), a, m)
 
 
 def _subgroup_mask(k: int, m: int) -> int:
@@ -470,6 +473,13 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
         once |= shifted
     size, n = _popcount(once), _popcount(amask)
     bound = n + _popcount(bmasks) - spec.offset
+    if theorem == "cover":
+        # N: a in A and B whose square (index 2a) is missing from A x. B
+        both, squared = amask & bmasks, bmasks & 0
+        for a in _mask_bits(both):
+            squared |= (once >> (2 * a % m) & 1) << a
+        n_mask = both & ~squared
+        return size, bound - _popcount(n_mask) // 2, n_mask
     targets = once & ~twice if pair else twice & ~thrice
     if theorem == "main" and (not isinstance(amask, int) or targets):
         # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
@@ -480,15 +490,7 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
             killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amask.dtype)[n]
         for a, shifted in _shifts(amask, bmasks, m, spec.restricted):
             targets &= ~(shifted & _cyclic_shift(killed, 2 * a % m, m))
-    if theorem != "cover":
-        return size, bound, targets
-    # N: a in A and B whose square (index 2a) is missing from A x. B
-    both, absent = amask & bmasks, ~once
-    n_mask = both & 0
-    for a in _mask_bits(both):
-        n_mask |= (absent >> (2 * a % m) & 1) << a
-    n_mask &= both
-    return size, bound - _popcount(n_mask) // 2, n_mask
+    return size, bound, targets
 
 
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
@@ -501,7 +503,7 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
     `cover` pair counts once when N is nonempty.  A violated `main` bound
     replays the certificate for each target: only there can it raise."""
     size, bound, targets = _eval(theorem, universe.m, amasks, bmasks)
-    units = (targets != 0) * 1 if theorem == "cover" else _popcount(targets)
+    units = targets != 0 if theorem == "cover" else _popcount(targets)
     ok = size >= bound
     has_c = units > 0
     tight = has_c & ok & (size == bound)
@@ -533,13 +535,15 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
 
 
 def _partition(universe: _Universe, theorem: str, blocks: Iterable[tuple], tight_cap: int) -> PrimeStats:
-    """Count each block (amasks, bmasks, weight) of `blocks` (`_count`); returns
-    partial stats.  A block is a run of A-masks of a single-set sweep, as both
-    A and B, one canonical A with every B of a pair sweep, or a block of a
-    hunt's draws."""
+    """Count each block (amasks, bmasks, weight) of `blocks`, `_BLOCK` rows
+    at a time (`_count`); returns partial stats.  A block is a run of A-masks
+    of a single-set sweep, as both A and B, one canonical A with every B of a
+    pair sweep, or a block of a hunt's draws."""
     stats = PrimeStats(universe.field.p)
     for amasks, bmasks, weight in blocks:
-        _count(stats, universe, theorem, amasks, bmasks, tight_cap, weight)
+        for lo in range(0, len(bmasks), _BLOCK):
+            run = amasks if isinstance(amasks, int) else amasks[lo:lo + _BLOCK]
+            _count(stats, universe, theorem, run, bmasks[lo:lo + _BLOCK], tight_cap, weight)
     return stats
 
 
@@ -695,8 +699,8 @@ def hunt_counterexample(config: SweepConfig) -> Report:
     """Sampled version of the sweep: seeded, reproducible, same checks.
 
     Draws are counted a block of `_BLOCK` at a time by the exhaustive
-    sweeps' worker (`_partition`), as uint64 arrays while masks fit in 63
-    bits and as lists of Python ints beyond.
+    sweeps' worker (`_partition`), as arrays of `_masks_upto`'s dtype while
+    masks fit in 63 bits and as lists of Python ints beyond.
     """
     if config.samples is None:
         raise ValueError("hunt_counterexample needs a sample count")
@@ -710,7 +714,7 @@ def hunt_counterexample(config: SweepConfig) -> Report:
             count = min(_BLOCK, config.samples - done)
             masks = _draw_masks(words, m, config.max_set_size, 2 * count if is_pair else count)
             if m < 64:
-                masks = np.array(masks, dtype=np.uint64)
+                masks = np.array(masks, dtype=np.uint32 if m <= 32 else np.uint64)
             # a pair theorem draws A and B alternately
             yield (masks[::2], masks[1::2], 1) if is_pair else (masks, masks, 1)
 

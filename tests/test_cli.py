@@ -120,6 +120,28 @@ def test_sized_sweep_reports_match_recorded_digests(key, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIZED_GOLDEN[key]
 
 
+# sweeps whose mask lists span several kernel blocks (`search._BLOCK`), which
+# the golden.json sweeps (p <= 13) never do; recorded at the commit before
+# the pair kernel and the orbit search ran one block at a time
+MULTI_BLOCK_GOLDEN = {
+    "verify --theorem mult --prime 17 --exhaustive":
+        "d2aed1332e8359f69c18030ec185e3e170a5e5d8546f79de8f928100658505d0",
+    "verify --theorem cover --prime 17 --exhaustive":
+        "8b9b1fc7e5cb5720ebd95290a9ec309d8582ff82b9638b102aa285af24b9e10d",
+    "verify --theorem cover --prime 61 --max-size 3 --exhaustive":
+        "96ad53f6c219b4f75cc8ed63d8f48fd3beb7b6cca03e8f6b7bd6d5e73c7ed94d",
+    "verify --theorem corollary-add --prime 19 --exhaustive":
+        "c70ef6f2a30dc70466d5f61c518e2cd84212c572327da6abeb1158f9dbe352dd",
+}
+
+
+@pytest.mark.parametrize("key", MULTI_BLOCK_GOLDEN)
+def test_multi_block_sweep_reports_match_recorded_digests(key, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(key.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTI_BLOCK_GOLDEN[key]
+
+
 @pytest.mark.parametrize("argv", [
     ["--theorem", "additive", "--prime", "23", "--max-size", "3"],
     ["--theorem", "main", "--prime", "31", "--max-size", "4"],

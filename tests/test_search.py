@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import sys
@@ -171,8 +172,9 @@ def test_pair_kernel_matches_reference_and_oracles(case):
     # rows (A, B), with B = A for a single-set bound, as the sweeps pass
     # them: uint32 arrays (exhaustive sweeps: one int A against an array of
     # B for a pair bound, one array as A and B for a single-set bound),
-    # uint64 arrays (hunts), lists of ints (hunts past 63 bits) and one row
-    # of ints (report entries)
+    # arrays of A and of B in both dtypes (hunts: uint32 up to 32 bits,
+    # uint64 up to 63), lists of ints (hunts past 63 bits) and one row of
+    # ints (report entries)
     theorem, mode_tag, p, elements, amask, bmasks = case
     m = len(elements)
     if THEOREMS[theorem].pair:
@@ -183,20 +185,37 @@ def test_pair_kernel_matches_reference_and_oracles(case):
         block = np.array(amasks, dtype=np.uint32)
         arrays = search._eval(theorem, m, block, block)
     ints = search._eval(theorem, m, amasks, bmasks)
-    hunt = search._eval(theorem, m, np.array(amasks, dtype=np.uint64), np.array(bmasks, dtype=np.uint64))
+    hunts = [search._eval(theorem, m, np.array(amasks, dtype=dtype), np.array(bmasks, dtype=dtype))
+             for dtype in (np.uint32, np.uint64)]
     for i, (a, b) in enumerate(zip(amasks, bmasks)):
         B = mask_values_oracle(elements, b) if THEOREMS[theorem].pair else None
         expected = instance_oracle(theorem, mode_tag, p, mask_values_oracle(elements, a), B)
         one = search._eval(theorem, m, a, b)
         assert all(type(v) is int for v in one)
         assert _oracle_form(elements, *one) == expected
-        for rows in (arrays, ints, hunt):
+        for rows in (arrays, ints, *hunts):
             assert _oracle_form(elements, *(column[i] for column in rows)) == expected
 
 
 def _image(mask, u, mu, m):
     """The mask of {u*k + mu (mod m) : k in mask}."""
     return sum(1 << (u * k + mu) % m for k in range(m) if mask >> k & 1)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 63).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.sampled_from([u for u in range(1, m + 1) if math.gcd(u, m) == 1]),
+    st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=20),
+)))
+def test_scale_on_an_array_is_scale_on_each_mask(case):
+    # `_orbits` scales runs of the mask list, `_first_entries` single ints
+    m, u, masks = case
+    array = np.array(masks, dtype=np.uint32 if m <= 32 else np.uint64)
+    scaled = search._scale(array, u, m)
+    assert scaled.dtype == array.dtype
+    assert scaled.tolist() == [search._scale(mask, u, m) for mask in masks]
+    assert scaled.tolist() == [_image(mask, u, 0, m) for mask in masks]
 
 
 @settings(max_examples=300)
@@ -249,10 +268,15 @@ def test_counterexample_path_matches_reference_loop(weakened_main, partitions):
     assert 0 < expected.contradictions
 
 
-@pytest.mark.parametrize("theorem", ["main", "corollary-add"])
+@pytest.mark.parametrize("theorem", ["main", "corollary-add", "additive", "mult", "cover", "ks"])
 def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
+    # with `_BLOCK` = 100 every array pass at p = 11 spans several runs: the
+    # single-set blocks, the orbit search and every B-list of a pair sweep
+    # (`ks` in its multiplicative mode)
+    mode = GroupMode.MULTIPLICATIVE if theorem == "ks" else None
+
     def run(partitions, jobs=1):
-        config = SweepConfig(theorem=theorem, primes=(11,), partitions=partitions, tight_cap=5)
+        config = SweepConfig(theorem=theorem, primes=(11,), group_mode=mode, partitions=partitions, tight_cap=5)
         data = exhaustive_verify(config, jobs=jobs).to_json_dict()
         data["config"].pop("partitions")
         return data
@@ -260,7 +284,11 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     reference = run(1)
     assert len(reference["per_prime"][0]["tight"]) == 5
     monkeypatch.setattr(search, "_BLOCK", 100)
+    rows = []
+    count = search._count
+    monkeypatch.setattr(search, "_count", lambda *args: rows.append(len(args[4])) or count(*args))
     assert run(1) == reference
+    assert max(rows) == 100
     assert run(3) == reference
     assert run(3, jobs=2) == reference
     # more partitions than blocks (21 at p = 11 for corollary-add): one
@@ -271,8 +299,12 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     partition = search._partition
     monkeypatch.setattr(search, "_partition", lambda *args: calls.append(args) or partition(*args))
     assert run(1000) == reference
-    m = 11 if theorem == "corollary-add" else 10
-    assert len(calls) <= -(-((1 << m) - 1) // 100)
+    m = 11 if (THEOREMS[theorem].mode or mode) is GroupMode.ADDITIVE else 10
+    if THEOREMS[theorem].pair:
+        # a pair sweep's blocks are its canonical A's
+        assert len(calls) <= len(search._orbits(m, search._masks_upto(m, None))[1])
+    else:
+        assert len(calls) <= -(-((1 << m) - 1) // 100)
 
 
 # ---------------------------------- orbit-reduced pair sweeps vs the direct sweep
@@ -454,14 +486,18 @@ def test_orbit_weights_count_every_mask(m):
         assert int(weights.sum()) == len(masks)
 
 
-@pytest.mark.parametrize("m", range(1, 9))
-def test_orbits_match_brute_force(m):
+# from m = 9 on, a search that scaled the partly minimized canon instead of
+# the masks would compound the units and miss some images
+@pytest.mark.parametrize("m", range(1, 12))
+def test_orbits_match_brute_force(monkeypatch, m):
     units = [u for u in range(m) if math.gcd(u, m) == 1]
     orbit_of = {}
     for mask in range(1, 1 << m):
         bits = [k for k in range(m) if mask >> k & 1]
         orbit_of[mask] = {sum(1 << (u * k + mu) % m for k in bits) for u in units for mu in range(m)}
-    for k in (None, 1, 2, m // 2):
+    # a block of 7 masks splits the lists past 7 masks into runs
+    for k, block in itertools.product((None, 1, 2, m // 2), (7, search._BLOCK)):
+        monkeypatch.setattr(search, "_BLOCK", block)
         masks = search._masks_upto(m, k)
         canon, reps, weights = search._orbits(m, masks)
         # canon is aligned with the list: canon[i] is the least image of masks[i]
@@ -586,6 +622,17 @@ def test_hunt_report_matches_reference_loop(monkeypatch, theorem, mode):
                 max_set_size=cap, tight_cap=5, attach_certificates=cap is not None,
             )
             _assert_same_report(config)
+
+
+@pytest.mark.parametrize("theorem", ["cover", "main"])
+def test_hunts_count_masks_of_the_mask_list_dtype(monkeypatch, theorem):
+    # one mask convention (`_masks_upto`): uint32 up to 32 bits, uint64 up
+    # to 63, Python ints beyond
+    kinds = []
+    count = search._count
+    monkeypatch.setattr(search, "_count", lambda *args: kinds.append(getattr(args[4], "dtype", list)) or count(*args))
+    hunt_counterexample(SweepConfig(theorem=theorem, primes=(31, 61, 67), samples=50, seed=3))
+    assert kinds == [np.uint32, np.uint64, list]
 
 
 @pytest.mark.parametrize("p", [11, 67])
