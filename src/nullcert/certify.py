@@ -24,7 +24,7 @@ arithmetic; it raises :class:`TheoremContradictionError` so sweeps can count
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 from .field import FieldElement, PrimeField, json_text
@@ -172,7 +172,8 @@ class TheoremContradictionError(RuntimeError):
         self.payload = payload
 
 
-def _unmet(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
+def _inputs(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
+    """The inputs alone, verdict HypothesisUnmet: every verdict's base."""
     return Certificate(
         theorem=theorem,
         p=A.field.p,
@@ -222,13 +223,8 @@ def _covered(
             f"{theorem}: restricted combine has {size} < {bound} elements "
             "on an instance meeting the hypothesis"
         )
-    return Certificate(
-        theorem=theorem,
-        p=p,
-        mode=A.mode.value,
-        A=A.values,
-        B=B.values,
-        c=c,
+    return replace(
+        _inputs(theorem, A, B, c),
         lines=tuple(lines),
         exceptional=(point,),
         degree=len(lines) + 2 * hyperbola,
@@ -252,7 +248,7 @@ def _unique_cover(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
     c = A.field.element(c)
     reps = representations(A, B, c, restricted=True)
     if len(reps) != 1:
-        return _unmet(theorem, A, B, c)
+        return _inputs(theorem, A, B, c)
     a, b = reps[0].a.value, reps[0].b.value
     p = A.field.p
     combined = restricted_combine(A, B)
@@ -356,7 +352,7 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
         reps[1].b.value,
         reps[1].a.value,
     ):
-        return _unmet("main", A, A, c)
+        return _inputs("main", A, A, c)
     a, b = reps[0].a, reps[0].b
     n = len(A)
     products = restricted_combine(A, A)
@@ -365,19 +361,14 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
     if m >= bound:
         s1 = symmetric_pair_summand(a, b, A, c)
         s2 = symmetric_pair_summand(b, a, A, c)
-        return Certificate(
-            theorem="main",
-            p=p,
-            mode=A.mode.value,
-            A=A.values,
-            B=A.values,
-            c=c.value,
+        return replace(
+            _inputs("main", A, A, c),
             summands=(s1.value, s2.value),
             verdict=DIRECTLY_SATISFIED,
             tight=m == bound,
         )
     if pow(a.value, n - 2, p) == pow(b.value, n - 2, p):
-        return _unmet("main", A, A, c)
+        return _inputs("main", A, A, c)
     # Bound violated with a^(n-2) != b^(n-2): replay the coefficient argument
     # and surface the contradiction.
     lines = [(1, (-g) % p, 0) for g in products.values if g != c.value]
@@ -386,13 +377,8 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
     )
     a_inv_values = sorted(pow(u, -1, p) for u in A.values)
     coeff = top_coefficient_interpolation(f, A.values, a_inv_values)
-    payload = Certificate(
-        theorem="main",
-        p=p,
-        mode=A.mode.value,
-        A=A.values,
-        B=A.values,
-        c=c.value,
+    payload = replace(
+        _inputs("main", A, A, c),
         lines=tuple(lines),
         exceptional=(
             (a.value, int(b.inverse())),
@@ -431,7 +417,7 @@ def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
     p = field.p
     n_set = exceptional_square_set(A, B)
     if len(n_set) == 0:
-        return _unmet("cover", A, B, None)
+        return _inputs("cover", A, B, None)
     products = restricted_combine(A, B)
     a_star, *rest = n_set.values
     lines = [(1, (-g) % p, 0) for g in products.values]

@@ -5,9 +5,10 @@ multiplicative group GF(p)* (mapped to exponents of the smallest primitive
 root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
 bitmasks over group indices (`_Universe`).  One kernel, `_eval`, evaluates
-every bound, a single-set bound as the pair (A, A), by counting the
-representations of each element with an arithmetic cyclic rotate, on one
-mask as a Python int or on a numpy array of masks.  Every sweep counts
+every bound by counting, with an arithmetic cyclic rotate, the pairs
+that represent each element, each pair once ((a, b) for a pair bound,
+{a, b} for a single-set bound), on one mask as a Python int or on a
+numpy array of masks.  Every sweep counts
 through one worker, `_partition`, whose blocks (amasks, bmasks, weight) are
 a run of A-masks of a single-set sweep (B = A), one A with every B of a pair
 sweep, or a block of a hunt's draws; it hands them to one step, `_count`,
@@ -433,13 +434,16 @@ def _popcount(masks):
     return np.bitwise_count(masks).astype(np.int16)
 
 
-def _shifts(amask, masks, m: int, restricted: bool):
-    """Yield (a, masks rotated by a) for each a in A, bit a dropped first if
-    `restricted`.  `amask` is one A (an int) or an array holding the A of each
-    mask; then the rotation is zero where a is not in that A."""
+def _shifts(amask, masks, m: int, spec):
+    """Yield (a, masks rotated by a) for each a in A, without the b that
+    `spec` does not pair with a: b = a for a restricted pair bound, b <= a
+    for a single-set bound (B = A), which walks each {a, b} once.  `amask` is
+    one A (an int) or an array holding the A of each mask; then the rotation
+    is zero where a is not in that A."""
     full = (1 << m) - 1
     for a in _mask_bits(amask):
-        yield a, _cyclic_shift(masks & ((full ^ restricted << a) & -(amask >> a & 1)), a, m)
+        drop = spec.restricted << a if spec.pair else (2 << a) - 1
+        yield a, _cyclic_shift(masks & ((full ^ drop) & -(amask >> a & 1)), a, m)
 
 
 def _subgroup_mask(k: int, m: int) -> int:
@@ -451,24 +455,20 @@ def _subgroup_mask(k: int, m: int) -> int:
 
 def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
     """(size of A o B, bound, targets) for `theorem`, with B = A for a
-    single-set bound.  `targets` is the mask of the c with exactly one
-    representation for a pair bound (unique representability) and exactly
-    two for a single-set bound (a symmetric pair), for `main` only those
-    whose pair has distinct (n-2)-th powers; for `cover` it is N.  `amask`
-    is one A (an int) or an array with the A of each B; `bmasks` is one B or
-    an array.  Lists of Python ints, the draws of a hunt whose masks pass 63
-    bits (the rotate shifts right by up to m bits), go one draw at a time."""
+    single-set bound.  `targets` is the mask of the c that exactly one of the
+    pairs walked by `_shifts` represents (unique representability), for
+    `main` only those whose pair has distinct (n-2)-th powers; for `cover` it
+    is N.  `amask` is one A (an int) or an array with the A of each B;
+    `bmasks` is one B or an array.  Lists of Python ints, the draws of a hunt
+    whose masks pass 63 bits (the rotate shifts right by up to m bits), go
+    one draw at a time."""
     if isinstance(amask, list):
         rows = [_eval(theorem, m, a, b) for a, b in zip(amask, bmasks)]
         return tuple(np.array(rows, dtype=object).reshape(-1, 3).T)
     spec = THEOREMS[theorem]
-    pair = spec.pair
-    # the elements with at least one, two and three representations; a pair
-    # bound needs no third count
-    once, twice, thrice = bmasks & 0, bmasks & 0, bmasks & 0
-    for _, shifted in _shifts(amask, bmasks, m, spec.restricted):
-        if not pair:
-            thrice |= twice & shifted
+    # the elements with at least one and two representations
+    once, twice = bmasks & 0, bmasks & 0
+    for _, shifted in _shifts(amask, bmasks, m, spec):
         twice |= once & shifted
         once |= shifted
     size, n = _popcount(once), _popcount(amask)
@@ -480,7 +480,7 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
             squared |= (once >> (2 * a % m) & 1) << a
         n_mask = both & ~squared
         return size, bound - _popcount(n_mask) // 2, n_mask
-    targets = once & ~twice if pair else twice & ~thrice
+    targets = once & ~twice
     if theorem == "main" and (not isinstance(amask, int) or targets):
         # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
         # subgroup killed by n - 2; drop the targets a + b of such pairs
@@ -488,7 +488,7 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
             killed = _subgroup_mask(n - 2, m)
         else:
             killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amask.dtype)[n]
-        for a, shifted in _shifts(amask, bmasks, m, spec.restricted):
+        for a, shifted in _shifts(amask, bmasks, m, spec):
             targets &= ~(shifted & _cyclic_shift(killed, 2 * a % m, m))
     return size, bound, targets
 

@@ -197,6 +197,44 @@ def test_pair_kernel_matches_reference_and_oracles(case):
             assert _oracle_form(elements, *(column[i] for column in rows)) == expected
 
 
+def _walked(m, spec, amask, bmask):
+    """The pairs that `_shifts` walks, per row: a rotation keeps popcount."""
+    return sum(search._popcount(shifted) for _, shifted in search._shifts(amask, bmask, m, spec))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(ALL_THEOREMS)), st.integers(1, 100).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, (1 << m) - 1)), min_size=1, max_size=8),
+)))
+def test_shifts_walk_the_pairs_each_bound_counts(theorem, case):
+    # a restricted pair bound walks (a, b) with b != a, `ks` every (a, b), a
+    # single-set bound (B = A) each {a, b} with a != b once: as ints, and
+    # row by row as uint32/uint64 arrays while masks fit in 63 bits
+    spec = THEOREMS[theorem]
+    m, rows = case
+    if not spec.pair:
+        rows = [(a, a) for a, _ in rows]
+    for amask, bmask in rows:
+        n, k = amask.bit_count(), bmask.bit_count()
+        if not spec.pair:
+            expected = math.comb(n, 2)
+        else:
+            expected = n * k - spec.restricted * (amask & bmask).bit_count()
+        assert _walked(m, spec, amask, bmask) == expected
+    for dtype in (np.uint32, np.uint64):
+        if m <= (32 if dtype is np.uint32 else 63):
+            amasks, bmasks = (np.array(column, dtype=dtype) for column in zip(*rows))
+            walked = _walked(m, spec, amasks, bmasks) + np.zeros(len(rows), dtype=np.int64)
+            assert walked.tolist() == [_walked(m, spec, a, b) for a, b in rows]
+
+
+def test_single_set_bounds_are_restricted():
+    # `_shifts` walks each {a, b} with a != b once for a single-set bound,
+    # so it has no walk for an unrestricted one
+    assert all(spec.restricted for spec in THEOREMS.values() if not spec.pair)
+
+
 def _image(mask, u, mu, m):
     """The mask of {u*k + mu (mod m) : k in mask}."""
     return sum(1 << (u * k + mu) % m for k in range(m) if mask >> k & 1)
