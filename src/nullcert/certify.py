@@ -24,12 +24,14 @@ arithmetic; it raises :class:`TheoremContradictionError` so sweeps can count
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 from .field import FieldElement, PrimeField, json_text
 from .poly import (
     BivariatePolynomial,
+    difference_product,
     line_product,
     top_coefficient_interpolation,
 )
@@ -311,20 +313,9 @@ def symmetric_pair_summand(a, b, A: ElementSet, c) -> FieldElement:
     num = num * pow(b.value, (2 - n) % (p - 1) if p > 2 else 0, p) % p
     if n % 2 == 0:
         num = (-num) % p
-    for g in products.values:
-        if g != c.value:
-            num = num * (c.value - g) % p
-    den = 1
-    for t in A.values:
-        if t != a.value:
-            den = den * (a.value - t) % p
-    for t in A.values:
-        if t != b.value:
-            den = den * (b.value - t) % p
-    prod_a = 1
-    for u in A.values:
-        prod_a = prod_a * u % p
-    den = den * pow(prod_a, -1, p) % p
+    num = num * difference_product(c.value, products.values, p) % p
+    den = difference_product(a.value, A.values, p) * difference_product(b.value, A.values, p)
+    den = den * pow(math.prod(A.values), -1, p) % p
     if den == 0:
         raise AssertionError("vanishing denominator: duplicate set elements")
     return FieldElement(num * pow(den, -1, p) % p, field)
@@ -375,8 +366,7 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
     f = line_product(field, lines).multiply(
         BivariatePolynomial(field, {(1, 1): 1, (0, 0): p - 1})
     )
-    a_inv_values = sorted(pow(u, -1, p) for u in A.values)
-    coeff = top_coefficient_interpolation(f, A.values, a_inv_values)
+    coeff = top_coefficient_interpolation(f, A.values, inverse_set(A).values)
     payload = replace(
         _inputs("main", A, A, c),
         lines=tuple(lines),

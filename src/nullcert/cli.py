@@ -138,10 +138,13 @@ def _cmd_verify(args) -> int:
         tight_cap=args.tight_cap,
         attach_certificates=args.attach_certificates,
     )
+    out = Path(args.out) if args.out else None
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise ValueError(f"--out {out}: {'is a directory' if out.is_dir() else 'its directory does not exist'}")
     report = search.exhaustive_verify(config, jobs=args.jobs)
-    if args.out:
+    if out:
         text = report.to_csv() if args.format == "csv" else report.to_json()
-        Path(args.out).write_text(text)
+        out.write_text(text)
     replayed = certify.THEOREMS[args.theorem].replayed
     for stats in report.per_prime:
         print(

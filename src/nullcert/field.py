@@ -22,16 +22,7 @@ def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test for n <= `PRIMALITY_CAP`."""
     if n > PRIMALITY_CAP:
         raise ValueError(f"{n} exceeds the primality-test cap {PRIMALITY_CAP}")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:

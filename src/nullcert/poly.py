@@ -4,7 +4,8 @@ The three nontrivial operations:
 
 * `top_coefficient_interpolation` evaluates the weighted grid sum that
   recovers the coefficient of x^(|A|-1) y^(|B|-1) from values on A x B,
-  valid whenever deg f <= |A| + |B| - 2.
+  valid whenever deg f <= |A| + |B| - 2.  `difference_product` is the one
+  place its grid weight prod_{u != t} (t - u) is computed, here and in `certify`.
 * `vanishing_profile` lists the grid points where a polynomial does NOT
   vanish (the interesting points for a cover argument).
 * `min_degree_feasibility` asks, by linear algebra, whether any polynomial
@@ -16,7 +17,7 @@ The three nontrivial operations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .field import FieldElement, PrimeField
 
@@ -182,16 +183,13 @@ def _point_values(field: PrimeField, points) -> list[int]:
     return values
 
 
-def _pairwise_difference_products(values: Sequence[int], p: int) -> list[int]:
-    """For each t in values, the product of (t - u) over the other entries."""
-    out = []
-    for t in values:
-        prod = 1
-        for u in values:
-            if u != t:
-                prod = prod * (t - u) % p
-        out.append(prod)
-    return out
+def difference_product(t: int, values: Iterable[int], p: int) -> int:
+    """prod_{u in values, u != t} (t - u) mod p, reduced factor by factor."""
+    prod = 1
+    for u in values:
+        if u != t:
+            prod = prod * (t - u) % p
+    return prod
 
 
 def top_coefficient_interpolation(
@@ -213,8 +211,8 @@ def top_coefficient_interpolation(
         raise ValueError(
             f"degree {f.degree()} exceeds |A|+|B|-2 = {len(avals) + len(bvals) - 2}"
         )
-    wa = [pow(w, -1, p) for w in _pairwise_difference_products(avals, p)]
-    wb = [pow(w, -1, p) for w in _pairwise_difference_products(bvals, p)]
+    wa = [pow(difference_product(t, avals, p), -1, p) for t in avals]
+    wb = [pow(difference_product(s, bvals, p), -1, p) for s in bvals]
     total = 0
     for t, inv_t in zip(avals, wa):
         row = 0
@@ -236,13 +234,7 @@ def interpolation_term(
     sv = int(field.element(s))
     if tv not in avals or sv not in bvals:
         raise ValueError("term point must lie on the grid")
-    denom = 1
-    for u in avals:
-        if u != tv:
-            denom = denom * (tv - u) % p
-    for v in bvals:
-        if v != sv:
-            denom = denom * (sv - v) % p
+    denom = difference_product(tv, avals, p) * difference_product(sv, bvals, p)
     return FieldElement(int(f.evaluate(tv, sv)) * pow(denom, -1, p) % p, field)
 
 

@@ -115,8 +115,7 @@ class SplitMix64:
     def words(self):
         """The words one at a time, fetched `_BLOCK` at a time: the state runs
         ahead of the words yielded by up to a block."""
-        while True:
-            yield from self.next_words(_BLOCK).tolist()
+        return itertools.chain.from_iterable(iter(lambda: self.next_words(_BLOCK).tolist(), None))
 
 
 @dataclass(frozen=True)
@@ -344,10 +343,10 @@ def _units(m: int) -> list[int]:
 
 def _mask_count(m: int, max_set_size: int | None) -> int:
     """sum_{j<=k} C(m, j): the m-bit masks, the empty one included, with at
-    most k = `max_set_size` bits; each term from the last, so a huge m is quick."""
-    if max_set_size is None or max_set_size >= m:
-        return 1 << m
-    return sum(itertools.accumulate(range(max_set_size), lambda c, j: c * (m - j) // (j + 1), initial=1))
+    most k = `max_set_size` bits.  Needs m <= 63, which `SweepConfig.validate`
+    enforces before any caller runs."""
+    k = m if max_set_size is None else min(max_set_size, m)
+    return sum(math.comb(m, j) for j in range(k + 1))
 
 
 def _masks_upto(m: int, max_set_size: int | None) -> np.ndarray:

@@ -206,6 +206,20 @@ def test_verify_refuses_a_bad_later_prime_before_any_sweep(argv, word, capsys, m
     assert err.startswith("error: ") and word in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("out,word", [("missing/r.json", "its directory does not exist"), (".", "is a directory")])
+def test_verify_refuses_a_bad_out_before_any_sweep(out, word, tmp_path, capsys, monkeypatch):
+    # a report that could not be written would throw the finished sweep away
+    def no_sweep(*args):
+        raise AssertionError("a prime was swept before --out was refused")
+
+    monkeypatch.setattr(search, "_Universe", no_sweep)
+    path = tmp_path / out
+    assert run(["verify", "--theorem", "mult", "--prime", "7", "--exhaustive", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {path}: {word}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_csv_format(tmp_path):
     out = tmp_path / "report.csv"
     assert run(["verify", "--theorem", "additive", "--prime", "5", "--prime", "7",

@@ -134,6 +134,19 @@ def test_primality_validation():
     assert is_prime(65521)
 
 
+def test_is_prime_matches_a_sieve():
+    n = 1 << 16
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, 256):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, n, d))
+    assert [is_prime(k) for k in range(n)] == sieve
+    # the cap edge: 2^20 - 3 is prime, 2^20 - 1 = 3 * 5^2 * 11 * 31 * 41
+    assert is_prime(1_048_573) and not is_prime(1_048_575)
+    with pytest.raises(ValueError, match=r"^1048583 exceeds the primality-test cap 1048576$"):
+        is_prime(1_048_583)
+
+
 def test_field_axioms_exhaustive_small():
     f = PrimeField(5)
     elems = list(f.elements())

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nullcert.field import PrimeField
 from nullcert.poly import (
     BivariatePolynomial,
+    difference_product,
     feasible_exceptional_points,
     interpolation_term,
     line_product,
@@ -122,6 +125,15 @@ def test_top_coefficient_preconditions():
         top_coefficient_interpolation(P(7, {(0, 0): 1}), [], pts)
     with pytest.raises(ValueError, match="term point must lie on the grid"):
         interpolation_term(P(7, {(0, 0): 1}), pts, pts, 3, 1)
+
+
+@given(p=st.sampled_from([2, 3, 257, (1 << 61) - 1, (1 << 89) - 1]) | st.integers(2, (1 << 89) - 1), data=st.data())
+def test_difference_product_is_the_plain_product(p, data):
+    # exact ints: moduli past 64 bits take no shortcut through a fixed width
+    values = data.draw(st.lists(st.integers(0, p - 1), unique=True, max_size=min(p, 12)))
+    on_grid = st.sampled_from(values) if values else st.nothing()
+    t = data.draw(on_grid | st.integers(0, p - 1))
+    assert difference_product(t, values, p) == math.prod(t - u for u in values if u != t) % p
 
 
 def _random_poly(rng, field, max_degree):

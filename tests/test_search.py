@@ -504,6 +504,26 @@ def test_masks_upto_matches_brute_force(m):
         assert len(masks) == sum(math.comb(m, j) for j in range(1, min(k or m, m) + 1))
 
 
+@pytest.mark.parametrize("m", range(21))
+def test_mask_count_counts_the_masks(m):
+    # the empty mask is counted, and k = 0 leaves only it
+    for k in [None] + list(range(m + 2)):
+        assert search._mask_count(m, k) == len(search._masks_upto(m, k)) + 1, k
+
+
+def _mask_count_recurrence(m, k):
+    """sum_{j<=k} C(m, j), each term from the last: C(m, j+1) = C(m, j) (m-j) / (j+1)."""
+    if k is None or k >= m:
+        return 1 << m
+    return sum(itertools.accumulate(range(k), lambda c, j: c * (m - j) // (j + 1), initial=1))
+
+
+def test_mask_count_matches_the_term_recurrence():
+    for m in range(64):
+        for k in [None] + list(range(9)):
+            assert search._mask_count(m, k) == _mask_count_recurrence(m, k), (m, k)
+
+
 @pytest.mark.parametrize("m,dtype", [(32, np.uint32), (33, np.uint64), (60, np.uint64), (63, np.uint64)])
 def test_masks_upto_past_31_bits(m, dtype):
     for k in (1, 2, 3):
