@@ -17,8 +17,9 @@ Verdicts:
   outcome for sweeps, never an exception.
 
 A violated bound on hypothesis-satisfying inputs is impossible for correct
-arithmetic; it raises :class:`TheoremContradictionError` so sweeps can count
-(and must count zero) occurrences.
+arithmetic; `_covered`, every builder's last step, raises it as a
+:class:`TheoremContradictionError` with the certificate as payload, so sweeps
+can count (and must count zero) occurrences.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 from .field import FieldElement, PrimeField, json_text
-from .poly import (
-    BivariatePolynomial,
-    difference_product,
-    line_product,
-    top_coefficient_interpolation,
-)
+from .poly import difference_product
 from .sets import (
     ElementSet,
     GroupMode,
@@ -194,18 +190,21 @@ def _covered(
     lines: list[tuple[int, int, int]],
     hyperbola: bool,
     grid: Sequence[int],
-    point: tuple[int, int],
+    points: Sequence[tuple[int, int]],
     size: int,
     extra: int = 0,
 ) -> Certificate:
     """The last step of every cover argument, and its certificate.
 
-    The product of `lines`, times x*y - 1 when `hyperbola`, must vanish on
-    A x `grid` (reduced residues) except at `point`.  Without zero divisors
-    in GF(p) it vanishes where a factor does, so each row x = t solves for
-    its zeros: a*x + b*y + g at y = -(a*t + g)/b when b != 0, on the whole
-    row or nowhere when b = 0; x*y - 1 at y = 1/t.  The degree then forces
-    `size` >= |A| + |B| - offset - `extra`, offset from `THEOREMS`.
+    The product f of `lines`, times x*y - 1 when `hyperbola`, must vanish on
+    A x `grid` (reduced residues) except at `points`, in A-then-grid order.
+    Without zero divisors in GF(p) it vanishes where a factor does, so each
+    row x = t solves for its zeros: a*x + b*y + g at y = -(a*t + g)/b when
+    b != 0, on the whole row or nowhere when b = 0; x*y - 1 at y = 1/t.  The
+    degree then forces `size` >= |A| + |B| - offset - `extra`, offset from
+    `THEOREMS`; below it the certificate is a contradiction's payload, its
+    top coefficient the grid sum over `points` of f(t, s) / (prod_{u != t}
+    (t - u) * prod_{v != s} (s - v)), or None when deg f > |A| + |grid| - 2.
     """
     p = A.field.p
     flat = [(a, g) for a, b, g in lines if not b % p]
@@ -217,22 +216,30 @@ def _covered(
             if hyperbola and t:
                 zeros.add(pow(t, -1, p))
             profile.extend((t, s) for s in grid if s not in zeros)
-    if profile != [point]:
-        raise AssertionError(f"cover profile {profile} != [{point}]")
+    if profile != list(points):
+        raise AssertionError(f"cover profile {profile} != {list(points)}")
     bound = len(A) + len(B) - THEOREMS[theorem].offset - extra
+    degree = len(lines) + 2 * hyperbola
+    top = None
+    if size < bound and degree <= len(A) + len(grid) - 2:
+        top = 0
+        for t, s in points:
+            f = (t * s - 1) % p if hyperbola else 1
+            for a, b, g in lines:
+                f = f * (a * t + b * s + g) % p
+            weight = difference_product(t, A.values, p) * difference_product(s, grid, p)
+            top = (top + f * pow(weight, -1, p)) % p
+    cert = replace(
+        _inputs(theorem, A, B, c), lines=tuple(lines), exceptional=tuple(points),
+        degree=degree, top_coefficient=top, verdict=BOUND_CERTIFIED, tight=size == bound,
+    )
     if size < bound:
         raise TheoremContradictionError(
-            f"{theorem}: restricted combine has {size} < {bound} elements "
-            "on an instance meeting the hypothesis"
+            f"{theorem}: restricted combine has {size} < {bound} elements on an instance "
+            f"meeting the hypothesis (degree-{degree} cover, top coefficient {top})",
+            payload=cert,
         )
-    return replace(
-        _inputs(theorem, A, B, c),
-        lines=tuple(lines),
-        exceptional=(point,),
-        degree=len(lines) + 2 * hyperbola,
-        verdict=BOUND_CERTIFIED,
-        tight=size == bound,
-    )
+    return cert
 
 
 def _unique_cover(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
@@ -260,7 +267,7 @@ def _unique_cover(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
     else:
         lines, grid, point = [(1, h, 0) for h in others], inverse_set(B).values, (a, pow(b, -1, p))
     return _covered(
-        theorem, A, B, c.value, lines, mode is GroupMode.MULTIPLICATIVE, grid, point, len(combined)
+        theorem, A, B, c.value, lines, mode is GroupMode.MULTIPLICATIVE, grid, (point,), len(combined)
     )
 
 
@@ -329,15 +336,15 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
     recorded as DirectlySatisfied together with the two closed-form summands.
     When it fails but a^(n-2) = b^(n-2), the improved bound makes no claim:
     HypothesisUnmet.  Any remaining case would force a nonzero value for a
-    coefficient that degree counting proves to be zero; that contradiction is
-    computed explicitly and raised, and exhaustive sweeps assert it never
-    fires.
+    coefficient that degree counting proves to be zero: `_covered` checks
+    that the lines x = g*y through the other products, times x*y - 1, leave
+    (a, b^-1) and (b, a^-1) of A x A^-1, and raises the contradiction with
+    its certificate as payload.  Exhaustive sweeps assert it never fires.
     """
     if A.mode is not GroupMode.MULTIPLICATIVE:
         raise ValueError("symmetric-pair certificate needs a multiplicative-mode set")
-    field = A.field
-    p = field.p
-    c = field.element(c)
+    p = A.field.p
+    c = A.field.element(c)
     reps = representations(A, A, c, restricted=True)
     if len(reps) != 2 or (reps[0].a.value, reps[0].b.value) != (
         reps[1].b.value,
@@ -360,30 +367,10 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
         )
     if pow(a.value, n - 2, p) == pow(b.value, n - 2, p):
         return _inputs("main", A, A, c)
-    # Bound violated with a^(n-2) != b^(n-2): replay the coefficient argument
-    # and surface the contradiction.
+    # Bound violated with a^(n-2) != b^(n-2): the cover raises the contradiction.
     lines = [(1, (-g) % p, 0) for g in products.values if g != c.value]
-    f = line_product(field, lines).multiply(
-        BivariatePolynomial(field, {(1, 1): 1, (0, 0): p - 1})
-    )
-    coeff = top_coefficient_interpolation(f, A.values, inverse_set(A).values)
-    payload = replace(
-        _inputs("main", A, A, c),
-        lines=tuple(lines),
-        exceptional=(
-            (a.value, int(b.inverse())),
-            (b.value, int(a.inverse())),
-        ),
-        degree=m + 1,
-        top_coefficient=coeff.value,
-        verdict=BOUND_CERTIFIED,
-    )
-    raise TheoremContradictionError(
-        f"|Ax.A| = {m} < {bound} with distinct (n-2)-th powers; "
-        f"degree-{m + 1} cover forces coefficient {coeff.value} != 0 "
-        "where degree counting forces 0",
-        payload=payload,
-    )
+    points = ((a.value, int(b.inverse())), (b.value, int(a.inverse())))
+    return _covered("main", A, A, c.value, lines, True, inverse_set(A).values, points, m)
 
 
 def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
@@ -418,7 +405,7 @@ def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
         lines.append((1, 0, (-rest[-1]) % p))
     return _covered(
         "cover", A, B, None, lines, False, inverse_set(B).values,
-        (a_star, pow(a_star, -1, p)), len(products), extra=len(n_set) // 2,
+        ((a_star, pow(a_star, -1, p)),), len(products), extra=len(n_set) // 2,
     )
 
 

@@ -27,11 +27,15 @@ from .poly import BivariatePolynomial, top_coefficient_interpolation
 from .sets import ElementSet, GroupMode
 
 
-def _parse_residues(text: str, p: int) -> list[int]:
+def _comma_ints(text: str, what: str, want: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"bad set literal {text!r}; want comma-separated residues") from None
+        raise ValueError(f"bad {what} {text!r}; want comma-separated {want}") from None
+
+
+def _parse_residues(text: str, p: int) -> list[int]:
+    values = _comma_ints(text, "set literal", "residues")
     for v in values:
         if not 0 <= v < p:
             raise ValueError(f"residue {v} out of range for GF({p})")
@@ -39,9 +43,7 @@ def _parse_residues(text: str, p: int) -> list[int]:
 
 
 def _parse_primes(raw: list[str]) -> tuple[int, ...]:
-    primes: list[int] = []
-    for chunk in raw:
-        primes.extend(int(part) for part in chunk.split(",") if part.strip() != "")
+    primes = [v for chunk in raw for v in _comma_ints(chunk, "--prime", "integers")]
     if not primes:
         raise ValueError("at least one --prime is required")
     return tuple(primes)

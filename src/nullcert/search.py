@@ -468,7 +468,8 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
     # the elements with at least one and two representations
     once, twice = bmasks & 0, bmasks & 0
     for _, shifted in _shifts(amask, bmasks, m, spec):
-        twice |= once & shifted
+        if theorem != "cover":  # `cover` reads only `once`
+            twice |= once & shifted
         once |= shifted
     size, n = _popcount(once), _popcount(amask)
     bound = n + _popcount(bmasks) - spec.offset

@@ -457,18 +457,18 @@ def test_cover_check_rejects_a_dropped_secant():
     assert len(exceptional_square_set(A, A)) == 3
     lines, grid, point = list(cert.lines), inverse_set(A).values, cert.exceptional[0]
     size = len(restricted_combine(A, A))
-    assert _covered("cover", A, A, None, lines, False, grid, point, size, 1) == cert
+    assert _covered("cover", A, A, None, lines, False, grid, (point,), size, 1) == cert
     with pytest.raises(AssertionError, match=r"\(2, 4\), \(5, 3\)"):
-        _covered("cover", A, A, None, lines[:-1], False, grid, point, size, 1)
+        _covered("cover", A, A, None, lines[:-1], False, grid, (point,), size, 1)
 
 
 def test_cover_check_rejects_a_size_below_the_bound():
     A, B = mk(7, ADD, [0, 1]), mk(7, ADD, [1, 2])
     cert = additive_cover_certificate(A, B, 1)
     lines, point = list(cert.lines), cert.exceptional[0]
-    assert _covered("additive", A, B, 1, lines, False, B.values, point, 3) == cert
+    assert _covered("additive", A, B, 1, lines, False, B.values, (point,), 3) == cert
     with pytest.raises(TheoremContradictionError, match="1 < 2"):
-        _covered("additive", A, B, 1, lines, False, B.values, point, 1)
+        _covered("additive", A, B, 1, lines, False, B.values, (point,), 1)
 
 
 def test_cover_check_rejects_an_extra_line_through_the_exceptional_point():
@@ -479,7 +479,7 @@ def test_cover_check_rejects_an_extra_line_through_the_exceptional_point():
     lines, grid = list(cert.lines) + [(1, 0, -point[0])], inverse_set(A).values
     size = len(restricted_combine(A, A))
     with pytest.raises(AssertionError, match=r"cover profile \[\] !="):
-        _covered("cover", A, A, None, lines, False, grid, point, size, 1)
+        _covered("cover", A, A, None, lines, False, grid, (point,), size, 1)
 
 
 def _product_profile(p, A, lines, hyperbola, grid):
@@ -517,7 +517,7 @@ def test_cover_profile_matches_the_product_loop(case):
     expected = _product_profile(p, A.values, lines, hyperbola, grid)
     # (-1, -1) lies off every grid, so the check always fails and prints its profile
     with pytest.raises(AssertionError) as failure:
-        _covered("additive", A, A, None, lines, hyperbola, grid, (-1, -1), 2 * p)
+        _covered("additive", A, A, None, lines, hyperbola, grid, ((-1, -1),), 2 * p)
     assert str(failure.value) == f"cover profile {expected} != [(-1, -1)]"
 
 
@@ -613,6 +613,84 @@ def test_contradiction_payload_writes_two_exceptional_points(monkeypatch):
     payload = raised.value.payload
     assert payload.to_json_dict()["exceptional"] == [[1, 7], [2, 1]]
     assert Certificate.from_json(payload.to_json()) == payload
+
+
+# theorem: (mode, hyperbola, largest set swept); the grid is B, or B^-1 when
+# the mode is multiplicative
+_COVERS = {"additive": (ADD, False, 3), "mult": (MULT, True, 4), "cover": (MULT, False, 4),
+           "main": (MULT, True, 6)}
+
+
+def _weakened_instances(theorem, p):
+    """(A, B, c, expected to raise) for every instance meeting the hypothesis
+    of `theorem` at `p`: with its offset lowered by one, the builder must raise
+    exactly on the tight ones (for `main`, those with distinct (n-2)-th powers)."""
+    mode, _, largest = _COVERS[theorem]
+    units = range(p) if mode is ADD else range(1, p)
+    sets = [mk(p, mode, s) for s in nonempty_subsets(units) if len(s) <= largest]
+    pairs = [(A, A) for A in sets] if theorem == "main" else [(A, B) for A in sets for B in sets]
+    for A, B in pairs:
+        for c in [None] if theorem == "cover" else units:
+            cert = THEOREMS[theorem].build(A, B, c)
+            if cert.verdict == HYPOTHESIS_UNMET:
+                continue
+            if theorem == "main":
+                rep, n = representations(A, A, c, restricted=True)[0], len(A)
+                a, b = rep.a.value, rep.b.value
+                yield A, B, c, cert.tight and pow(a, n - 2, p) != pow(b, n - 2, p)
+            else:
+                yield A, B, c, cert.tight
+
+
+@pytest.mark.parametrize("theorem", list(_COVERS))
+@pytest.mark.parametrize("p", [5, 7])
+def test_contradiction_payloads_match_the_polynomial_route(monkeypatch, theorem, p):
+    # the polynomial route is the oracle: expand the product of the factors
+    # and interpolate its top coefficient over the whole grid
+    _, hyperbola, _ = _COVERS[theorem]
+    instances = list(_weakened_instances(theorem, p))
+    spec = THEOREMS[theorem]
+    monkeypatch.setitem(THEOREMS, theorem, dataclasses.replace(spec, offset=spec.offset - 1))
+    raised = 0
+    for A, B, c, expected in instances:
+        if not expected:
+            continue
+        with pytest.raises(TheoremContradictionError) as failure:
+            spec.build(A, B, c)
+        payload, raised = failure.value.payload, raised + 1
+        grid = B.values if A.mode is ADD else inverse_set(B).values
+        assert payload.exceptional == tuple(
+            _product_profile(p, A.values, payload.lines, hyperbola, grid)
+        )
+        assert Certificate.from_json(payload.to_json()) == payload
+        f = line_product(PrimeField(p), payload.lines)
+        if hyperbola:
+            f = f.multiply(BivariatePolynomial(PrimeField(p), {(1, 1): 1, (0, 0): p - 1}))
+        assert payload.degree == f.degree()
+        if f.degree() <= len(A) + len(grid) - 2:
+            assert payload.top_coefficient == top_coefficient_interpolation(f, A.values, grid).value
+        else:
+            assert payload.top_coefficient is None
+        # every factor is needed: without the last one the profile check fails
+        size = len(restricted_combine(A, B))
+        extra = len(exceptional_square_set(A, B)) // 2 if theorem == "cover" else 0
+        if payload.lines:
+            with pytest.raises(AssertionError, match="cover profile"):
+                _covered(theorem, A, B, payload.c, list(payload.lines[:-1]), hyperbola, grid,
+                         payload.exceptional, size, extra)
+    assert raised > 0
+
+
+def test_main_contradiction_past_the_interpolation_degree(monkeypatch):
+    # offset 1: A = {1, 2, 3, 4} at p = 13 has 6 < 7 restricted products and
+    # 2 = 1 * 2 only; the degree-7 cover exceeds |A| + |A^-1| - 2 = 6, so the
+    # grid sum is not the coefficient and none is recorded
+    monkeypatch.setitem(THEOREMS, "main", dataclasses.replace(THEOREMS["main"], offset=1))
+    with pytest.raises(TheoremContradictionError, match="6 < 7") as raised:
+        symmetric_pair_certificate(mk(13, MULT, [1, 2, 3, 4]), 2)
+    payload = raised.value.payload
+    assert (payload.degree, payload.top_coefficient) == (7, None)
+    assert payload.exceptional == ((1, 7), (2, 1))
 
 
 # JSON values of every kind, for fuzzing the certificate reader

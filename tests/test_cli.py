@@ -220,6 +220,14 @@ def test_verify_refuses_a_bad_out_before_any_sweep(out, word, tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("prime", ["x", "7,x", "7.5"])
+def test_verify_names_the_flag_of_a_bad_prime(prime, capsys):
+    assert run(["verify", "--theorem", "mult", "--prime", prime, "--exhaustive"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad --prime {prime!r}; want comma-separated integers\n"
+    )
+
+
 def test_verify_csv_format(tmp_path):
     out = tmp_path / "report.csv"
     assert run(["verify", "--theorem", "additive", "--prime", "5", "--prime", "7",
