@@ -242,32 +242,34 @@ def _covered(
     return cert
 
 
-def _unique_cover(theorem: str, A: ElementSet, B: ElementSet, c) -> Certificate:
-    """The cover argument from a unique restricted representation c = a o b.
+def _unique_cover(theorem: str, A: ElementSet, B: ElementSet, c, reps=None) -> Certificate:
+    """The cover argument from the restricted representations `reps` of c,
+    by default its unique one (HypothesisUnmet when it has another number).
 
     One line through every other restricted combine value g lies on the grid
     A x B, as x + y = g, or on A x B^-1, as x = g*y; the restriction a != b
     adds the diagonal x = y, or the hyperbola x*y = 1.  The product then
-    vanishes on the grid except at (a, b), or (a, b^-1), and its degree is
-    forced up to the bound of `theorem`, whose mode it takes from `THEOREMS`.
+    vanishes on the grid except at each (a, b), or (a, b^-1), and its degree
+    is forced up to the bound of `theorem`, whose mode it takes from `THEOREMS`.
     """
     mode = THEOREMS[theorem].mode
     if A.mode is not mode or B.mode is not mode:
         raise ValueError(f"{mode.value} certificate needs {mode.value}-mode sets")
     c = A.field.element(c)
-    reps = representations(A, B, c, restricted=True)
-    if len(reps) != 1:
-        return _inputs(theorem, A, B, c)
-    a, b = reps[0].a.value, reps[0].b.value
+    if reps is None:
+        reps = [(r.a.value, r.b.value) for r in representations(A, B, c, restricted=True)]
+        if len(reps) != 1:
+            return _inputs(theorem, A, B, c)
     p = A.field.p
     combined = restricted_combine(A, B)
     others = [(-g) % p for g in combined.values if g != c.value]
     if mode is GroupMode.ADDITIVE:
-        lines, grid, point = [(1, p - 1, 0)] + [(1, 1, h) for h in others], B.values, (a, b)
+        lines, grid, points = [(1, p - 1, 0)] + [(1, 1, h) for h in others], B.values, reps
     else:
-        lines, grid, point = [(1, h, 0) for h in others], inverse_set(B).values, (a, pow(b, -1, p))
+        points = [(a, pow(b, -1, p)) for a, b in reps]
+        lines, grid = [(1, h, 0) for h in others], inverse_set(B).values
     return _covered(
-        theorem, A, B, c.value, lines, mode is GroupMode.MULTIPLICATIVE, grid, (point,), len(combined)
+        theorem, A, B, c.value, lines, mode is GroupMode.MULTIPLICATIVE, grid, points, len(combined)
     )
 
 
@@ -305,27 +307,29 @@ def symmetric_pair_summand(a, b, A: ElementSet, c) -> FieldElement:
         raise ValueError("summand needs a multiplicative-mode set")
     field = A.field
     p = field.p
-    a = field.element(a)
-    b = field.element(b)
-    c = field.element(c)
-    if a.value == b.value:
+    a, b, c = (field.element(v).value for v in (a, b, c))
+    if a == b:
         raise ValueError("summand needs a != b")
-    if a.value not in A.values or b.value not in A.values:
+    if a not in A.values or b not in A.values:
         raise ValueError("both a and b must lie in A")
-    if a.value * b.value % p != c.value:
+    if a * b % p != c:
         raise ValueError("c must equal a * b")
-    n = len(A)
-    products = restricted_combine(A, A)
-    num = (a.value - b.value) % p
-    num = num * pow(b.value, (2 - n) % (p - 1) if p > 2 else 0, p) % p
+    return FieldElement(_summand(a, b, A, c, restricted_combine(A, A)), field)
+
+
+def _summand(a: int, b: int, A: ElementSet, c: int, products: ElementSet) -> int:
+    """`symmetric_pair_summand` on checked inputs, with P = `products`."""
+    p, n = A.field.p, len(A)
+    num = (a - b) % p
+    num = num * pow(b, (2 - n) % (p - 1) if p > 2 else 0, p) % p
     if n % 2 == 0:
         num = (-num) % p
-    num = num * difference_product(c.value, products.values, p) % p
-    den = difference_product(a.value, A.values, p) * difference_product(b.value, A.values, p)
+    num = num * difference_product(c, products.values, p) % p
+    den = difference_product(a, A.values, p) * difference_product(b, A.values, p)
     den = den * pow(math.prod(A.values), -1, p) % p
     if den == 0:
         raise AssertionError("vanishing denominator: duplicate set elements")
-    return FieldElement(num * pow(den, -1, p) % p, field)
+    return num * pow(den, -1, p) % p
 
 
 def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
@@ -333,13 +337,14 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
 
     The hypothesis: c has exactly two restricted representations in A * A,
     necessarily (a, b) and (b, a).  When the inequality already holds it is
-    recorded as DirectlySatisfied together with the two closed-form summands.
-    When it fails but a^(n-2) = b^(n-2), the improved bound makes no claim:
-    HypothesisUnmet.  Any remaining case would force a nonzero value for a
-    coefficient that degree counting proves to be zero: `_covered` checks
-    that the lines x = g*y through the other products, times x*y - 1, leave
-    (a, b^-1) and (b, a^-1) of A x A^-1, and raises the contradiction with
-    its certificate as payload.  Exhaustive sweeps assert it never fires.
+    recorded as DirectlySatisfied together with the two closed-form summands,
+    both from the one product set P it builds.  When it fails but
+    a^(n-2) = b^(n-2), the improved bound makes no claim: HypothesisUnmet.
+    Any remaining case would force a nonzero value for a coefficient that
+    degree counting proves to be zero: the `mult` cover (`_unique_cover`)
+    through both representations leaves (a, b^-1) and (b, a^-1) of A x A^-1
+    and raises the contradiction with its certificate as payload.
+    Exhaustive sweeps assert it never fires.
     """
     if A.mode is not GroupMode.MULTIPLICATIVE:
         raise ValueError("symmetric-pair certificate needs a multiplicative-mode set")
@@ -351,26 +356,22 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
         reps[1].a.value,
     ):
         return _inputs("main", A, A, c)
-    a, b = reps[0].a, reps[0].b
+    a, b = reps[0].a.value, reps[0].b.value
     n = len(A)
     products = restricted_combine(A, A)
     m = len(products)
     bound = 2 * n - THEOREMS["main"].offset
     if m >= bound:
-        s1 = symmetric_pair_summand(a, b, A, c)
-        s2 = symmetric_pair_summand(b, a, A, c)
         return replace(
             _inputs("main", A, A, c),
-            summands=(s1.value, s2.value),
+            summands=(_summand(a, b, A, c.value, products), _summand(b, a, A, c.value, products)),
             verdict=DIRECTLY_SATISFIED,
             tight=m == bound,
         )
-    if pow(a.value, n - 2, p) == pow(b.value, n - 2, p):
+    if pow(a, n - 2, p) == pow(b, n - 2, p):
         return _inputs("main", A, A, c)
-    # Bound violated with a^(n-2) != b^(n-2): the cover raises the contradiction.
-    lines = [(1, (-g) % p, 0) for g in products.values if g != c.value]
-    points = ((a.value, int(b.inverse())), (b.value, int(a.inverse())))
-    return _covered("main", A, A, c.value, lines, True, inverse_set(A).values, points, m)
+    # Bound violated with a^(n-2) != b^(n-2): the `mult` cover raises the contradiction.
+    return _unique_cover("main", A, A, c, [(a, b), (b, a)])
 
 
 def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:

@@ -53,6 +53,14 @@ def _element_set(p: int, mode: GroupMode, literal: str) -> ElementSet:
     return ElementSet(PrimeField(p), mode, _parse_residues(literal, p))
 
 
+def _read_json(path: str):
+    """The JSON value in file `path`; nesting too deep to decode is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -193,7 +201,7 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_reverify(args) -> int:
-    cert = certify.Certificate.from_json(Path(args.path).read_text())
+    cert = certify.Certificate.from_json_dict(_read_json(args.path))
     ok, problems = certify.verify_certificate(cert)
     if ok:
         print(f"valid: {cert.theorem} certificate, verdict {cert.verdict}")
@@ -216,8 +224,7 @@ def _cmd_tight(args) -> int:
 
 def _cmd_coefficient(args) -> int:
     field = PrimeField(args.prime)
-    triples = json.loads(Path(args.poly).read_text())
-    f = BivariatePolynomial.from_triples(field, triples)
+    f = BivariatePolynomial.from_triples(field, _read_json(args.poly))
     avals = _parse_residues(args.set_a, field.p)
     bvals = _parse_residues(args.set_b, field.p)
     result = top_coefficient_interpolation(f, [field.element(v) for v in avals],

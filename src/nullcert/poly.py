@@ -78,19 +78,12 @@ class BivariatePolynomial:
         p = self.field.p
         tv = int(self.field.element(t))
         sv = int(self.field.element(s))
-        if not self.terms:
-            return self.field.zero()
-        max_i = max(i for i, _ in self.terms)
-        max_j = max(j for _, j in self.terms)
-        t_pow = [1] * (max_i + 1)
-        for k in range(1, max_i + 1):
-            t_pow[k] = t_pow[k - 1] * tv % p
-        s_pow = [1] * (max_j + 1)
-        for k in range(1, max_j + 1):
-            s_pow[k] = s_pow[k - 1] * sv % p
-        total = 0
-        for (i, j), c in self.terms.items():
-            total += c * t_pow[i] % p * s_pow[j]
+        # one power table per variable: no exponent exceeds the total degree
+        t_pow, s_pow = [1], [1]
+        for _ in range(self.degree()):
+            t_pow.append(t_pow[-1] * tv % p)
+            s_pow.append(s_pow[-1] * sv % p)
+        total = sum(c * t_pow[i] % p * s_pow[j] for (i, j), c in self.terms.items())
         return FieldElement(total % p, self.field)
 
     def add(self, other: "BivariatePolynomial") -> "BivariatePolynomial":

@@ -5,21 +5,21 @@ multiplicative group GF(p)* (mapped to exponents of the smallest primitive
 root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
 bitmasks over group indices (`_Universe`).  One kernel, `_eval`, evaluates
-every bound by counting, with an arithmetic cyclic rotate, the pairs
-that represent each element, each pair once ((a, b) for a pair bound,
-{a, b} for a single-set bound), on one mask as a Python int or on a
-numpy array of masks.  Every sweep counts
-through one worker, `_partition`, whose blocks (amasks, bmasks, weight) are
-a run of A-masks of a single-set sweep (B = A), one A with every B of a pair
-sweep, or a block of a hunt's draws; it hands them to one step, `_count`,
-`_BLOCK` rows at a time, as arrays while masks fit in 63 bits and one draw
-at a time as ints beyond.  No array pass, `_orbits` included, holds more
-than `_BLOCK` masks.  An exhaustive sweep reads one list per prime, the
-masks within the size cap (`_masks_upto`), built at the cost of its length.
-Report entries are the kernel rows that the sweep counted, (amask, bmask,
-size, bound, targets), formatted without a second kernel pass.  The `main`
-certificate is replayed only where the bound fails, the one case in which it
-can raise.
+every bound by counting, with an arithmetic cyclic rotate, the pairs that
+represent each element, each pair once ((a, b) for a pair bound, {a, b} for a
+single-set bound) in one walk, on one mask as a Python int or on a numpy array
+of masks; for `main` a pair whose (n-2)-th powers agree counts twice, so its
+sum is never a target.  Every sweep counts through one worker, `_partition`,
+whose blocks (amasks, bmasks, weight) are a run of A-masks of a single-set
+sweep (B = A), one A with every B of a pair sweep, or a block of a hunt's
+draws; it hands them to one step, `_count`, `_BLOCK` rows at a time, as arrays
+while masks fit in 63 bits and one draw at a time as ints beyond.  No array
+pass, `_orbits` included, holds more than `_BLOCK` masks.  An exhaustive sweep
+reads one list per prime, the masks within the size cap (`_masks_upto`), built
+at the cost of its length.  Report entries are the kernel rows that the sweep
+counted, (amask, bmask, size, bound, targets), formatted without a second
+kernel pass.  The `main` certificate is replayed only where the bound fails,
+the one case in which it can raise.
 
 An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
@@ -454,24 +454,31 @@ def _subgroup_mask(k: int, m: int) -> int:
 
 def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
     """(size of A o B, bound, targets) for `theorem`, with B = A for a
-    single-set bound.  `targets` is the mask of the c that exactly one of the
-    pairs walked by `_shifts` represents (unique representability), for
-    `main` only those whose pair has distinct (n-2)-th powers; for `cover` it
-    is N.  `amask` is one A (an int) or an array with the A of each B;
-    `bmasks` is one B or an array.  Lists of Python ints, the draws of a hunt
-    whose masks pass 63 bits (the rotate shifts right by up to m bits), go
-    one draw at a time."""
+    single-set bound, in one walk of `_shifts`.  `targets` is the mask of the
+    c that exactly one of the walked pairs represents (unique
+    representability), a `main` pair whose (n-2)-th powers agree counting
+    twice; for `cover` it is N.  `amask` is one A (an int) or an array with
+    the A of each B; `bmasks` is one B or an array.  Lists of Python ints,
+    the draws of a hunt whose masks pass 63 bits (the rotate shifts right by
+    up to m bits), go one draw at a time."""
     if isinstance(amask, list):
         rows = [_eval(theorem, m, a, b) for a, b in zip(amask, bmasks)]
         return tuple(np.array(rows, dtype=object).reshape(-1, 3).T)
-    spec = THEOREMS[theorem]
+    spec, n = THEOREMS[theorem], _popcount(amask)
+    if theorem == "main":
+        # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
+        # subgroup killed by n - 2, and counts as a second representation
+        killed = (_subgroup_mask(n - 2, m) if isinstance(amask, int) else
+                  np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amask.dtype)[n])
     # the elements with at least one and two representations
     once, twice = bmasks & 0, bmasks & 0
-    for _, shifted in _shifts(amask, bmasks, m, spec):
+    for a, shifted in _shifts(amask, bmasks, m, spec):
         if theorem != "cover":  # `cover` reads only `once`
             twice |= once & shifted
+        if theorem == "main":
+            twice |= shifted & _cyclic_shift(killed, 2 * a % m, m)
         once |= shifted
-    size, n = _popcount(once), _popcount(amask)
+    size = _popcount(once)
     bound = n + _popcount(bmasks) - spec.offset
     if theorem == "cover":
         # N: a in A and B whose square (index 2a) is missing from A x. B
@@ -480,17 +487,7 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
             squared |= (once >> (2 * a % m) & 1) << a
         n_mask = both & ~squared
         return size, bound - _popcount(n_mask) // 2, n_mask
-    targets = once & ~twice
-    if theorem == "main" and (not isinstance(amask, int) or targets):
-        # a pair (a, b) has equal (n-2)-th powers when a - b lies in the
-        # subgroup killed by n - 2; drop the targets a + b of such pairs
-        if isinstance(amask, int):
-            killed = _subgroup_mask(n - 2, m)
-        else:
-            killed = np.array([_subgroup_mask(k - 2, m) for k in range(m + 1)], dtype=amask.dtype)[n]
-        for a, shifted in _shifts(amask, bmasks, m, spec):
-            targets &= ~(shifted & _cyclic_shift(killed, 2 * a % m, m))
-    return size, bound, targets
+    return size, bound, once & ~twice
 
 
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,

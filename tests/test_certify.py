@@ -21,7 +21,7 @@ from nullcert.certify import (
     symmetric_pair_summand,
     verify_certificate,
 )
-from nullcert import field as field_module
+from nullcert import certify, field as field_module
 from nullcert.field import PrimeField
 from nullcert.poly import (
     BivariatePolynomial,
@@ -302,6 +302,32 @@ def test_pair_certificate_two_element_set():
     assert cert.summands == (1, 6)
     ok, problems = verify_certificate(cert)
     assert ok, problems
+
+
+def test_pair_certificate_builds_the_product_set_once(monkeypatch):
+    # a DirectlySatisfied build hands its one product set P to both
+    # summands, which stay the public closed form's values; the certificates
+    # of every such instance at p = 11 keep the bytes they had when each
+    # summand built P again
+    calls = []
+    real = certify.restricted_combine
+    monkeypatch.setattr(certify, "restricted_combine", lambda A, B: calls.append(A) or real(A, B))
+    digest, built = hashlib.sha256(), 0
+    for values in nonempty_subsets(range(1, 11)):
+        A = mk(11, MULT, values)
+        for c in range(1, 11):
+            calls.clear()
+            cert = symmetric_pair_certificate(A, c)
+            if cert.verdict != DIRECTLY_SATISFIED:
+                continue
+            assert len(calls) == 1, (values, c)
+            first = representations(A, A, c, restricted=True)[0]
+            assert cert.summands == (symmetric_pair_summand(first.a, first.b, A, c).value,
+                                     symmetric_pair_summand(first.b, first.a, A, c).value)
+            built += 1
+            digest.update(cert.to_json().encode())
+    assert built == 3985
+    assert digest.hexdigest() == "de09a9fb8b12f668c89b08f36b45d7ec5ce902d83f68fa43e82b4eedf884e8b4"
 
 
 def test_pair_certificate_tight_family_power_tied():

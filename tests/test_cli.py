@@ -523,6 +523,22 @@ def test_coefficient_malformed_input_exits_2_with_one_line(tmp_path, capsys):
         assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a":' * 100_000])
+@pytest.mark.parametrize("command", ["reverify", "coefficient"])
+def test_deeply_nested_json_exits_2_with_one_line(command, text, tmp_path, capsys):
+    # the decoder gives up on nesting past the recursion limit; both
+    # commands that read a JSON file turn that into one line
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = (["reverify", "--in", str(path)] if command == "reverify" else
+            ["coefficient", "--prime", "7", "--poly", str(path), "--a", "1,2", "--b", "3,4"])
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+    assert captured.out == ""
+
+
 def test_coefficient_matches_summand_sum_on_tight_family(tmp_path, capsys):
     # the two-representation polynomial for A = GF(5)*, target 1: the
     # interpolated coefficient must equal the sum of the two closed-form

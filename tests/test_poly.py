@@ -1,10 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nullcert.field import PrimeField
+from nullcert import field as field_module
+from nullcert.field import FieldElement, PrimeField
 from nullcert.poly import (
     BivariatePolynomial,
     difference_product,
@@ -39,6 +41,37 @@ def test_evaluate_examples():
     assert line.evaluate(6, 2).value == 0
     f = P(5, {(2, 1): 1, (0, 0): 1})
     assert f.evaluate(2, 3).value == 3
+
+
+_EVAL_PRIMES = (2, 3, 257, (1 << 61) - 1)
+
+
+@st.composite
+def _terms_and_point(draw):
+    p = draw(st.sampled_from(_EVAL_PRIMES))
+    coeff, exponent = st.integers(-2 * p, 2 * p), st.integers(0, 64)
+    terms = draw(st.one_of(
+        st.just({}),  # the zero polynomial
+        st.builds(lambda c: {(0, 0): c}, coeff),
+        st.builds(lambda i, c: {(i, 0): c}, exponent, coeff),
+        st.builds(lambda j, c: {(0, j): c}, exponent, coeff),
+        st.dictionaries(st.tuples(exponent, exponent), coeff, max_size=6),
+    ))
+    point = st.integers(-3 * p, 3 * p)  # negative, in [0, p) and past p
+    return p, terms, draw(point), draw(point), draw(st.booleans())
+
+
+@given(_terms_and_point())
+def test_evaluate_is_the_plain_formula(case):
+    p, terms, t, s, as_elements = case
+    # the field's trial-division primality test stops at 2**20; 2**61 - 1 is
+    # a Mersenne prime, so its check is stood in for here
+    with mock.patch.object(field_module, "is_prime", lambda n: n in _EVAL_PRIMES):
+        field = PrimeField(p)
+    f = BivariatePolynomial(field, terms)
+    point = (field.element(t), field.element(s)) if as_elements else (t, s)
+    expected = sum(c * t**i * s**j for (i, j), c in terms.items()) % p
+    assert f.evaluate(*point) == FieldElement(expected, field)
 
 
 def test_multiply_examples():

@@ -229,6 +229,30 @@ def test_shifts_walk_the_pairs_each_bound_counts(theorem, case):
             assert walked.tolist() == [_walked(m, spec, a, b) for a, b in rows]
 
 
+@pytest.mark.parametrize("theorem", ALL_THEOREMS)
+def test_eval_walks_the_pairs_once_per_call(theorem, monkeypatch):
+    # `main`'s power filter rides the one walk: every bound calls `_shifts`
+    # once per row, for an int A, an array A and a list of int rows (one
+    # `_eval` per row); every A here has a uniquely represented sum
+    walks = []
+    real_shifts = search._shifts
+    monkeypatch.setattr(search, "_shifts", lambda *args: walks.append(args) or real_shifts(*args))
+    m, rows = 12, [(0b1011, 0b110001), (0b100100111, 0b1010), (0b110000001101, 0b111)]
+    if not THEOREMS[theorem].pair:
+        rows = [(a, a) for a, _ in rows]
+    amasks, bmasks = (list(column) for column in zip(*rows))
+    calls = [(amasks[0], bmasks[0]), (amasks[0], np.array(bmasks, dtype=np.uint32)),
+             (np.array(amasks, dtype=np.uint32), np.array(bmasks, dtype=np.uint32)),
+             (np.array(amasks, dtype=np.uint64), np.array(bmasks, dtype=np.uint64))]
+    for amask, bmask in calls:
+        walks.clear()
+        search._eval(theorem, m, amask, bmask)
+        assert len(walks) == 1, (amask, bmask)
+    walks.clear()
+    search._eval(theorem, m, amasks, bmasks)
+    assert len(walks) == len(rows)
+
+
 def test_single_set_bounds_are_restricted():
     # `_shifts` walks each {a, b} with a != b once for a single-set bound,
     # so it has no walk for an unrestricted one
