@@ -141,7 +141,12 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        return cls.from_json_dict(json.loads(text))
+        """Parse `to_json` text; nesting too deep to decode is malformed too."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise _malformed("JSON nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def _malformed(why: str) -> ValueError:

@@ -4,14 +4,17 @@ The three nontrivial operations:
 
 * `top_coefficient_interpolation` evaluates the weighted grid sum that
   recovers the coefficient of x^(|A|-1) y^(|B|-1) from values on A x B,
-  valid whenever deg f <= |A| + |B| - 2.  `difference_product` is the one
-  place its grid weight prod_{u != t} (t - u) is computed, here and in `certify`.
+  valid whenever deg f <= |A| + |B| - 2.  By linearity the sum is regrouped
+  into weighted power sums of A and B, one per exponent, so no grid point is
+  evaluated.  `difference_product` is the one place its grid weight
+  prod_{u != t} (t - u) is computed, here and in `certify`.
 * `vanishing_profile` lists the grid points where a polynomial does NOT
   vanish (the interesting points for a cover argument).
 * `min_degree_feasibility` asks, by linear algebra, whether any polynomial
   of total degree <= D can vanish on a grid except at one prescribed point.
   Grids of shape |X| x |Y| admit such a polynomial exactly when
-  D >= |X| + |Y| - 2.
+  D >= |X| + |Y| - 2.  Its rows come from one power table per grid value,
+  and `_rref` eliminates below each pivot before it back-substitutes.
 """
 
 from __future__ import annotations
@@ -20,6 +23,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .field import FieldElement, PrimeField
+
+
+def _powers(v: int, degree: int, p: int) -> list[int]:
+    """[v^0, v^1, ..., v^degree] mod p; just [1] when degree < 1."""
+    table = [1]
+    for _ in range(degree):
+        table.append(table[-1] * v % p)
+    return table
 
 
 class BivariatePolynomial:
@@ -79,10 +90,7 @@ class BivariatePolynomial:
         tv = int(self.field.element(t))
         sv = int(self.field.element(s))
         # one power table per variable: no exponent exceeds the total degree
-        t_pow, s_pow = [1], [1]
-        for _ in range(self.degree()):
-            t_pow.append(t_pow[-1] * tv % p)
-            s_pow.append(s_pow[-1] * sv % p)
+        t_pow, s_pow = _powers(tv, self.degree(), p), _powers(sv, self.degree(), p)
         total = sum(c * t_pow[i] % p * s_pow[j] for (i, j), c in self.terms.items())
         return FieldElement(total % p, self.field)
 
@@ -159,12 +167,27 @@ def line_product(field: PrimeField, lines: Iterable) -> BivariatePolynomial:
     """Product of the linear forms alpha*x + beta*y + gamma.
 
     The empty product is the constant 1; the degree of the result equals the
-    number of lines.
+    number of lines.  The product of k lines is kept as a dense triangle:
+    rows[i][j] is the coefficient of x^i y^j, i + j <= k.
     """
-    out = BivariatePolynomial.constant(field, 1)
+    p = field.p
+    rows = [[1]]
     for alpha, beta, gamma in lines:
-        out = out.multiply(BivariatePolynomial.linear(field, alpha, beta, gamma))
-    return out
+        line = BivariatePolynomial.linear(field, alpha, beta, gamma).terms
+        a, b, g = (line.get(key, 0) for key in ((1, 0), (0, 1), (0, 0)))
+        # x^i y^j of the product gathers g*[i, j] + b*[i, j-1] + a*[i-1, j]
+        above = [0] * (len(rows) + 1)
+        grown = []
+        for row in rows + [[]]:
+            grown.append([
+                (g * c + b * c_left + a * c_above) % p
+                for c, c_left, c_above in zip(row + [0], [0] + row, above)
+            ])
+            above = row
+        rows = grown
+    return BivariatePolynomial(
+        field, (((i, j), c) for i, row in enumerate(rows) for j, c in enumerate(row))
+    )
 
 
 def _point_values(field: PrimeField, points) -> list[int]:
@@ -193,8 +216,9 @@ def top_coefficient_interpolation(
     Computes sum over (t, s) in A x B of
         f(t, s) / (prod_{u in A, u != t} (t - u) * prod_{v in B, v != s} (s - v)),
     which recovers the coefficient exactly when deg f <= |A| + |B| - 2.
-    The difference products are tabulated once per row/column, so the double
-    sum costs O(|A| |B|) evaluations after O((|A| + |B|)^2) setup.
+    With w_t, w_s the two weights, the sum equals sum over the terms c x^i y^j
+    of c * L_i * M_j, where L_i = sum_t w_t t^i and M_j = sum_s w_s s^j, so it
+    costs O(terms + (|A| + |B|) deg f) after O(|A|^2 + |B|^2) for the weights.
     """
     field = f.field
     p = field.p
@@ -204,15 +228,19 @@ def top_coefficient_interpolation(
         raise ValueError(
             f"degree {f.degree()} exceeds |A|+|B|-2 = {len(avals) + len(bvals) - 2}"
         )
-    wa = [pow(difference_product(t, avals, p), -1, p) for t in avals]
-    wb = [pow(difference_product(s, bvals, p), -1, p) for s in bvals]
-    total = 0
-    for t, inv_t in zip(avals, wa):
-        row = 0
-        for s, inv_s in zip(bvals, wb):
-            row += int(f.evaluate(t, s)) * inv_s
-        total = (total + row % p * inv_t) % p
-    return FieldElement(total, field)
+    moments_a = _weighted_power_sums(avals, f.degree(), p)
+    moments_b = _weighted_power_sums(bvals, f.degree(), p)
+    total = sum(c * moments_a[i] % p * moments_b[j] for (i, j), c in f.terms.items())
+    return FieldElement(total % p, field)
+
+
+def _weighted_power_sums(values: list[int], degree: int, p: int) -> list[int]:
+    """[sum_t w_t t^i mod p for i in 0..degree], w_t = 1 / prod_{u != t} (t - u)."""
+    sums = [0] * (degree + 1)
+    for t in values:
+        w = pow(difference_product(t, values, p), -1, p)
+        sums = [total + w * power for total, power in zip(sums, _powers(t, degree, p))]
+    return [total % p for total in sums]
 
 
 def interpolation_term(
@@ -247,8 +275,10 @@ def vanishing_profile(f: BivariatePolynomial, X, Y) -> list[tuple[FieldElement, 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over GF(p) and its pivot columns.
 
-    The pivot of each column is the first remaining row holding a nonzero
-    entry there; the deterministic rule keeps results reproducible.
+    Each pivot clears only the rows below it, from its column on; a back
+    substitution then clears the pivot columns upward.  The pivot of each
+    column is the first remaining row holding a nonzero entry there.  The
+    reduced form of a matrix is unique, so the pivot rule affects no output.
     """
     m = [[v % p for v in row] for row in rows]
     n_rows = len(m)
@@ -263,15 +293,24 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = pow(m[r][c], -1, p)
-        m[r] = [v * inv % p for v in m[r]]
-        row_r = m[r]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [(vi - factor * vr) % p for vi, vr in zip(m[i], row_r)]
+        m[r][c:] = tail = [v * inv % p for v in m[r][c:]]
+        for i in range(r + 1, n_rows):
+            _eliminate(m[i], c, tail, p)
         pivot_cols.append(c)
         r += 1
+    for r in reversed(range(len(pivot_cols))):
+        c = pivot_cols[r]
+        tail = m[r][c:]
+        for i in range(r):
+            _eliminate(m[i], c, tail, p)
     return m, pivot_cols
+
+
+def _eliminate(row: list[int], c: int, tail: list[int], p: int) -> None:
+    """row -= row[c] * pivot row, where `tail` is the pivot row from column c."""
+    factor = row[c]
+    if factor:
+        row[c:] = [(v - factor * w) % p for v, w in zip(row[c:], tail)]
 
 
 def solve_linear_system(
@@ -332,7 +371,9 @@ def _grid_system(X, Y, degree_bound: int, field: PrimeField) -> tuple:
     xvals = sorted(_point_values(field, X))
     yvals = sorted(_point_values(field, Y))
     monos = monomials_up_to(degree_bound)
-    rows = [[pow(t, i, p) * pow(s, j, p) % p for i, j in monos] for t in xvals for s in yvals]
+    y_powers = [_powers(s, degree_bound, p) for s in yvals]
+    rows = [[tp[i] * sp[j] % p for i, j in monos]
+            for tp in (_powers(t, degree_bound, p) for t in xvals) for sp in y_powers]
     return xvals, yvals, monos, rows
 
 
@@ -347,9 +388,12 @@ def min_degree_feasibility(
     Infeasible for every D < |X| + |Y| - 2 and feasible from
     D = (|X| - 1) + (|Y| - 1) on.
     """
+    try:
+        et, es = exceptional
+    except (TypeError, ValueError):
+        raise ValueError(f"exceptional point must be a pair (t, s), got {exceptional!r}") from None
     xvals, yvals, monos, rows = _grid_system(X, Y, degree_bound, field)
-    et = int(field.element(exceptional[0]))
-    es = int(field.element(exceptional[1]))
+    et, es = int(field.element(et)), int(field.element(es))
     if et not in xvals or es not in yvals:
         raise ValueError(f"exceptional point ({et}, {es}) is outside the grid")
     rhs = [1 if (t, s) == (et, es) else 0 for t in xvals for s in yvals]

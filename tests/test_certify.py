@@ -773,6 +773,13 @@ def test_fuzzed_certificate_json_is_rejected_cleanly(data):
     assert _rejected(data)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000, '[{"a":' * 50_000])
+def test_deeply_nested_json_is_a_malformed_certificate(text):
+    # the decoder gives up past the recursion limit; that is malformed input too
+    with pytest.raises(ValueError, match=r"^malformed certificate: JSON nested too deeply$"):
+        Certificate.from_json(text)
+
+
 # The inputs fix the canonical certificate; the remaining fields record the proof.
 _INPUT_KEYS = ("theorem", "p", "mode", "A", "B", "c")
 _PROOF_KEYS = tuple(key for key in _CERT_KEYS if key not in _INPUT_KEYS)

@@ -3,9 +3,9 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from nullcert import field as field_module
+from nullcert import field as field_module, poly
 from nullcert.field import FieldElement, PrimeField
 from nullcert.poly import (
     BivariatePolynomial,
@@ -61,13 +61,17 @@ def _terms_and_point(draw):
     return p, terms, draw(point), draw(point), draw(st.booleans())
 
 
+def _field(p, primes):
+    # the field's trial-division primality test stops at 2**20; the larger
+    # moduli are Mersenne primes, so their check is stood in for here
+    with mock.patch.object(field_module, "is_prime", lambda n: n in primes):
+        return PrimeField(p)
+
+
 @given(_terms_and_point())
 def test_evaluate_is_the_plain_formula(case):
     p, terms, t, s, as_elements = case
-    # the field's trial-division primality test stops at 2**20; 2**61 - 1 is
-    # a Mersenne prime, so its check is stood in for here
-    with mock.patch.object(field_module, "is_prime", lambda n: n in _EVAL_PRIMES):
-        field = PrimeField(p)
+    field = _field(p, _EVAL_PRIMES)
     f = BivariatePolynomial(field, terms)
     point = (field.element(t), field.element(s)) if as_elements else (t, s)
     expected = sum(c * t**i * s**j for (i, j), c in terms.items()) % p
@@ -110,6 +114,8 @@ def test_line_product_examples():
     assert line_product(f5, []).terms == {(0, 0): 1}
     with pytest.raises(ValueError):
         line_product(f5, [(0, 0, 3)])
+    with pytest.raises(ValueError, match="nonzero x or y coefficient"):
+        line_product(f5, [(1, 1, 1), (5, -5, 2)])
 
 
 def test_triples_round_trip():
@@ -260,6 +266,10 @@ def test_min_degree_feasibility_errors():
         min_degree_feasibility(X, X, (3, 1), 2, field=f5)
     with pytest.raises(ValueError):
         min_degree_feasibility(X, X, (1, 1), -1, field=f5)
+    # the exceptional point is a pair, not a prefix of a longer tuple
+    for bad in [(1,), (1, 1, 2), 1, None]:
+        with pytest.raises(ValueError, match=r"^exceptional point must be a pair \(t, s\), got "):
+            min_degree_feasibility(X, X, bad, 2, field=f5)
     # no polynomial has degree -1, so no grid point is feasible there either
     with pytest.raises(ValueError, match="degree bound"):
         feasible_exceptional_points(X, X, -1, field=f5)
@@ -280,3 +290,130 @@ def test_batch_feasibility_agrees_with_solver(p):
                 for s in Y:
                     solo = min_degree_feasibility(X, Y, (t, s), d, field=field)
                     assert solo.feasible == ((t, s) in batch)
+
+
+# --------------------------------------------------------------------------
+# oracles for the grid kernels: the plain forms of the grid sum, the line
+# product and the elimination, checked against the fast ones
+# --------------------------------------------------------------------------
+
+_KERNEL_PRIMES = (2, 3, 5, 257, 65521, (1 << 61) - 1, (1 << 89) - 1)
+
+
+def _grid_sum_oracle(f, A, B):
+    """sum over (t, s) in A x B of f(t, s) / (w(t) w(s)), one evaluation per point."""
+    p = f.field.p
+    total = 0
+    for t in A:
+        for s in B:
+            denom = difference_product(t, A, p) * difference_product(s, B, p)
+            total += int(f.evaluate(t, s)) * pow(denom, -1, p)
+    return FieldElement(total % p, f.field)
+
+
+def _line_product_oracle(field, lines):
+    out = BivariatePolynomial.constant(field, 1)
+    for alpha, beta, gamma in lines:
+        out = out.multiply(BivariatePolynomial.linear(field, alpha, beta, gamma))
+    return out
+
+
+def _gauss_jordan_oracle(rows, p):
+    """Reduced row echelon form: each pivot clears its column in every other row."""
+    m = [[v % p for v in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [(vi - factor * vr) % p for vi, vr in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+    return m, pivot_cols
+
+
+@st.composite
+def _grid_factor(draw, p):
+    # distinct residues without a filter: a start plus gaps that sum below p
+    size = draw(st.sampled_from(range(1, min(7, p) + 1)))  # uniform up to 7
+    gap = st.integers(1, (p - 1) // max(size - 1, 1))
+    values = [draw(st.integers(0, p - 1))]
+    for _ in range(size - 1):
+        values.append(values[-1] + draw(gap))
+    return [v % p for v in values]
+
+
+@st.composite
+def _grid_case(draw):
+    p = draw(st.sampled_from(_KERNEL_PRIMES))
+    return p, draw(_grid_factor(p)), draw(_grid_factor(p))
+
+
+@st.composite
+def _line(draw, p):
+    # alpha or beta may vanish mod p, but not both: that is no line
+    zero, unit = st.sampled_from([0, p, -p]), st.integers(1, p - 1)
+    alpha, beta = draw(st.sampled_from([(zero, unit), (unit, zero), (unit, unit)]))
+    return draw(alpha), draw(beta), draw(st.integers(-2 * p, 2 * p))
+
+
+@settings(max_examples=300)
+@given(_grid_case(), st.data())
+def test_line_product_and_interpolation_match_their_oracles(case, data):
+    p, X, Y = case
+    field = _field(p, _KERNEL_PRIMES)
+    top = len(X) + len(Y) - 2
+    count = data.draw(st.sampled_from(range(top + 2)))  # the empty product too
+    lines = data.draw(st.lists(_line(p), min_size=count, max_size=count))
+    f = line_product(field, lines)
+    assert f.terms == _line_product_oracle(field, lines).terms
+    assert f.degree() == len(lines)
+    coeff = st.integers(0, p - 1)
+    g = data.draw(st.sampled_from([f, BivariatePolynomial.zero(field)]) | st.builds(
+        lambda terms: BivariatePolynomial(field, terms),
+        st.dictionaries(st.sampled_from(monomials_up_to(top)), coeff, max_size=12),
+    ))
+    if g.degree() > top:
+        with pytest.raises(ValueError, match="exceeds"):
+            top_coefficient_interpolation(g, X, Y)
+        return
+    value = top_coefficient_interpolation(g, X, Y)
+    assert value == _grid_sum_oracle(g, X, Y)
+    assert value == g.coefficient(len(X) - 1, len(Y) - 1)
+
+
+@settings(max_examples=300)
+@given(_grid_case(), st.data())
+def test_grid_checks_match_gauss_jordan(case, data):
+    p, X, Y = case
+    field = _field(p, _KERNEL_PRIMES)
+    degree_bound = data.draw(st.integers(0, len(X) + len(Y) - 1))
+    point = (data.draw(st.sampled_from(X)), data.draw(st.sampled_from(Y)))
+    xvals, yvals, monos, rows = poly._grid_system(X, Y, degree_bound, field)
+    assert rows == [
+        [pow(t, i, p) * pow(s, j, p) % p for i, j in monos] for t in xvals for s in yvals
+    ]
+    rhs = [[int((t, s) == point)] for t in xvals for s in yvals]
+    transpose = [list(column) for column in zip(*rows)]
+    for matrix in (rows, transpose, [row + r for row, r in zip(rows, rhs)]):
+        assert poly._rref(matrix, p) == _gauss_jordan_oracle(matrix, p)
+
+    got = min_degree_feasibility(X, Y, point, degree_bound, field=field)
+    batch = feasible_exceptional_points(X, Y, degree_bound, field=field)
+    with mock.patch.object(poly, "_rref", _gauss_jordan_oracle):
+        want = min_degree_feasibility(X, Y, point, degree_bound, field=field)
+        want_batch = feasible_exceptional_points(X, Y, degree_bound, field=field)
+    assert got.feasible == (degree_bound >= len(X) + len(Y) - 2)
+    assert got == want  # the verdict and the witness's terms
+    assert batch == want_batch
