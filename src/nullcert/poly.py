@@ -13,12 +13,15 @@ The three nontrivial operations:
 * `min_degree_feasibility` asks, by linear algebra, whether any polynomial
   of total degree <= D can vanish on a grid except at one prescribed point.
   Grids of shape |X| x |Y| admit such a polynomial exactly when
-  D >= |X| + |Y| - 2.  Its rows come from one power table per grid value,
-  and `_rref` eliminates below each pivot before it back-substitutes.
+  D >= |X| + |Y| - 2.  Its rows come from one power table per grid value.
+  `_echelon` is the one elimination: forward only, pivots in the evaluation
+  columns, with the right-hand side or an identity block riding along so
+  that both grid checks read their answer from the rows past the rank.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,11 +47,14 @@ class BivariatePolynomial:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for (i, j), coeff in items:
-                c = int(coeff) % p
-                if i < 0 or j < 0:
+                try:
+                    key = (operator.index(i), operator.index(j))
+                except TypeError:
+                    raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})") from None
+                if key[0] < 0 or key[1] < 0:
                     raise ValueError("exponents must be nonnegative")
+                c = field.element(coeff).value
                 if c:
-                    key = (int(i), int(j))
                     c = (clean.get(key, 0) + c) % p
                     if c:
                         clean[key] = c
@@ -63,15 +69,15 @@ class BivariatePolynomial:
 
     @classmethod
     def constant(cls, field: PrimeField, c) -> "BivariatePolynomial":
-        return cls(field, {(0, 0): int(field.element(c))})
+        return cls(field, {(0, 0): c})
 
     @classmethod
     def linear(cls, field: PrimeField, alpha, beta, gamma) -> "BivariatePolynomial":
         """alpha*x + beta*y + gamma; (alpha, beta) != (0, 0)."""
-        a, b, g = (int(field.element(v)) for v in (alpha, beta, gamma))
-        if a == 0 and b == 0:
+        f = cls(field, {(1, 0): alpha, (0, 1): beta, (0, 0): gamma})
+        if f.degree() < 1:
             raise ValueError("a linear form needs a nonzero x or y coefficient")
-        return cls(field, {(1, 0): a, (0, 1): b, (0, 0): g})
+        return f
 
     def degree(self) -> int:
         """Total degree; -1 stands in for the zero polynomial."""
@@ -100,19 +106,11 @@ class BivariatePolynomial:
 
     def multiply(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         self._check_field(other)
-        if self.is_zero() or other.is_zero():
-            return BivariatePolynomial.zero(self.field)
-        p = self.field.p
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                v = (out.get(key, 0) + c1 * c2) % p
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return BivariatePolynomial(self.field, out)
+        # the constructor sums the products that land on one monomial
+        return BivariatePolynomial(self.field, [
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self.terms.items() for (i2, j2), c2 in other.terms.items()
+        ])
 
     def __eq__(self, other) -> bool:
         return (
@@ -264,88 +262,35 @@ def vanishing_profile(f: BivariatePolynomial, X, Y) -> list[tuple[FieldElement, 
     field = f.field
     xvals = sorted(_point_values(field, X))
     yvals = sorted(_point_values(field, Y))
-    out = []
-    for t in xvals:
-        for s in yvals:
-            if int(f.evaluate(t, s)) != 0:
-                out.append((FieldElement(t, field), FieldElement(s, field)))
-    return out
+    return [(FieldElement(t, field), FieldElement(s, field))
+            for t in xvals for s in yvals if int(f.evaluate(t, s))]
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(p) and its pivot columns.
+def _echelon(rows: list[list[int]], n_cols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form over GF(p), pivots only in the first `n_cols` columns.
 
-    Each pivot clears only the rows below it, from its column on; a back
-    substitution then clears the pivot columns upward.  The pivot of each
-    column is the first remaining row holding a nonzero entry there.  The
-    reduced form of a matrix is unique, so the pivot rule affects no output.
+    Forward elimination only: each pivot, the first remaining row holding a
+    nonzero entry in its column, is scaled to 1 and clears the rows below it.
+    Later columns ride along, so the rows past the rank (len of the returned
+    pivot columns) are zero in the first `n_cols` columns and keep, in the
+    later ones, what the same combination of input rows makes of them.
     """
     m = [[v % p for v in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
     pivot_cols: list[int] = []
-    r = 0
     for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = pow(m[r][c], -1, p)
         m[r][c:] = tail = [v * inv % p for v in m[r][c:]]
-        for i in range(r + 1, n_rows):
-            _eliminate(m[i], c, tail, p)
+        for row in m[r + 1:]:
+            factor = row[c]
+            if factor:
+                row[c:] = [(v - factor * w) % p for v, w in zip(row[c:], tail)]
         pivot_cols.append(c)
-        r += 1
-    for r in reversed(range(len(pivot_cols))):
-        c = pivot_cols[r]
-        tail = m[r][c:]
-        for i in range(r):
-            _eliminate(m[i], c, tail, p)
     return m, pivot_cols
-
-
-def _eliminate(row: list[int], c: int, tail: list[int], p: int) -> None:
-    """row -= row[c] * pivot row, where `tail` is the pivot row from column c."""
-    factor = row[c]
-    if factor:
-        row[c:] = [(v - factor * w) % p for v, w in zip(row[c:], tail)]
-
-
-def solve_linear_system(
-    rows: list[list[int]], rhs: list[int], p: int
-) -> list[int] | None:
-    """Particular solution of M x = rhs over GF(p), or None if inconsistent.
-
-    Reduces the augmented matrix; a pivot in the right-hand column means an
-    equation 0 = nonzero.  Free variables are set to 0.
-    """
-    n_cols = len(rows[0]) if rows else 0
-    reduced, pivot_cols = _rref([list(row) + [r] for row, r in zip(rows, rhs)], p)
-    if pivot_cols and pivot_cols[-1] == n_cols:
-        return None
-    x = [0] * n_cols
-    for row, c in zip(reduced, pivot_cols):
-        x[c] = row[n_cols]
-    return x
-
-
-def nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {x : M x = 0} over GF(p), one vector per free column."""
-    n_cols = len(rows[0]) if rows else 0
-    reduced, pivot_cols = _rref(rows, p)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * n_cols
-        vec[free] = 1
-        for row, c in zip(reduced, pivot_cols):
-            vec[c] = (-row[free]) % p
-        basis.append(vec)
-    return basis
 
 
 def monomials_up_to(degree_bound: int) -> list[tuple[int, int]]:
@@ -362,9 +307,9 @@ class FeasibilityResult:
 
 
 def _grid_system(X, Y, degree_bound: int, field: PrimeField) -> tuple:
-    """(sorted X values, sorted Y values, monomials, rows): the linear system
-    of the grid checks, one evaluation row over the monomials of total
-    degree <= D per grid point, in lexicographic point order."""
+    """(points, monomials, rows): the linear system of the grid checks, one
+    evaluation row over the monomials of total degree <= D per grid point,
+    with the points (t, s) in lexicographic order, the order of the rows."""
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     p = field.p
@@ -374,7 +319,7 @@ def _grid_system(X, Y, degree_bound: int, field: PrimeField) -> tuple:
     y_powers = [_powers(s, degree_bound, p) for s in yvals]
     rows = [[tp[i] * sp[j] % p for i, j in monos]
             for tp in (_powers(t, degree_bound, p) for t in xvals) for sp in y_powers]
-    return xvals, yvals, monos, rows
+    return [(t, s) for t in xvals for s in yvals], monos, rows
 
 
 def min_degree_feasibility(
@@ -384,23 +329,32 @@ def min_degree_feasibility(
 
     Solves, over the monomial basis {x^i y^j : i + j <= D}, the linear system
     requiring f = 0 on every grid point but `exceptional`, where f must take
-    the value 1.  Returns the verdict plus a witness polynomial when feasible.
-    Infeasible for every D < |X| + |Y| - 2 and feasible from
-    D = (|X| - 1) + (|Y| - 1) on.
+    the value 1.  One forward elimination of [M | e] decides it: the system
+    is inconsistent exactly when a row past the rank ends in a nonzero entry.
+    Otherwise the witness sets every free coefficient to 0 and back-solves
+    the pivot coefficients on the last column, last pivot first; with the
+    free ones fixed, that solution is unique.  Infeasible for every
+    D < |X| + |Y| - 2 and feasible from D = (|X| - 1) + (|Y| - 1) on.
     """
     try:
         et, es = exceptional
     except (TypeError, ValueError):
         raise ValueError(f"exceptional point must be a pair (t, s), got {exceptional!r}") from None
-    xvals, yvals, monos, rows = _grid_system(X, Y, degree_bound, field)
-    et, es = int(field.element(et)), int(field.element(es))
-    if et not in xvals or es not in yvals:
-        raise ValueError(f"exceptional point ({et}, {es}) is outside the grid")
-    rhs = [1 if (t, s) == (et, es) else 0 for t in xvals for s in yvals]
-    solution = solve_linear_system(rows, rhs, field.p)
-    if solution is None:
+    points, monos, rows = _grid_system(X, Y, degree_bound, field)
+    p = field.p
+    point = int(field.element(et)), int(field.element(es))
+    if point not in points:
+        raise ValueError(f"exceptional point {point} is outside the grid")
+    n = len(monos)
+    reduced, pivot_cols = _echelon(
+        [row + [int(pt == point)] for row, pt in zip(rows, points)], n, p
+    )
+    if any(row[n] for row in reduced[len(pivot_cols):]):
         return FeasibilityResult(False, None)
-    return FeasibilityResult(True, BivariatePolynomial(field, zip(monos, solution)))
+    coeffs = [0] * n
+    for row, c in reversed(list(zip(reduced, pivot_cols))):
+        coeffs[c] = (row[n] - sum(v * x for v, x in zip(row[c + 1:n], coeffs[c + 1:]))) % p
+    return FeasibilityResult(True, BivariatePolynomial(field, zip(monos, coeffs)))
 
 
 def feasible_exceptional_points(
@@ -410,11 +364,15 @@ def feasible_exceptional_points(
 
     Batch companion to `min_degree_feasibility`: a point e works exactly when
     its evaluation row is independent of the other rows, i.e. when no left
-    null vector of the grid evaluation matrix touches e.  One elimination
-    answers the question for every grid point at once.
+    null vector of the grid evaluation matrix M touches e.  One forward
+    elimination of [M | I] answers it for every point at once: the identity
+    block of the rows past the rank is a basis of that null space, and a
+    space's support is the union of the supports of any of its bases.
     """
-    xvals, yvals, _, rows = _grid_system(X, Y, degree_bound, field)
-    transpose = [list(column) for column in zip(*rows)]
-    dependent = {idx for vec in nullspace_basis(transpose, field.p) for idx, v in enumerate(vec) if v}
-    points = [(t, s) for t in xvals for s in yvals]
-    return {pt for idx, pt in enumerate(points) if idx not in dependent}
+    points, monos, rows = _grid_system(X, Y, degree_bound, field)
+    n, unit = len(monos), [0] * len(points)
+    reduced, pivot_cols = _echelon(
+        [row + unit[:k] + [1] + unit[k + 1:] for k, row in enumerate(rows)], n, field.p
+    )
+    dependent = {k for row in reduced[len(pivot_cols):] for k, v in enumerate(row[n:]) if v}
+    return {pt for k, pt in enumerate(points) if k not in dependent}

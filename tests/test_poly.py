@@ -34,6 +34,20 @@ def test_construction_normalizes():
         P(5, {(-1, 0): 1})
 
 
+def test_construction_refuses_what_it_would_coerce():
+    # a field mismatch is an error, never a coercion: no reduction of a
+    # foreign element, a string or a float, and no truncated exponent
+    f7 = PrimeField(7)
+    for coeff in (PrimeField(5).element(3), "3", 2.7, None):
+        with pytest.raises(ValueError, match="is not"):
+            BivariatePolynomial(f7, {(0, 0): coeff})
+    for key in ((1.5, 0), (0.5, 0), (-0.5, 0), (0, "1")):
+        with pytest.raises(ValueError, match="^exponents must be integers, got "):
+            BivariatePolynomial(f7, {key: 1})
+    f = BivariatePolynomial(f7, {(1, 0): f7.element(3), (0, 0): -1})
+    assert f.terms == {(1, 0): 3, (0, 0): 6}
+
+
 def test_evaluate_examples():
     xy_minus_1 = P(7, {(1, 1): 1, (0, 0): -1})
     assert xy_minus_1.evaluate(2, 4).value == 0
@@ -275,13 +289,14 @@ def test_min_degree_feasibility_errors():
         feasible_exceptional_points(X, X, -1, field=f5)
 
 
-@pytest.mark.parametrize("p", [5, 11])
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 257])
 def test_batch_feasibility_agrees_with_solver(p):
     rng = random.Random(p)
     field = PrimeField(p)
     for _ in range(8):
-        nx = rng.randrange(1, min(5, p))
-        ny = rng.randrange(1, min(5, p))
+        # at p = 2 and 3 a factor may be the whole field
+        nx = rng.randrange(1, min(5, p + 1))
+        ny = rng.randrange(1, min(5, p + 1))
         X = sorted(rng.sample(range(p), nx))
         Y = sorted(rng.sample(range(p), ny))
         for d in range(nx + ny):
@@ -393,6 +408,28 @@ def test_line_product_and_interpolation_match_their_oracles(case, data):
     assert value == g.coefficient(len(X) - 1, len(Y) - 1)
 
 
+def _solve_oracle(rows, rhs, p):
+    """Gauss-Jordan on [M | rhs]: None if inconsistent, else the solution
+    whose free coefficients are 0."""
+    n = len(rows[0])
+    reduced, pivot_cols = _gauss_jordan_oracle([row + [r] for row, r in zip(rows, rhs)], p)
+    if pivot_cols and pivot_cols[-1] == n:
+        return None
+    solution = [0] * n
+    for row, c in zip(reduced, pivot_cols):
+        solution[c] = row[n]
+    return solution
+
+
+def _left_null_support_oracle(rows, p):
+    """Row indices touched by some left null vector of M, read from the
+    null-space basis of M^T (one vector per free column of its Gauss-Jordan
+    form)."""
+    reduced, pivot_cols = _gauss_jordan_oracle([list(column) for column in zip(*rows)], p)
+    free = set(range(len(rows))) - set(pivot_cols)
+    return free | {c for row, c in zip(reduced, pivot_cols) if any(row[f] for f in free)}
+
+
 @settings(max_examples=300)
 @given(_grid_case(), st.data())
 def test_grid_checks_match_gauss_jordan(case, data):
@@ -400,20 +437,28 @@ def test_grid_checks_match_gauss_jordan(case, data):
     field = _field(p, _KERNEL_PRIMES)
     degree_bound = data.draw(st.integers(0, len(X) + len(Y) - 1))
     point = (data.draw(st.sampled_from(X)), data.draw(st.sampled_from(Y)))
-    xvals, yvals, monos, rows = poly._grid_system(X, Y, degree_bound, field)
-    assert rows == [
-        [pow(t, i, p) * pow(s, j, p) % p for i, j in monos] for t in xvals for s in yvals
-    ]
-    rhs = [[int((t, s) == point)] for t in xvals for s in yvals]
-    transpose = [list(column) for column in zip(*rows)]
-    for matrix in (rows, transpose, [row + r for row, r in zip(rows, rhs)]):
-        assert poly._rref(matrix, p) == _gauss_jordan_oracle(matrix, p)
+    points, monos, rows = poly._grid_system(X, Y, degree_bound, field)
+    assert points == [(t, s) for t in sorted(X) for s in sorted(Y)]
+    assert rows == [[pow(t, i, p) * pow(s, j, p) % p for i, j in monos] for t, s in points]
+
+    # the elimination keeps the row space and finds the rank of M, and the
+    # rows past the rank are zero on M's columns
+    n, rank = len(monos), len(_gauss_jordan_oracle(rows, p)[1])
+    rhs = [int(pt == point) for pt in points]
+    identity = [[int(k == l) for l in range(len(points))] for k in range(len(points))]
+    for matrix in (rows, [row + [r] for row, r in zip(rows, rhs)],
+                   [row + unit for row, unit in zip(rows, identity)]):
+        reduced, pivot_cols = poly._echelon(matrix, n, p)
+        assert _gauss_jordan_oracle(reduced, p) == _gauss_jordan_oracle(matrix, p)
+        assert len(pivot_cols) == rank
+        assert not any(v for row in reduced[rank:] for v in row[:n])
 
     got = min_degree_feasibility(X, Y, point, degree_bound, field=field)
-    batch = feasible_exceptional_points(X, Y, degree_bound, field=field)
-    with mock.patch.object(poly, "_rref", _gauss_jordan_oracle):
-        want = min_degree_feasibility(X, Y, point, degree_bound, field=field)
-        want_batch = feasible_exceptional_points(X, Y, degree_bound, field=field)
-    assert got.feasible == (degree_bound >= len(X) + len(Y) - 2)
-    assert got == want  # the verdict and the witness's terms
-    assert batch == want_batch
+    solution = _solve_oracle(rows, rhs, p)
+    assert got.feasible == (solution is not None) == (degree_bound >= len(X) + len(Y) - 2)
+    want = None if solution is None else BivariatePolynomial(field, zip(monos, solution))
+    assert got.witness == want  # the witness's terms too
+    dependent = _left_null_support_oracle(rows, p)
+    assert feasible_exceptional_points(X, Y, degree_bound, field=field) == {
+        pt for k, pt in enumerate(points) if k not in dependent
+    }
