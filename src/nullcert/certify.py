@@ -29,8 +29,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .field import FieldElement, PrimeField, json_text
-from .poly import difference_product
+from .poly import _array, difference_product
 from .sets import (
     ElementSet,
     GroupMode,
@@ -206,21 +208,31 @@ def _covered(
     Without zero divisors in GF(p) it vanishes where a factor does, so each
     row x = t solves for its zeros: a*x + b*y + g at y = -(a*t + g)/b when
     b != 0, on the whole row or nowhere when b = 0; x*y - 1 at y = 1/t.  The
-    degree then forces `size` >= |A| + |B| - offset - `extra`, offset from
-    `THEOREMS`; below it the certificate is a contradiction's payload, its
-    top coefficient the grid sum over `points` of f(t, s) / (prod_{u != t}
-    (t - u) * prod_{v != s} (s - v)), or None when deg f > |A| + |grid| - 2.
+    zeros of all rows are one array, (A outer slopes + intercepts) mod p, in
+    the exact dtype of `poly._array`, beside a column of 1/t (p, matching
+    no residue, at t = 0) and a column of p that ends every row; one sort of
+    the keys row * (p + 1) + zero and one `searchsorted` of the grid's keys
+    test every grid point against its row's zeros, in O(|A| (lines + |grid|))
+    memory.  The degree then forces `size` >= |A| + |B| - offset - `extra`,
+    offset from `THEOREMS`; below it the certificate is a contradiction's
+    payload, its top coefficient the grid sum over `points` of f(t, s) /
+    (prod_{u != t} (t - u) * prod_{v != s} (s - v)), or None when deg f >
+    |A| + |grid| - 2.
     """
     p = A.field.p
-    flat = [(a, g) for a, b, g in lines if not b % p]
-    sloped = [(a * u, g * u) for a, b, g in lines if b % p for u in [-pow(b, -1, p)]]
-    profile = []
-    for t in A.values:
-        if not any((a * t + g) % p == 0 for a, g in flat):
-            zeros = {(k * t + h) % p for k, h in sloped}
-            if hyperbola and t:
-                zeros.add(pow(t, -1, p))
-            profile.extend((t, s) for s in grid if s not in zeros)
+    t, s = _array(A.values, p), _array(grid, p)
+    flat = _array([(a % p, g % p) for a, b, g in lines if not b % p], p).reshape(-1, 2)
+    sloped = _array([(a * u % p, g * u % p) for a, b, g in lines if b % p
+                     for u in [-pow(b, -1, p)]], p).reshape(-1, 2)
+    ends = _array([(pow(v, -1, p) if hyperbola and v else p, p) for v in A.values], p).reshape(-1, 2)
+    offsets = _array(list(range(len(t))), p)[:, None] * (p + 1)
+    zeros = np.hstack([(np.outer(t, sloped[:, 0]) + sloped[:, 1]) % p, ends])
+    keys = np.sort((offsets + zeros).ravel())
+    probes = offsets + s
+    covered = keys[np.searchsorted(keys, probes)] == probes
+    covered |= ((np.outer(t, flat[:, 0]) + flat[:, 1]) % p == 0).any(axis=1)[:, None]
+    rows, cols = np.nonzero(~covered)
+    profile = list(zip(t[rows].tolist(), s[cols].tolist()))
     if profile != list(points):
         raise AssertionError(f"cover profile {profile} != {list(points)}")
     bound = len(A) + len(B) - THEOREMS[theorem].offset - extra

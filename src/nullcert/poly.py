@@ -13,10 +13,17 @@ The three nontrivial operations:
 * `min_degree_feasibility` asks, by linear algebra, whether any polynomial
   of total degree <= D can vanish on a grid except at one prescribed point.
   Grids of shape |X| x |Y| admit such a polynomial exactly when
-  D >= |X| + |Y| - 2.  Its rows come from one power table per grid value.
-  `_echelon` is the one elimination: forward only, pivots in the evaluation
-  columns, with the right-hand side or an identity block riding along so
-  that both grid checks read their answer from the rows past the rank.
+  D >= |X| + |Y| - 2.  Its rows are one outer product of the X and Y power
+  tables, gathered on the monomials' exponents.  `_echelon` is the one
+  elimination: forward only, pivots in the evaluation columns, with the
+  right-hand side or an identity block riding along so that both grid checks
+  read their answer from the rows past the rank.
+
+The grid kernels here and `certify`'s cover check run as whole-block numpy
+operations on reduced residues.  `_array` holds the one dtype rule: int64
+when p < 2**31, so that a product of two residues stays below 2**62 and no
+sum or difference the kernels form can wrap; an object array of Python ints
+otherwise.  Both dtypes run the same statements, and both are exact.
 """
 
 from __future__ import annotations
@@ -25,7 +32,14 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .field import FieldElement, PrimeField
+
+
+def _array(values, p: int) -> np.ndarray:
+    """`values` (reduced residues, nested lists for a matrix) as an exact array."""
+    return np.array(values, dtype=np.int64 if p < 1 << 31 else object)
 
 
 def _powers(v: int, degree: int, p: int) -> list[int]:
@@ -53,7 +67,7 @@ class BivariatePolynomial:
                     raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})") from None
                 if key[0] < 0 or key[1] < 0:
                     raise ValueError("exponents must be nonnegative")
-                c = field.element(coeff).value
+                c = coeff % p if type(coeff) is int else field.element(coeff).value
                 if c:
                     c = (clean.get(key, 0) + c) % p
                     if c:
@@ -270,27 +284,27 @@ def _echelon(rows: list[list[int]], n_cols: int, p: int) -> tuple[list[list[int]
     """Row echelon form over GF(p), pivots only in the first `n_cols` columns.
 
     Forward elimination only: each pivot, the first remaining row holding a
-    nonzero entry in its column, is scaled to 1 and clears the rows below it.
-    Later columns ride along, so the rows past the rank (len of the returned
-    pivot columns) are zero in the first `n_cols` columns and keep, in the
-    later ones, what the same combination of input rows makes of them.
+    nonzero entry in its column, is scaled to 1 and clears the rows below it
+    in one block update, (below - outer(factors, pivot row)) mod p, exact in
+    either `_array` dtype.  Later columns ride along, so the rows past the
+    rank (len of the returned pivot columns) are zero in the first `n_cols`
+    columns and keep, in the later ones, what the same combination of input
+    rows makes of them.  The rows come back as lists of Python ints.
     """
-    m = [[v % p for v in row] for row in rows]
+    m = _array([[v % p for v in row] for row in rows], p)
     pivot_cols: list[int] = []
     for c in range(n_cols):
         r = len(pivot_cols)
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        nonzero = np.flatnonzero(m[r:, c])
+        if not nonzero.size:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r][c:] = tail = [v * inv % p for v in m[r][c:]]
-        for row in m[r + 1:]:
-            factor = row[c]
-            if factor:
-                row[c:] = [(v - factor * w) % p for v, w in zip(row[c:], tail)]
+        pivot = r + int(nonzero[0])
+        m[[r, pivot]] = m[[pivot, r]]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        below = m[r + 1:, c:]
+        below[...] = (below - np.outer(below[:, 0], m[r, c:])) % p
         pivot_cols.append(c)
-    return m, pivot_cols
+    return m.tolist(), pivot_cols
 
 
 def monomials_up_to(degree_bound: int) -> list[tuple[int, int]]:
@@ -316,10 +330,11 @@ def _grid_system(X, Y, degree_bound: int, field: PrimeField) -> tuple:
     xvals = sorted(_point_values(field, X))
     yvals = sorted(_point_values(field, Y))
     monos = monomials_up_to(degree_bound)
-    y_powers = [_powers(s, degree_bound, p) for s in yvals]
-    rows = [[tp[i] * sp[j] % p for i, j in monos]
-            for tp in (_powers(t, degree_bound, p) for t in xvals) for sp in y_powers]
-    return [(t, s) for t in xvals for s in yvals], monos, rows
+    i, j = np.array(monos).T
+    x_powers, y_powers = (_array([_powers(v, degree_bound, p) for v in values], p)
+                          for values in (xvals, yvals))
+    rows = x_powers[:, None, i] * y_powers[None, :, j] % p
+    return [(t, s) for t in xvals for s in yvals], monos, rows.reshape(-1, len(monos)).tolist()
 
 
 def min_degree_feasibility(

@@ -49,7 +49,8 @@ class ElementSet:
     __slots__ = ("field", "mode", "values")
 
     def __init__(self, field: PrimeField, mode: GroupMode, elements: Iterable):
-        values = sorted({int(field.element(e)) for e in elements})
+        p = field.p
+        values = sorted({e % p if type(e) is int else int(field.element(e)) for e in elements})
         if mode is GroupMode.MULTIPLICATIVE and values and values[0] == 0:
             raise ValueError("multiplicative-mode sets cannot contain 0")
         self.field = field

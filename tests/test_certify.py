@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -48,8 +49,18 @@ ADD = GroupMode.ADDITIVE
 MULT = GroupMode.MULTIPLICATIVE
 
 
+# primes on either side of the cover check's int64 limit, one whose int64
+# products would wrap, and one past 64 bits
+_LARGE_PRIMES = ((1 << 31) - 1, (1 << 31) + 11, (1 << 32) - 5, (1 << 89) - 1)
+
+
 def mk(p, mode, values):
-    return ElementSet(PrimeField(p), mode, values)
+    if p not in _LARGE_PRIMES:
+        return ElementSet(PrimeField(p), mode, values)
+    # the field's trial-division primality test stops at 2**20, so for these
+    # primes its check is stood in for here
+    with mock.patch.object(field_module, "is_prime", lambda n: n == p):
+        return ElementSet(PrimeField(p), mode, values)
 
 
 def expand_certificate_polynomial(cert: Certificate) -> BivariatePolynomial:
@@ -523,10 +534,17 @@ def _product_profile(p, A, lines, hyperbola, grid):
 
 @st.composite
 def _cover_checks(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    coefficient = st.integers(-2 * p, 3 * p)  # unreduced on purpose
-    A = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
-    grid = draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, *_LARGE_PRIMES]))
+    if p < 100:
+        residue, size = st.integers(0, p - 1), p
+        coefficient = st.integers(-2 * p, 3 * p)  # unreduced on purpose
+    else:
+        # residues near 0 and near p, so that lines meet grid points and the
+        # products the check forms reach (p - 1)**2
+        residue, size = st.sampled_from([0, 1, 2, 3, p - 3, p - 2, p - 1]) | st.integers(0, p - 1), 8
+        coefficient = st.builds(lambda r, k: r + k * p, residue, st.integers(-2, 2))
+    A = draw(st.lists(residue, min_size=1, max_size=size, unique=True))
+    grid = draw(st.lists(residue, max_size=size, unique=True))
     line = st.one_of(
         st.tuples(coefficient, coefficient, coefficient),
         st.tuples(coefficient, st.integers(-2, 2).map(lambda k: k * p), coefficient),
@@ -545,6 +563,38 @@ def test_cover_profile_matches_the_product_loop(case):
     with pytest.raises(AssertionError) as failure:
         _covered("additive", A, A, None, lines, hyperbola, grid, ((-1, -1),), 2 * p)
     assert str(failure.value) == f"cover profile {expected} != [(-1, -1)]"
+
+
+def test_cover_check_at_the_int64_edge():
+    # every entry is p - 1 at p = 2**31 - 1: the slope and the row value are
+    # both p - 1, so the check forms (p - 1)**2 + (p - 1), just below 2**62
+    p = (1 << 31) - 1
+    A, lines, grid = mk(p, ADD, [p - 1]), [(p - 1, p - 1, p - 1)] * 3, [p - 1]
+    for hyperbola in (False, True):
+        expected = _product_profile(p, A.values, lines, hyperbola, grid)
+        assert expected == ([] if hyperbola else [(p - 1, p - 1)])
+        with pytest.raises(AssertionError) as failure:
+            _covered("additive", A, A, None, lines, hyperbola, grid, ((-1, -1),), 2 * p)
+        assert str(failure.value) == f"cover profile {expected} != [(-1, -1)]"
+
+
+@pytest.mark.parametrize("p", [257, (1 << 89) - 1])
+def test_certificates_hold_python_ints(monkeypatch, p):
+    # `json_text` hands anything but an exact int to `json.dumps`, which
+    # refuses numpy integers
+    monkeypatch.setattr(field_module, "is_prime", lambda n: n == p)
+    U = mk(p, MULT, [2, 3, 5])
+    built = [
+        additive_cover_certificate(mk(p, ADD, [1, 2, 7]), mk(p, ADD, [3, 4]), 4),
+        multiplicative_cover_certificate(mk(p, MULT, [1, 2, 7]), mk(p, MULT, [3, 4]), 3),
+        hyperbola_cover_certificate(U, U),
+    ]
+    for cert in built:
+        assert cert.verdict == BOUND_CERTIFIED, cert
+        values = [v for line in cert.lines for v in line]
+        values += [v for pt in cert.exceptional for v in pt] + [cert.degree]
+        assert all(type(v) is int for v in values)
+        assert Certificate.from_json(cert.to_json()) == cert
 
 
 def test_certificates_are_exact_above_64_bits(monkeypatch):

@@ -312,7 +312,12 @@ def test_batch_feasibility_agrees_with_solver(p):
 # product and the elimination, checked against the fast ones
 # --------------------------------------------------------------------------
 
-_KERNEL_PRIMES = (2, 3, 5, 257, 65521, (1 << 61) - 1, (1 << 89) - 1)
+# 2**31 - 1 and 2**31 + 11 sit on either side of the kernels' int64 limit,
+# and past 2**32 - 5 an int64 product of two residues would wrap
+_KERNEL_PRIMES = (
+    2, 3, 5, 257, 65521, (1 << 31) - 1, (1 << 31) + 11, (1 << 32) - 5, (1 << 61) - 1,
+    (1 << 89) - 1,
+)
 
 
 def _grid_sum_oracle(f, A, B):
@@ -462,3 +467,39 @@ def test_grid_checks_match_gauss_jordan(case, data):
     assert feasible_exceptional_points(X, Y, degree_bound, field=field) == {
         pt for k, pt in enumerate(points) if k not in dependent
     }
+
+
+@settings(max_examples=100)
+@given(_grid_case(), st.data())
+def test_grid_checks_return_python_ints(case, data):
+    # no numpy scalar may escape the array kernels: numpy 2 writes
+    # np.int64(3) into reprs and `json.dumps` refuses it
+    p, X, Y = case
+    field = _field(p, _KERNEL_PRIMES)
+    degree_bound = data.draw(st.integers(0, len(X) + len(Y) - 1))
+    point = (data.draw(st.sampled_from(X)), data.draw(st.sampled_from(Y)))
+    points, monos, rows = poly._grid_system(X, Y, degree_bound, field)
+    rhs = [[int(pt == point)] for pt in points]
+    reduced, pivot_cols = poly._echelon([row + r for row, r in zip(rows, rhs)], len(monos), p)
+    values = [v for row in rows + reduced for v in row] + pivot_cols
+    witness = min_degree_feasibility(X, Y, point, degree_bound, field=field).witness
+    if witness is not None:
+        values += [v for (i, j), c in witness.terms.items() for v in (i, j, c)]
+    values += [v for pt in feasible_exceptional_points(X, Y, degree_bound, field=field) for v in pt]
+    assert all(type(v) is int for v in values)
+
+
+def test_grid_kernels_at_the_int64_edge():
+    # every entry is p - 1 at p = 2**31 - 1: each product of two residues is
+    # (p - 1)**2, just below 2**62, the largest an int64 block ever holds
+    p = (1 << 31) - 1
+    field = _field(p, _KERNEL_PRIMES)
+    points, monos, rows = poly._grid_system([p - 1], [p - 1], 4, field)
+    assert points == [(p - 1, p - 1)]
+    assert rows == [[pow(p - 1, i, p) * pow(p - 1, j, p) % p for i, j in monos]]
+    matrix = [[p - 1] * 6 for _ in range(4)]
+    reduced, pivot_cols = poly._echelon(matrix, 4, p)
+    assert (reduced, pivot_cols) == ([[1] * 6] + [[0] * 6] * 3, [0])
+    assert _gauss_jordan_oracle(reduced, p) == _gauss_jordan_oracle(matrix, p)
+    got = min_degree_feasibility([p - 1], [p - 1], (p - 1, p - 1), 4, field=field)
+    assert got.witness == BivariatePolynomial(field, zip(monos, _solve_oracle(rows, [1], p)))

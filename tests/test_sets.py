@@ -38,6 +38,18 @@ def test_constructor_normalizes():
     assert 3 in s and 2 not in s
 
 
+def test_constructor_coerces_only_ints_and_own_elements():
+    # an exact int is reduced; a bool or an element of the field goes through
+    # `field.element`, and anything else is refused there
+    f7 = PrimeField(7)
+    assert ElementSet(f7, ADD, [-1, 15, True, f7.element(3), 10**30]).values == (1, 3, 6)
+    for item in (PrimeField(5).element(3), "3", 2.7, None):
+        with pytest.raises(ValueError, match="is not"):
+            ElementSet(f7, ADD, [1, item])
+    with pytest.raises(ValueError):
+        ElementSet(f7, MULT, [14])
+
+
 def test_multiplicative_rejects_zero():
     with pytest.raises(ValueError):
         mk(7, MULT, [0, 1])
