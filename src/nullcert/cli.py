@@ -54,11 +54,13 @@ def _element_set(p: int, mode: GroupMode, literal: str) -> ElementSet:
 
 
 def _read_json(path: str):
-    """The JSON value in file `path`; nesting too deep to decode is a ValueError."""
+    """The JSON value in file `path`; one that fails to decode is a ValueError naming it."""
     try:
         return json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_or_print(text: str, out: str | None) -> None:

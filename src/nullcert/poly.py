@@ -15,15 +15,18 @@ The three nontrivial operations:
   Grids of shape |X| x |Y| admit such a polynomial exactly when
   D >= |X| + |Y| - 2.  Its rows are one outer product of the X and Y power
   tables, gathered on the monomials' exponents.  `_echelon` is the one
-  elimination: forward only, pivots in the evaluation columns, with the
-  right-hand side or an identity block riding along so that both grid checks
-  read their answer from the rows past the rank.
+  elimination: forward only, in place, pivots in the evaluation columns,
+  with the right-hand side or an identity block riding along so that both
+  grid checks read their answer from the rows past the rank.
 
 The grid kernels here and `certify`'s cover check run as whole-block numpy
-operations on reduced residues.  `_array` holds the one dtype rule: int64
-when p < 2**31, so that a product of two residues stays below 2**62 and no
-sum or difference the kernels form can wrap; an object array of Python ints
-otherwise.  Both dtypes run the same statements, and both are exact.
+operations on reduced residues.  Each dense matrix here (the line product's
+coefficients, the grid rows, the system `_echelon` eliminates) stays one
+`_array` until its answer is read back in Python ints.  `_array` holds the
+one dtype rule: int64 when p < 2**31, so that a product of two residues
+stays below 2**62 and no sum or difference the kernels form can wrap; an
+object array of Python ints otherwise.  Both dtypes run the same
+statements, and both are exact.
 """
 
 from __future__ import annotations
@@ -179,27 +182,23 @@ def line_product(field: PrimeField, lines: Iterable) -> BivariatePolynomial:
     """Product of the linear forms alpha*x + beta*y + gamma.
 
     The empty product is the constant 1; the degree of the result equals the
-    number of lines.  The product of k lines is kept as a dense triangle:
-    rows[i][j] is the coefficient of x^i y^j, i + j <= k.
+    number of lines.  The product of k lines is one (k+1) x (k+1) `_array`,
+    coeffs[i, j] the coefficient of x^i y^j, and each line is three reduced
+    slice updates: g*C plus b*C shifted along j plus a*C shifted along i.
     """
     p = field.p
-    rows = [[1]]
-    for alpha, beta, gamma in lines:
-        line = BivariatePolynomial.linear(field, alpha, beta, gamma).terms
+    forms = [BivariatePolynomial.linear(field, *line).terms for line in lines]
+    size = len(forms) + 1
+    coeffs = _array([[0] * size] * size, p)
+    coeffs[0, 0] = 1
+    for line in forms:
         a, b, g = (line.get(key, 0) for key in ((1, 0), (0, 1), (0, 0)))
-        # x^i y^j of the product gathers g*[i, j] + b*[i, j-1] + a*[i-1, j]
-        above = [0] * (len(rows) + 1)
-        grown = []
-        for row in rows + [[]]:
-            grown.append([
-                (g * c + b * c_left + a * c_above) % p
-                for c, c_left, c_above in zip(row + [0], [0] + row, above)
-            ])
-            above = row
-        rows = grown
-    return BivariatePolynomial(
-        field, (((i, j), c) for i, row in enumerate(rows) for j, c in enumerate(row))
-    )
+        grown = g * coeffs % p
+        grown[1:] += a * coeffs[:-1] % p
+        grown[:, 1:] += b * coeffs[:, :-1] % p
+        coeffs = grown % p
+    i, j = np.nonzero(coeffs)
+    return BivariatePolynomial(field, zip(zip(i.tolist(), j.tolist()), coeffs[i, j].tolist()))
 
 
 def _point_values(field: PrimeField, points) -> list[int]:
@@ -280,18 +279,18 @@ def vanishing_profile(f: BivariatePolynomial, X, Y) -> list[tuple[FieldElement, 
             for t in xvals for s in yvals if int(f.evaluate(t, s))]
 
 
-def _echelon(rows: list[list[int]], n_cols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form over GF(p), pivots only in the first `n_cols` columns.
+def _echelon(m: np.ndarray, n_cols: int, p: int) -> list[int]:
+    """Row echelon form over GF(p) of the `_array` `m`, in place, pivots only
+    in its first `n_cols` columns; returns the pivot columns.
 
     Forward elimination only: each pivot, the first remaining row holding a
     nonzero entry in its column, is scaled to 1 and clears the rows below it
     in one block update, (below - outer(factors, pivot row)) mod p, exact in
-    either `_array` dtype.  Later columns ride along, so the rows past the
-    rank (len of the returned pivot columns) are zero in the first `n_cols`
-    columns and keep, in the later ones, what the same combination of input
-    rows makes of them.  The rows come back as lists of Python ints.
+    either dtype on reduced entries.  Later columns ride along, so the rows
+    past the rank (the number of pivot columns) are zero in the first
+    `n_cols` columns and keep, in the later ones, what the same combination
+    of input rows makes of them.
     """
-    m = _array([[v % p for v in row] for row in rows], p)
     pivot_cols: list[int] = []
     for c in range(n_cols):
         r = len(pivot_cols)
@@ -304,7 +303,7 @@ def _echelon(rows: list[list[int]], n_cols: int, p: int) -> tuple[list[list[int]
         below = m[r + 1:, c:]
         below[...] = (below - np.outer(below[:, 0], m[r, c:])) % p
         pivot_cols.append(c)
-    return m.tolist(), pivot_cols
+    return pivot_cols
 
 
 def monomials_up_to(degree_bound: int) -> list[tuple[int, int]]:
@@ -323,7 +322,8 @@ class FeasibilityResult:
 def _grid_system(X, Y, degree_bound: int, field: PrimeField) -> tuple:
     """(points, monomials, rows): the linear system of the grid checks, one
     evaluation row over the monomials of total degree <= D per grid point,
-    with the points (t, s) in lexicographic order, the order of the rows."""
+    with the points (t, s) in lexicographic order, the order of the rows;
+    the rows are one `_array`."""
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     p = field.p
@@ -334,7 +334,7 @@ def _grid_system(X, Y, degree_bound: int, field: PrimeField) -> tuple:
     x_powers, y_powers = (_array([_powers(v, degree_bound, p) for v in values], p)
                           for values in (xvals, yvals))
     rows = x_powers[:, None, i] * y_powers[None, :, j] % p
-    return [(t, s) for t in xvals for s in yvals], monos, rows.reshape(-1, len(monos)).tolist()
+    return [(t, s) for t in xvals for s in yvals], monos, rows.reshape(-1, len(monos))
 
 
 def min_degree_feasibility(
@@ -361,15 +361,14 @@ def min_degree_feasibility(
     if point not in points:
         raise ValueError(f"exceptional point {point} is outside the grid")
     n = len(monos)
-    reduced, pivot_cols = _echelon(
-        [row + [int(pt == point)] for row, pt in zip(rows, points)], n, p
-    )
-    if any(row[n] for row in reduced[len(pivot_cols):]):
+    m = np.hstack([rows, _array([[int(pt == point)] for pt in points], p)])
+    pivot_cols = _echelon(m, n, p)
+    if m[len(pivot_cols):, n].any():
         return FeasibilityResult(False, None)
-    coeffs = [0] * n
-    for row, c in reversed(list(zip(reduced, pivot_cols))):
-        coeffs[c] = (row[n] - sum(v * x for v, x in zip(row[c + 1:n], coeffs[c + 1:]))) % p
-    return FeasibilityResult(True, BivariatePolynomial(field, zip(monos, coeffs)))
+    coeffs = _array([0] * n, p)
+    for r, c in reversed(list(enumerate(pivot_cols))):
+        coeffs[c] = (m[r, n] - (m[r, c + 1:n] * coeffs[c + 1:] % p).sum()) % p
+    return FeasibilityResult(True, BivariatePolynomial(field, zip(monos, coeffs.tolist())))
 
 
 def feasible_exceptional_points(
@@ -385,9 +384,7 @@ def feasible_exceptional_points(
     space's support is the union of the supports of any of its bases.
     """
     points, monos, rows = _grid_system(X, Y, degree_bound, field)
-    n, unit = len(monos), [0] * len(points)
-    reduced, pivot_cols = _echelon(
-        [row + unit[:k] + [1] + unit[k + 1:] for k, row in enumerate(rows)], n, field.p
-    )
-    dependent = {k for row in reduced[len(pivot_cols):] for k, v in enumerate(row[n:]) if v}
-    return {pt for k, pt in enumerate(points) if k not in dependent}
+    m = np.hstack([rows, np.eye(len(points), dtype=rows.dtype)])
+    rank = len(_echelon(m, len(monos), field.p))
+    dependent = m[rank:, len(monos):].any(axis=0)
+    return {pt for pt, dep in zip(points, dependent.tolist()) if not dep}

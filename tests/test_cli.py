@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import nullcert
 from nullcert import certify, search
 from nullcert.cli import main
 from nullcert.field import PrimeField
@@ -433,6 +437,12 @@ def test_reverify_malformed_input_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: malformed certificate: "), err
         assert err.count("\n") == 1, err
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text('{"theorem": "mult",')
+    assert run(["reverify", "--in", str(not_json)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {not_json}: Expecting"), err
+    assert err.count("\n") == 1, err
 
 
 # -------------------------------------------------------------------- tight
@@ -507,11 +517,12 @@ def test_coefficient_degree_violation(tmp_path, capsys):
 
 
 def test_coefficient_malformed_input_exits_2_with_one_line(tmp_path, capsys):
+    poly_file = tmp_path / "poly.json"
     cases = [(text, "1,2", "polynomial") for text in ("5", "null", "[1]", "[[1.5,0,1]]",
                                                       "[[0,0,true]]", "[[1,1]]", "{}")]
     cases += [("[[1,1,1]]", a, "out of range") for a in ("1,7", "-1,2")]
-    cases += [("[[1,1,2],[1,1,3]]", "1,2", "repeats the monomial [1, 1]"), ("[[1,1,2]", "1,2", "Expecting")]
-    poly_file = tmp_path / "poly.json"
+    cases += [("[[1,1,2],[1,1,3]]", "1,2", "repeats the monomial [1, 1]"),
+              ("[[1,1,2]", "1,2", f"error: {poly_file}: Expecting")]  # the file is named
     capsys.readouterr()
     for text, set_a, word in cases:
         poly_file.write_text(text)
@@ -568,3 +579,21 @@ def test_coefficient_matches_summand_sum_on_tight_family(tmp_path, capsys):
 
 def test_unknown_subcommand_usage():
     assert run(["frobnicate"]) == 2
+
+
+# --------------------------------------------------------- console entry point
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["tight", "--n", "4"], 0, "n = 4\n", ""),
+    (["verify", "--theorem", "mult", "--prime", "4", "--exhaustive"], 2, "", "error: 4 is not prime\n"),
+])
+def test_module_entry_point_exit_code_reaches_the_shell(argv, code, out, err):
+    # `python -m nullcert.cli` runs `console_main`, the function the
+    # installed `nullcert` script calls, and its exit code is the process's
+    paths = [str(Path(nullcert.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-m", "nullcert.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert done.stdout.startswith(out) and done.stderr == err

@@ -182,6 +182,15 @@ def test_pow_and_repr():
     assert repr(f) == "GF(7)"
     assert int(f.element(4)) == 4
     assert f.element(4) == 11  # int comparison mod p
+    assert repr(f.element(-1)) == "6" and repr(f.element(0)) == "0"
+
+
+def test_hashes_follow_equality():
+    f7 = PrimeField(7)
+    assert hash(f7) == hash(PrimeField(7)) == hash(("PrimeField", 7))
+    assert hash(f7.element(10)) == hash(f7.element(3)) == hash((7, 3))
+    assert len({f7, PrimeField(7), PrimeField(11)}) == 2
+    assert len({f7.element(3), f7.element(10), PrimeField(11).element(3)}) == 2
 
 
 @st.composite

@@ -2,6 +2,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +118,12 @@ def test_arithmetic_across_fields_is_rejected():
         P(5, {(1, 0): 1}).add(P(7, {(1, 0): 1}))
     with pytest.raises(ValueError, match="field mismatch"):
         P(5, {(1, 0): 1}).multiply(P(7, {(1, 0): 1}))
+
+
+def test_repr_lists_terms_in_exponent_order():
+    f = P(5, {(2, 1): 4, (0, 0): 3, (1, 3): 6, (0, 1): 2, (1, 0): 1, (0, 2): 5})
+    assert repr(f) == "3 + 2y + 1x + 1xy^3 + 4x^2y"
+    assert repr(P(5, {})) == "0"
 
 
 def test_line_product_examples():
@@ -443,6 +450,7 @@ def test_grid_checks_match_gauss_jordan(case, data):
     degree_bound = data.draw(st.integers(0, len(X) + len(Y) - 1))
     point = (data.draw(st.sampled_from(X)), data.draw(st.sampled_from(Y)))
     points, monos, rows = poly._grid_system(X, Y, degree_bound, field)
+    rows = rows.tolist()
     assert points == [(t, s) for t in sorted(X) for s in sorted(Y)]
     assert rows == [[pow(t, i, p) * pow(s, j, p) % p for i, j in monos] for t, s in points]
 
@@ -453,7 +461,9 @@ def test_grid_checks_match_gauss_jordan(case, data):
     identity = [[int(k == l) for l in range(len(points))] for k in range(len(points))]
     for matrix in (rows, [row + [r] for row, r in zip(rows, rhs)],
                    [row + unit for row, unit in zip(rows, identity)]):
-        reduced, pivot_cols = poly._echelon(matrix, n, p)
+        m = poly._array(matrix, p)
+        pivot_cols = poly._echelon(m, n, p)
+        reduced = m.tolist()
         assert _gauss_jordan_oracle(reduced, p) == _gauss_jordan_oracle(matrix, p)
         assert len(pivot_cols) == rank
         assert not any(v for row in reduced[rank:] for v in row[:n])
@@ -479,13 +489,18 @@ def test_grid_checks_return_python_ints(case, data):
     degree_bound = data.draw(st.integers(0, len(X) + len(Y) - 1))
     point = (data.draw(st.sampled_from(X)), data.draw(st.sampled_from(Y)))
     points, monos, rows = poly._grid_system(X, Y, degree_bound, field)
-    rhs = [[int(pt == point)] for pt in points]
-    reduced, pivot_cols = poly._echelon([row + r for row, r in zip(rows, rhs)], len(monos), p)
-    values = [v for row in rows + reduced for v in row] + pivot_cols
+    m = np.hstack([rows, poly._array([[int(pt == point)] for pt in points], p)])
+    pivot_cols = poly._echelon(m, len(monos), p)
+    # tolist() hands back the objects an object array holds, numpy scalars too
+    values = [v for row in rows.tolist() + m.tolist() for v in row] + pivot_cols
     witness = min_degree_feasibility(X, Y, point, degree_bound, field=field).witness
     if witness is not None:
         values += [v for (i, j), c in witness.terms.items() for v in (i, j, c)]
     values += [v for pt in feasible_exceptional_points(X, Y, degree_bound, field=field) for v in pt]
+    for q in _KERNEL_PRIMES:
+        lines = data.draw(st.lists(_line(q), max_size=len(X) + len(Y)))
+        f = line_product(_field(q, _KERNEL_PRIMES), lines)
+        values += [v for (i, j), c in f.terms.items() for v in (i, j, c)]
     assert all(type(v) is int for v in values)
 
 
@@ -496,10 +511,16 @@ def test_grid_kernels_at_the_int64_edge():
     field = _field(p, _KERNEL_PRIMES)
     points, monos, rows = poly._grid_system([p - 1], [p - 1], 4, field)
     assert points == [(p - 1, p - 1)]
+    rows = rows.tolist()
     assert rows == [[pow(p - 1, i, p) * pow(p - 1, j, p) % p for i, j in monos]]
     matrix = [[p - 1] * 6 for _ in range(4)]
-    reduced, pivot_cols = poly._echelon(matrix, 4, p)
+    m = poly._array(matrix, p)
+    pivot_cols = poly._echelon(m, 4, p)
+    reduced = m.tolist()
     assert (reduced, pivot_cols) == ([[1] * 6] + [[0] * 6] * 3, [0])
     assert _gauss_jordan_oracle(reduced, p) == _gauss_jordan_oracle(matrix, p)
     got = min_degree_feasibility([p - 1], [p - 1], (p - 1, p - 1), 4, field=field)
     assert got.witness == BivariatePolynomial(field, zip(monos, _solve_oracle(rows, [1], p)))
+    # with every line coefficient p - 1, the line kernel's products reach (p - 1)**2
+    lines = [(p - 1, p - 1, p - 1)] * 8
+    assert line_product(field, lines).terms == _line_product_oracle(field, lines).terms

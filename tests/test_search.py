@@ -112,6 +112,13 @@ def test_pair_sweep_matches_slow_oracle(theorem, mode, p):
     assert stats.counterexample_count == 0
 
 
+def test_stats_for_an_unswept_prime_raises_key_error():
+    report = exhaustive_verify(SweepConfig(theorem="mult", primes=(3,)))
+    assert report.stats_for(3).p == 3
+    with pytest.raises(KeyError, match="no stats for p = 5"):
+        report.stats_for(5)
+
+
 @pytest.mark.parametrize("theorem", ["main", "corollary-add", "corollary-mult"])
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_single_sweep_matches_slow_oracle(theorem, p):

@@ -7,6 +7,7 @@ from nullcert.sets import (
     dyson_transform,
     exceptional_square_set,
     full_combine,
+    group_identity,
     inverse_set,
     negate_set,
     representations,
@@ -48,6 +49,24 @@ def test_constructor_coerces_only_ints_and_own_elements():
             ElementSet(f7, ADD, [1, item])
     with pytest.raises(ValueError):
         ElementSet(f7, MULT, [14])
+
+
+def test_views_hash_and_repr():
+    f7 = PrimeField(7)
+    s = mk(7, MULT, [3, 1, 6])
+    assert s.elements == (f7.element(1), f7.element(3), f7.element(6))
+    assert [(e.value, e.field) for e in s] == [(1, f7), (3, f7), (6, f7)]
+    assert hash(s) == hash(mk(7, MULT, [6, 3, 1, 10])) == hash((7, MULT, (1, 3, 6)))
+    assert repr(s) == "{1, 3, 6}*@GF(7)"
+    assert repr(mk(5, ADD, [2, 0])) == "{0, 2}+@GF(5)"
+    # an element of another field is no member, though its residue is
+    assert 3 in s and PrimeField(5).element(3) not in s
+
+
+def test_group_identity():
+    f7 = PrimeField(7)
+    assert group_identity(f7, ADD) == f7.zero() and group_identity(f7, ADD).value == 0
+    assert group_identity(f7, MULT) == f7.one() and group_identity(f7, MULT).value == 1
 
 
 def test_multiplicative_rejects_zero():
