@@ -45,6 +45,17 @@ def _array(values, p: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if p < 1 << 31 else object)
 
 
+def _linear_form(field: PrimeField, alpha, beta, gamma) -> tuple[int, int, int]:
+    """The coefficients of alpha*x + beta*y + gamma reduced as the
+    `BivariatePolynomial` constructor reduces them (a foreign element raises
+    ValueError); (alpha, beta) must not both reduce to 0."""
+    p = field.p
+    a, b, g = (c % p if type(c) is int else field.element(c).value for c in (alpha, beta, gamma))
+    if not (a or b):
+        raise ValueError("a linear form needs a nonzero x or y coefficient")
+    return a, b, g
+
+
 def _powers(v: int, degree: int, p: int) -> list[int]:
     """[v^0, v^1, ..., v^degree] mod p; just [1] when degree < 1."""
     table = [1]
@@ -91,10 +102,8 @@ class BivariatePolynomial:
     @classmethod
     def linear(cls, field: PrimeField, alpha, beta, gamma) -> "BivariatePolynomial":
         """alpha*x + beta*y + gamma; (alpha, beta) != (0, 0)."""
-        f = cls(field, {(1, 0): alpha, (0, 1): beta, (0, 0): gamma})
-        if f.degree() < 1:
-            raise ValueError("a linear form needs a nonzero x or y coefficient")
-        return f
+        a, b, g = _linear_form(field, alpha, beta, gamma)
+        return cls(field, {(1, 0): a, (0, 1): b, (0, 0): g})
 
     def degree(self) -> int:
         """Total degree; -1 stands in for the zero polynomial."""
@@ -187,12 +196,11 @@ def line_product(field: PrimeField, lines: Iterable) -> BivariatePolynomial:
     slice updates: g*C plus b*C shifted along j plus a*C shifted along i.
     """
     p = field.p
-    forms = [BivariatePolynomial.linear(field, *line).terms for line in lines]
+    forms = [_linear_form(field, *line) for line in lines]
     size = len(forms) + 1
     coeffs = _array([[0] * size] * size, p)
     coeffs[0, 0] = 1
-    for line in forms:
-        a, b, g = (line.get(key, 0) for key in ((1, 0), (0, 1), (0, 0)))
+    for a, b, g in forms:
         grown = g * coeffs % p
         grown[1:] += a * coeffs[:-1] % p
         grown[:, 1:] += b * coeffs[:, :-1] % p

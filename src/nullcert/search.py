@@ -18,15 +18,18 @@ pass, `_orbits` included, holds more than `_BLOCK` masks.  An exhaustive sweep
 reads one list per prime, the masks within the size cap (`_masks_upto`), built
 at the cost of its length.  Report entries are the kernel rows that the sweep
 counted, (amask, bmask, size, bound, targets), formatted without a second
-kernel pass.  The `main` certificate is replayed only where the bound fails,
-the one case in which it can raise.
+kernel pass and without a Python loop over the bits of a listed mask
+(`_Universe.masks_to_values`).  The `main` certificate is replayed only where
+the bound fails, the one case in which it can raise.
 
 An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
 weighted by the orbit size.  Every pair bound is invariant under g applied to
 A and B together, so sum_B f(gA, B) = sum_B f(A, B): the counts are exact.
 The first entries, in direct (amask, bmask) order, are the rows of the
-canonical A's mapped onto the members of their orbits (`_first_entries`).
+canonical A's mapped onto the members of their orbits (`_first_entries`):
+one array pass per index map finds the members' maps, and their rows are
+mapped all at once.
 
 The CLI hands every `nullcert verify`, sampled runs too, to
 `exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
@@ -327,12 +330,29 @@ class _Universe:
     def mask_to_values(self, mask: int) -> list[int]:
         return sorted(self.residues[k] for k in _mask_bits(mask))
 
+    def masks_to_values(self, masks) -> list[list[int]]:
+        """`mask_to_values` of each int in `masks`, `_BLOCK` masks at a time:
+        their bytes are unpacked to one row of bits per mask, the bits taken
+        in ascending-residue order, so the selected values come out sorted,
+        and one list of them is sliced per mask.  The same for every m."""
+        width = (self.m + 7) // 8
+        by_residue, values = np.argsort(self.residues), np.sort(self.residues)
+        out = []
+        for lo in range(0, len(masks), _BLOCK):
+            run = masks[lo:lo + _BLOCK]
+            packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in run), dtype=np.uint8)
+            bits = np.unpackbits(packed.reshape(len(run), width), axis=1, bitorder="little")[:, by_residue].view(bool)
+            found, ends = np.broadcast_to(values, bits.shape)[bits].tolist(), np.cumsum(bits.sum(axis=1)).tolist()
+            out += [found[start:end] for start, end in zip([0, *ends], ends)]
+        return out
+
     def element_set(self, mask: int) -> ElementSet:
         return ElementSet(self.field, self.mode, self.mask_to_values(mask))
 
 
-def _cyclic_shift(mask, a: int, m: int):
-    """Rotate an m-bit mask, or an array of them, by a places (0 <= a < m)."""
+def _cyclic_shift(mask, a, m: int):
+    """Rotate an m-bit mask, or an array of them, by a places (0 <= a < m);
+    `a` may be an array of the masks' dtype, one shift per mask."""
     return ((mask << a) | (mask >> (m - a))) & ((1 << m) - 1)
 
 
@@ -381,26 +401,30 @@ def _orbits(m: int, masks: np.ndarray) -> tuple:
     return (canon, *np.unique(canon, return_counts=True))
 
 
-def _scale(mask, u: int, m: int):
+def _scale(mask, u, m: int):
     """The image of an m-bit mask, or of each mask in an array, under
-    k -> u*k (mod m): the bit permutation of the index maps."""
+    k -> u*k (mod m): the bit permutation of the index maps.  `u` may be an
+    array of the masks' dtype, one unit per mask."""
     image = mask & 0
     for k in _mask_bits(mask):
         image |= (mask >> k & 1) << (u * k % m)
     return image
 
 
-def _index_map(rep: int, amask: int, m: int) -> tuple[int, int]:
-    """A map (u, mu), k -> u*k + mu (mod m), that carries `rep` onto
-    `amask`, a member of its orbit: mu takes the lowest bit of `amask` to
-    the image of a bit of `rep`."""
-    low = (amask & -amask).bit_length() - 1
-    for u in _units(m):
-        scaled = _scale(rep, u, m)
-        for k in _mask_bits(scaled):
-            if _cyclic_shift(scaled, (low - k) % m, m) == amask:
-                return u, (low - k) % m
-    raise AssertionError(f"{amask:#x} is not in the orbit of {rep:#x}")
+def _index_maps(m: int, reps: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, mu) per member: the first index map k -> u*k + mu (mod m), units
+    and then shifts ascending, that carries reps[i] onto members[i], a member
+    of its orbit; one array pass per map, as in `_orbits`, until every
+    member has its map."""
+    u, mu, open_ = np.zeros_like(members), np.zeros_like(members), np.ones(len(members), dtype=bool)
+    for unit in _units(m):
+        if not open_.any():
+            break
+        image = _scale(reps, unit, m)
+        for shift in range(m):
+            hit = open_ & (_cyclic_shift(image, shift, m) == members)
+            u[hit], mu[hit], open_[hit] = unit, shift, False
+    return u, mu
 
 
 def _mask_bits(mask) -> list[int]:
@@ -494,7 +518,8 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
            tight_cap: int, weight: int = 1) -> None:
     """Evaluate the rows of `amasks` and `bmasks` (`_eval`) and count them
     into `stats`, each `weight` times, recording the tight and violated rows,
-    up to their caps, as (amask, bmask, size, bound, targets).  `amasks` is
+    up to their caps, as (amask, bmask, size, bound, targets) of Python ints,
+    taken with one index and one `tolist` per column.  `amasks` is
     one A (an int) or the A of each row, `bmasks` the B of each row, the A
     itself for single sets.  A target is one hypothesis unit, except that a
     `cover` pair counts once when N is nonempty.  A violated `main` bound
@@ -510,11 +535,14 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
     stats.bound_holding += weight * int(units[ok].sum())
     stats.tight_count += weight * int(tight.sum())
     stats.counterexample_count += weight * int(violated.sum())
+    if isinstance(bmasks, list):  # a hunt's draws past 63 bits
+        amasks, bmasks = np.array(amasks, dtype=object), np.array(bmasks, dtype=object)
     for rows, flags, cap in ((stats.tight, tight, tight_cap),
                              (stats.counterexamples, violated, COUNTEREXAMPLE_LIST_CAP)):
-        for i in np.flatnonzero(flags)[:cap - len(rows)] if flags.any() else ():
-            amask = amasks if isinstance(amasks, int) else int(amasks[i])
-            rows.append((amask, int(bmasks[i]), int(size[i]), int(bound[i]), int(targets[i])))
+        if len(rows) < cap and flags.any():
+            picked = np.flatnonzero(flags)[:cap - len(rows)]
+            rows += zip(itertools.repeat(amasks) if isinstance(amasks, int) else amasks[picked].tolist(),
+                        *(column[picked].tolist() for column in (bmasks, size, bound, targets)))
     if not THEOREMS[theorem].replayed:
         return
     for i in np.flatnonzero(violated):
@@ -550,33 +578,43 @@ def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: 
     rows in direct (amask, bmask) order, min(cap, count) per list, without a
     kernel pass.
 
-    A member gA of an orbit has the rows of its canonical A mapped by g
-    (`_index_map`): the same size and bound, gB, and the targets mapped as
-    A o B is (k -> u*k + 2mu; N by g itself); sorted by B they are its rows
-    in direct order.  The merge lists the first cap rows of canonical A's,
-    ascending, so every listed A has all of its rows but maybe the last,
-    whose own rows fill the list before any other member of its orbit, all
-    larger, comes up.  An A whose orbit has no listed row comes after cap
-    rows in direct order, as every member of an orbit has as many rows as
-    its canonical A, the least."""
+    A member gA of an orbit has the rows of its canonical A mapped by g,
+    k -> u*k + mu: the same size and bound, gB, and the targets mapped as
+    A o B is (k -> u*k + nu, nu = 2mu; N by g itself, nu = mu); sorted by B
+    they are its rows in direct order.  The merge lists the first cap rows of
+    canonical A's, ascending, so every listed A has all of its rows but maybe
+    the last, whose own rows fill the list before any other member of its
+    orbit, all larger, comes up.  An A whose orbit has no listed row comes
+    after cap rows in direct order, as every member of an orbit has as many
+    rows as its canonical A, the least.  So the members of the listed orbits
+    are picked, ascending, until their rows cover the list; `_index_maps`
+    finds their maps, every picked row is mapped at once, and one lexsort on
+    (member, gB) puts the rows in direct order."""
     m = universe.m
     for name, cap, count in (("tight", tight_cap, stats.tight_count),
                              ("counterexamples", COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)):
-        listed = {rep: list(rows) for rep, rows in itertools.groupby(getattr(stats, name), lambda row: row[0])}
-        want, found = min(cap, count), []
-        members = np.isin(canon, list(listed))
-        for amask, rep in zip(masks[members].tolist(), canon[members].tolist()):
-            if len(found) == want:
-                break
-            rows = listed[rep]
-            if amask != rep:
-                u, mu = _index_map(rep, amask, m)
-                nu = mu if theorem == "cover" else 2 * mu % m
-                rows = sorted((amask, _cyclic_shift(_scale(bmask, u, m), mu, m), size, bound,
-                               _cyclic_shift(_scale(targets, u, m), nu, m))
-                              for _, bmask, size, bound, targets in rows)
-            found += rows[:want - len(found)]
-        setattr(stats, name, found)
+        rows = getattr(stats, name)
+        if not rows:
+            continue
+        amasks, bmasks, size, bound, targets = (np.array(column, dtype=masks.dtype) for column in zip(*rows))
+        # the rows of each listed canonical A are a run of `rows`, ascending in B
+        reps, starts, lengths = np.unique(amasks, return_index=True, return_counts=True)
+        listed, want = np.isin(canon, reps), min(cap, count)
+        members, of = masks[listed], np.searchsorted(reps, canon[listed])
+        picked = np.searchsorted(np.cumsum(lengths[of]), want) + 1
+        members, of = members[:picked], of[:picked]
+        u, mu = _index_maps(m, reps[of], members)
+        # the picked rows, member by member: the run of each one's canonical A
+        runs = lengths[of]
+        owner = np.repeat(np.arange(picked), runs)
+        row = np.arange(len(owner)) + np.repeat(starts[of] - (np.cumsum(runs) - runs), runs)
+        u, mu = u[owner], mu[owner]
+        nu = mu if theorem == "cover" else 2 * mu % m
+        mapped_b = _cyclic_shift(_scale(bmasks[row], u, m), mu, m)
+        mapped_targets = _cyclic_shift(_scale(targets[row], u, m), nu, m)
+        order = np.lexsort((mapped_b, owner))[:want]
+        columns = (members[owner], mapped_b, size[row], bound[row], mapped_targets)
+        setattr(stats, name, list(zip(*(column[order].tolist() for column in columns))))
 
 
 def _runs(n: int, parts: int) -> list[tuple[int, int]]:
@@ -586,18 +624,25 @@ def _runs(n: int, parts: int) -> list[tuple[int, int]]:
 
 def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: bool) -> None:
     """Format the kernel rows of `stats` as report entries; with `attach`,
-    each tight entry carries the certificate for its first target."""
+    each tight entry carries the certificate for its first target in
+    mask-bit order.  The A, B and target masks of a list are unpacked in one
+    `_Universe.masks_to_values` call."""
     spec = THEOREMS[theorem]
     for name, builder in (("tight", spec.build if attach else None), ("counterexamples", None)):
+        rows = getattr(stats, name)
+        amasks, bmasks, sizes, bounds, targets = zip(*rows) if rows else ((),) * 5
+        values, n = universe.masks_to_values(amasks + bmasks + targets if spec.pair else amasks + targets), len(rows)
+        a_values, t_values = values[:n], values[len(values) - n:]
+        b_values = values[n:2 * n] if spec.pair else a_values
         entries = []
-        for amask, bmask, size, bound, target in getattr(stats, name):
-            entry = {"A": universe.mask_to_values(amask), "size": size, "bound": bound}
+        for a, b, size, bound, target, t in zip(a_values, b_values, sizes, bounds, targets, t_values):
+            entry = {"A": a, "size": size, "bound": bound}
             if spec.pair:
-                entry["B"] = universe.mask_to_values(bmask)
-            entry["N" if theorem == "cover" else "c"] = universe.mask_to_values(target)
+                entry["B"] = b
+            entry["N" if theorem == "cover" else "c"] = t
             if builder is not None:
-                A, B = universe.element_set(amask), universe.element_set(bmask)
-                c = universe.residues[_mask_bits(target)[0]] if target else None
+                A, B = (ElementSet(universe.field, universe.mode, v) for v in (a, b))
+                c = universe.residues[(target & -target).bit_length() - 1] if target else None
                 entry["certificate"] = builder(A, B, c).to_json_dict()
             entries.append(entry)
         setattr(stats, name, entries)

@@ -114,6 +114,13 @@ SIZED_GOLDEN = {
         "ba5bd870e7b940f3e7d1bfeafcaca7f47567e733401ecebbee834a9c83309e5c",
     "verify --theorem main --prime 19 --max-size 5 --exhaustive":
         "d1b19d6db45fa1a70f081f49a57e3779e33f8d44ede089d77a9d76d07aa31e27",
+    # either side of the 32-bit mask dtype, m = 31 (uint32) and m = 36
+    # (uint64), 2,048 tight entries each; recorded at the commit before the
+    # listed rows were mapped and unpacked as arrays
+    "verify --theorem additive --prime 31 --max-size 3 --exhaustive":
+        "f1921ffc606424297943910c8e53454266a2d57514de5a93d7602bd3a0fe2919",
+    "verify --theorem ks --mode mult --prime 37 --max-size 3 --exhaustive":
+        "2acbb27b4ca65c893f488a4175e3bf6ff81a01a6a967f8e7a17721d08079f902",
 }
 
 

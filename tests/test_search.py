@@ -271,20 +271,31 @@ def _image(mask, u, mu, m):
     return sum(1 << (u * k + mu) % m for k in range(m) if mask >> k & 1)
 
 
+def _unit_list(m):
+    return [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 63).flatmap(lambda m: st.tuples(
     st.just(m),
-    st.sampled_from([u for u in range(1, m + 1) if math.gcd(u, m) == 1]),
-    st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=20),
+    st.sampled_from(_unit_list(m)),
+    st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.sampled_from(_unit_list(m)), st.integers(0, m - 1)),
+             min_size=1, max_size=20),
 )))
 def test_scale_on_an_array_is_scale_on_each_mask(case):
-    # `_orbits` scales runs of the mask list, `_first_entries` single ints
-    m, u, masks = case
+    # `_orbits` scales runs of the mask list by one unit; `_first_entries`
+    # maps its rows with one unit and one shift per row
+    m, u, rows = case
+    masks, units, shifts = (list(column) for column in zip(*rows))
     array = np.array(masks, dtype=np.uint32 if m <= 32 else np.uint64)
     scaled = search._scale(array, u, m)
     assert scaled.dtype == array.dtype
     assert scaled.tolist() == [search._scale(mask, u, m) for mask in masks]
     assert scaled.tolist() == [_image(mask, u, 0, m) for mask in masks]
+    per_row = [np.array(column, dtype=array.dtype) for column in (units, shifts)]
+    mapped = search._cyclic_shift(search._scale(array, per_row[0], m), per_row[1], m)
+    assert mapped.dtype == array.dtype
+    assert mapped.tolist() == [_image(*row, m) for row in rows]
 
 
 @settings(max_examples=300)
@@ -506,15 +517,67 @@ def _first_entries_without_kernel(config):
     return lengths
 
 
+def _caps_inside_mapped_members(config):
+    """Caps that end halfway through the rows of a member that is not its
+    orbit's canonical A: the first two such members with two rows or more
+    among the first 8,192 rows of `config`."""
+    (m, rows), = _recorded_rows(dataclasses.replace(config, tight_cap=8192)).values()
+    canon = search._orbits(m, search._masks_upto(m, None))[0]  # canon[mask - 1]
+    runs = {}
+    for i, (amask, *_) in enumerate(rows):
+        runs.setdefault(amask, []).append(i)
+    caps = [run[0] + len(run) // 2 for amask, run in runs.items() if canon[amask - 1] != amask and len(run) > 1]
+    assert caps
+    return caps[:2]
+
+
 @pytest.mark.parametrize("p,partitions", [(11, 1), (13, 1), (13, 3)])
 def test_first_entries_take_no_kernel_pass(p, partitions):
     # sparse `mult` lists, which a kernel pass per member filled in 420
-    # passes at p = 13; caps 1 and 3 cut the last listed A's rows
-    config = SweepConfig(theorem="mult", primes=(p,), partitions=partitions)
-    tight_count = exhaustive_verify(config).stats_for(p).tight_count
-    for tight_cap in (search.DEFAULT_TIGHT_CAP, 0, 1, 3, tight_count + 1):
-        lengths = _first_entries_without_kernel(dataclasses.replace(config, tight_cap=tight_cap))
-        assert lengths == [(min(tight_cap, tight_count), 0)]
+    # passes at p = 13, and the denser `cover` and `ks --mode mult` ones;
+    # caps 1 and 3 cut the last listed A's rows, and the caps of
+    # `_caps_inside_mapped_members` the rows of a member mapped onto
+    for theorem, mode in (("mult", None), ("cover", None), ("ks", GroupMode.MULTIPLICATIVE)):
+        config = SweepConfig(theorem=theorem, primes=(p,), group_mode=mode, partitions=partitions)
+        tight_count = exhaustive_verify(config).stats_for(p).tight_count
+        caps = [search.DEFAULT_TIGHT_CAP, 0, 1, 3, *_caps_inside_mapped_members(config)]
+        if theorem == "mult":  # the whole list: 31,464 rows at p = 13, the others past 10^5
+            caps.append(tight_count + 1)
+        for tight_cap in caps:
+            lengths = _first_entries_without_kernel(dataclasses.replace(config, tight_cap=tight_cap))
+            assert lengths == [(min(tight_cap, tight_count), 0)], (theorem, tight_cap)
+
+
+@settings(max_examples=150)
+@given(
+    # m = 31, 37, 61, 67, 101 additive and 30, 36, 60, 66, 100 multiplicative,
+    # whose residues are not ascending in the index
+    universe=st.sampled_from([(p, mode) for p in (31, 37, 61, 67, 101) for mode in GroupMode]),
+    block=st.sampled_from([1, 3, 7, search._BLOCK]),
+    data=st.data(),
+)
+def test_masks_to_values_unpacks_each_mask_as_mask_to_values(universe, block, data):
+    universe = search._Universe(*universe)
+    m = universe.m
+    mask = st.integers(1, (1 << m) - 1) | st.sampled_from([1, 1 << (m - 1), (1 << m) - 1]) | st.builds(
+        lambda k: 1 << k, st.integers(0, m - 1))
+    masks = tuple(data.draw(st.lists(mask, max_size=40)))
+    # a small `_BLOCK` splits the list into runs mid-list
+    with mock.patch.object(search, "_BLOCK", block):
+        values = universe.masks_to_values(masks)
+    assert values == [universe.mask_to_values(mask) for mask in masks]
+    assert all(type(v) is int for entry in values for v in entry)
+
+
+# every m of both modes up to p = 13: additive m = p, multiplicative m = p - 1
+@pytest.mark.parametrize("m", range(1, 14))
+def test_index_maps_carry_each_canonical_a_onto_its_members(m):
+    masks = search._masks_upto(m, None)
+    canon = search._orbits(m, masks)[0]
+    u, mu = search._index_maps(m, canon, masks)
+    assert set(u.tolist()) <= set(search._units(m)) and set(mu.tolist()) <= set(range(m))
+    images = [_image(rep, ui, mui, m) for rep, ui, mui in zip(canon.tolist(), u.tolist(), mu.tolist())]
+    assert images == masks.tolist()
 
 
 @pytest.mark.parametrize("partitions", [1, 3])
