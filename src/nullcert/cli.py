@@ -17,6 +17,7 @@ and forwards sampled runs to the hunt.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -70,6 +71,7 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nullcert",

@@ -16,7 +16,8 @@ draws; it hands them to one step, `_count`, `_BLOCK` rows at a time, as arrays
 while masks fit in 63 bits and one draw at a time as ints beyond.  No array
 pass, `_orbits` included, holds more than `_BLOCK` masks.  An exhaustive sweep
 reads one list per prime, the masks within the size cap (`_masks_upto`), built
-at the cost of its length.  Report entries are the kernel rows that the sweep
+at the cost of its length; an unsized single-set sweep holds none and reads
+`range`s of masks.  Report entries are the kernel rows that the sweep
 counted, (amask, bmask, size, bound, targets), formatted without a second
 kernel pass and without a Python loop over the bits of a listed mask
 (`_Universe.masks_to_values`).  The `main` certificate is replayed only where
@@ -346,9 +347,6 @@ class _Universe:
             out += [found[start:end] for start, end in zip([0, *ends], ends)]
         return out
 
-    def element_set(self, mask: int) -> ElementSet:
-        return ElementSet(self.field, self.mode, self.mask_to_values(mask))
-
 
 def _cyclic_shift(mask, a, m: int):
     """Rotate an m-bit mask, or an array of them, by a places (0 <= a < m);
@@ -546,7 +544,7 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
     if not THEOREMS[theorem].replayed:
         return
     for i in np.flatnonzero(violated):
-        a_set = universe.element_set(int(amasks[i]))
+        a_set = ElementSet(universe.field, universe.mode, universe.mask_to_values(int(amasks[i])))
         for c in _mask_bits(int(targets[i])):
             try:
                 symmetric_pair_certificate(a_set, universe.residues[c])
@@ -562,10 +560,12 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
 def _partition(universe: _Universe, theorem: str, blocks: Iterable[tuple], tight_cap: int) -> PrimeStats:
     """Count each block (amasks, bmasks, weight) of `blocks`, `_BLOCK` rows
     at a time (`_count`); returns partial stats.  A block is a run of A-masks
-    of a single-set sweep, as both A and B, one canonical A with every B of a
-    pair sweep, or a block of a hunt's draws."""
+    of a single-set sweep, as both A and B (a `range` of them if unsized), one
+    canonical A with every B of a pair sweep, or a block of a hunt's draws."""
     stats = PrimeStats(universe.field.p)
     for amasks, bmasks, weight in blocks:
+        if isinstance(bmasks, range):
+            amasks = bmasks = np.arange(bmasks.start, bmasks.stop, dtype=np.uint32 if universe.m <= 32 else np.uint64)
         for lo in range(0, len(bmasks), _BLOCK):
             run = amasks if isinstance(amasks, int) else amasks[lo:lo + _BLOCK]
             _count(stats, universe, theorem, run, bmasks[lo:lo + _BLOCK], tight_cap, weight)
@@ -626,7 +626,7 @@ def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: b
     """Format the kernel rows of `stats` as report entries; with `attach`,
     each tight entry carries the certificate for its first target in
     mask-bit order.  The A, B and target masks of a list are unpacked in one
-    `_Universe.masks_to_values` call."""
+    `_Universe.masks_to_values` call, and its entries built from columns."""
     spec = THEOREMS[theorem]
     for name, builder in (("tight", spec.build if attach else None), ("counterexamples", None)):
         rows = getattr(stats, name)
@@ -634,18 +634,16 @@ def _materialize(universe: _Universe, theorem: str, stats: PrimeStats, attach: b
         values, n = universe.masks_to_values(amasks + bmasks + targets if spec.pair else amasks + targets), len(rows)
         a_values, t_values = values[:n], values[len(values) - n:]
         b_values = values[n:2 * n] if spec.pair else a_values
-        entries = []
-        for a, b, size, bound, target, t in zip(a_values, b_values, sizes, bounds, targets, t_values):
-            entry = {"A": a, "size": size, "bound": bound}
-            if spec.pair:
-                entry["B"] = b
-            entry["N" if theorem == "cover" else "c"] = t
-            if builder is not None:
+        columns = {"A": a_values, "size": sizes, "bound": bounds, "N" if theorem == "cover" else "c": t_values}
+        if spec.pair:
+            columns["B"] = b_values
+        if builder is not None:
+            def certificate(a, b, target):
                 A, B = (ElementSet(universe.field, universe.mode, v) for v in (a, b))
                 c = universe.residues[(target & -target).bit_length() - 1] if target else None
-                entry["certificate"] = builder(A, B, c).to_json_dict()
-            entries.append(entry)
-        setattr(stats, name, entries)
+                return builder(A, B, c).to_json_dict()
+            columns["certificate"] = list(map(certificate, a_values, b_values, targets))
+        setattr(stats, name, [dict(zip(columns, row)) for row in zip(*columns.values())])
 
 
 # --------------------------------------------------------------------------
@@ -692,13 +690,13 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
 
     def prime_stats(universe: _Universe) -> PrimeStats:
         p, m = universe.field.p, universe.m
-        masks = _masks_upto(m, max_size)
+        masks = range(1, 1 << m) if max_size is None and not is_pair else _masks_upto(m, max_size)
         if is_pair:
             canon, reps, weights = _orbits(m, masks)
             _check_budget(p, len(reps) * len(masks), "checks", config.budget)
             blocks = [(rep, masks, weight) for rep, weight in zip(reps.tolist(), weights.tolist())]
         else:
-            blocks = [(block, block, 1) for block in np.split(masks, range(_BLOCK, len(masks), _BLOCK))]
+            blocks = [(block, block, 1) for block in (masks[lo:lo + _BLOCK] for lo in range(0, len(masks), _BLOCK))]
         tasks = [(universe, theorem, blocks[lo:hi], config.tight_cap)
                  for lo, hi in _runs(len(blocks), min(config.partitions, len(blocks)))]
         stats = PrimeStats.merge(p, starmap(_partition, tasks), config.tight_cap)

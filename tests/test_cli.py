@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nullcert
-from nullcert import certify, search
+from nullcert import certify, cli, search
 from nullcert.cli import main
 from nullcert.field import PrimeField
 from nullcert.poly import BivariatePolynomial, line_product
@@ -22,6 +22,16 @@ from conftest import combine_oracle
 
 def run(argv):
     return main(argv)
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args) or 0)
+    assert run(["verify", "--theorem", "mult", "--prime", "7", "--prime", "11,13", "--exhaustive"]) == 0
+    assert run(["verify", "--theorem", "mult", "--prime", "17", "--samples", "3", "--seed", "1"]) == 0
+    assert [args.prime for args in seen] == [["7", "11,13"], ["17"]]
+    assert (seen[0].exhaustive, seen[0].samples, seen[1].exhaustive, seen[1].samples) == (True, None, False, 3)
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ------------------------------------------------------------------ verify
@@ -493,6 +503,8 @@ def test_tight_output_is_deterministic(tmp_path):
     ["certificate", "--theorem", "cover", "--mode", "mult", "--prime", "13", "--a", "1,2,3,5", "--b", "2,3,5,7"],
     ["certificate", "--theorem", "main", "--mode", "mult", "--prime", "13", "--a", "1,3,9,5", "--c", "6"],
     ["verify", "--theorem", "cover", "--prime", "7", "--exhaustive", "--tight-cap", "20", "--attach-certificates"],
+    *(["verify", "--theorem", theorem, "--prime", p, "--exhaustive", "--attach-certificates"]
+      for theorem, p in (("additive", "11"), ("mult", "11"), ("main", "13"))),
 ])
 def test_json_files_are_the_stdlib_indented_form(argv, tmp_path):
     out = tmp_path / "out.json"

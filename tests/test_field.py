@@ -1,9 +1,10 @@
+from collections import OrderedDict
 import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nullcert.field import (
     FieldElement,
@@ -236,21 +237,51 @@ def test_element_arithmetic_matches_integers_mod_p(operands):
 # ------------------------------------------------------------ JSON writer
 
 _KEYS = st.text(st.sampled_from('aZ\u00e9\u4e2d\U0001f600"\\/\x00\x1f\x7f\n\t') | st.characters(), max_size=6)
-_SCALARS = (
-    st.none() | st.booleans() | st.floats() | _KEYS
-    | st.integers(-(1 << 70), 1 << 70) | st.sampled_from([-1, 0, (1 << 64) + 1, -(1 << 64) - 1])
-)
+_INTS = st.integers(-(1 << 70), 1 << 70) | st.sampled_from([-1, 0, (1 << 64) + 1, -(1 << 64) - 1])
+_SCALARS = st.none() | st.booleans() | st.floats() | _KEYS | _INTS
 # int lists take the writer's one-join path unless a bool or None sits inside
-_INT_LISTS = st.lists(st.integers(-(1 << 70), 1 << 70) | st.sampled_from([True, False, None]), max_size=6)
+_INT_LISTS = st.lists(_INTS | st.sampled_from([True, False, None]), max_size=6)
+# a column of int lists takes one join per list unless one of them is empty or
+# holds a bool or None; a tuple is written as a list
+_INT_COLUMNS = st.lists(_INT_LISTS | st.tuples(_INTS, _INTS) | st.tuples(_INTS, st.sampled_from([True, None])),
+                        min_size=1, max_size=5)
+
+
+@st.composite
+def _records(draw, values):
+    """A list of dicts that share one key set, `%` and `%s` keys among them,
+    in which one record may get an extra key or lose one."""
+    keys = draw(st.sets(_KEYS | st.sampled_from(["%", "%s", "a%sb", "%(A)s", "%%"]), max_size=4))
+    records = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, values)), min_size=1, max_size=4))
+    odd = records[draw(st.integers(0, len(records) - 1))]
+    change = draw(st.sampled_from(["none", "extra", "missing"]))
+    if change == "extra":
+        odd[draw(_KEYS)] = draw(values)
+    elif change == "missing" and odd:
+        del odd[draw(st.sampled_from(sorted(odd)))]
+    return records
+
+
 _VALUES = st.recursive(
-    _SCALARS | _INT_LISTS,
-    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_KEYS, inner, max_size=4),
+    _SCALARS | _INT_LISTS | _INT_COLUMNS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_KEYS, inner, max_size=4)
+                   | _records(inner)),
     max_leaves=30,
 )
 
 
+@settings(max_examples=300)
 @given(_VALUES)
 @example({"a": [[{"b": {}}, []], ()], "\x00": [1, [], {"c": [{"d": [[[]]]}]}]})
 @example([float("nan"), float("inf"), -0.0, [True, 1, None], (2, -3)])
+@example(({}, {}))
+@example([{"A": [1, 2], "%s": 3}, {"A": [4], "%s": 5, "x": 6}])
+@example([{"A": [1, 2], "b%": 3}, {"A": [4]}])
+@example([{"%": {"%s": [1]}, "c": [[2, 3], [4]]}, {"%": {"%s": [5, 6]}, "c": [[7]]}])
+@example([{"a": 1}, {"b": 2}])
+@example([[1, 2], [], (3, 4)])
+@example([[1, 2], (3, True)])
+@example([[None, 1], [1 << 65, -(1 << 64) - 1]])
+@example([OrderedDict(b=1, a=[2]), {"a": [3], "b": 4}, OrderedDict()])
 def test_json_text_is_the_stdlib_indented_form(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -23,7 +23,7 @@ from nullcert.search import (
     exhaustive_verify,
     hunt_counterexample,
 )
-from nullcert.field import PrimeField
+from nullcert.field import PrimeField, json_text
 from nullcert.sets import ElementSet, GroupMode
 
 from conftest import (
@@ -936,7 +936,8 @@ def test_parallel_jobs_match_serial():
 @pytest.mark.parametrize("theorem", ["mult", "corollary-add"])
 @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1)])
 def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools, theorem):
-    # one universe and one mask list per prime, one pool per command
+    # one universe per prime, one pool per command, and one mask list per
+    # prime of a pair sweep; an unsized single-set sweep reads a range instead
     counts = {"universe": 0, "masks": 0, "pool": 0}
     init, masks_upto = search._Universe.__init__, search._masks_upto
 
@@ -961,7 +962,20 @@ def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools, theorem):
     monkeypatch.setattr(search, "_masks_upto", counted_masks)
     monkeypatch.setattr(search, "multiprocessing", types.SimpleNamespace(get_context=get_context))
     exhaustive_verify(SweepConfig(theorem=theorem, primes=(5, 7, 11), partitions=3), jobs=jobs)
-    assert counts == {"universe": 3, "masks": 3, "pool": pools}
+    assert counts == {"universe": 3, "masks": 3 if THEOREMS[theorem].pair else 0, "pool": pools}
+
+
+@pytest.mark.parametrize("theorem,p", [("main", 13), ("corollary-add", 13), ("corollary-mult", 17)])
+def test_unsized_single_set_sweep_holds_no_mask_list(monkeypatch, theorem, p):
+    # its blocks are ranges of masks; its per-prime stats equal those of the
+    # same sweep read from the mask list, with a size cap that admits every set
+    listed = SweepConfig(theorem=theorem, primes=(p,), max_set_size=p, tight_cap=50)
+    expected = json_text([s.to_json_dict() for s in exhaustive_verify(listed).per_prime])
+    monkeypatch.setattr(search, "_masks_upto", lambda *args: pytest.fail("unsized sweep built a mask list"))
+    for partitions, jobs in ((1, 1), (3, 1), (3, 2)):
+        config = dataclasses.replace(listed, max_set_size=None, partitions=partitions)
+        report = exhaustive_verify(config, jobs=jobs)
+        assert json_text([s.to_json_dict() for s in report.per_prime]) == expected, (partitions, jobs)
 
 
 def test_hunt_is_deterministic_and_reports_prng():
