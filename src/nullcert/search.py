@@ -51,11 +51,11 @@ Instance accounting, used consistently by reports:
 * ``tight`` / ``counterexamples`` -- recorded per input pair/set, each entry
                                carrying every qualifying c.
 
-Sampling uses splitmix64 (64-bit state; the state advances by the golden
-constant once per word, so word k is the mix of seed + k * golden), recorded
+Sampling uses splitmix64 (word k is the mix of seed + k * golden), recorded
 in the report for cross-implementation reproducibility.  A hunt reads one
 word stream across all of its primes, and `_draw_masks` fixes how words
-become sets.
+become sets: it parses fetched words with array passes, word by word where
+those do not pay, and gives back the words that no draw read.
 """
 
 from __future__ import annotations
@@ -90,22 +90,15 @@ ALL_THEOREMS = tuple(THEOREMS)
 class SplitMix64:
     """splitmix64 PRNG: 64-bit state, one golden-ratio increment per word.
 
-    The state is a counter: word k (from 1) is a fixed mix of
-    seed + k * golden (mod 2^64), so a block of words is one array
-    computation."""
+    The state is a counter: word k (from 1) is a fixed mix of seed +
+    k * golden (mod 2^64), so a block of words is one array computation and
+    unread words go back by stepping the counter down."""
 
     _MASK = (1 << 64) - 1
     _GOLDEN = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
         self.state = seed & self._MASK
-
-    def next_word(self) -> int:
-        self.state = (self.state + self._GOLDEN) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
 
     def next_words(self, count: int) -> np.ndarray:
         """The next `count` words as a uint64 array (arithmetic wraps mod 2^64)."""
@@ -116,10 +109,9 @@ class SplitMix64:
         z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> 31)
 
-    def words(self):
-        """The words one at a time, fetched `_BLOCK` at a time: the state runs
-        ahead of the words yielded by up to a block."""
-        return itertools.chain.from_iterable(iter(lambda: self.next_words(_BLOCK).tolist(), None))
+    def unread(self, count: int) -> None:
+        """Give back the last `count` words fetched: the next fetch starts with them."""
+        self.state = (self.state - count * self._GOLDEN) & self._MASK
 
 
 @dataclass(frozen=True)
@@ -709,52 +701,112 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
         return _sweep(config, None, prime_stats)
 
 
-def _draw_masks(words, m: int, max_set_size: int | None, count: int) -> list[int]:
-    """`count` random nonempty subset masks from the word stream `words`
-    (`SplitMix64.words`); documented draw order for replay.
+def _read_draws(words: list[int], m: int, max_set_size: int | None, count: int) -> tuple[list[int], int]:
+    """Up to `count` draws read one word at a time from the front of `words`:
+    the masks of those that end within the list, and the words they read."""
+    full, k, shifts, read = (1 << m) - 1, min(max_set_size or m, m), range(0, m, 64), iter(words)
+    masks, unread, left = [], len(words), read.__length_hint__
+    with contextlib.suppress(StopIteration):  # a draw runs past the list
+        for _ in range(count):
+            mask = 0
+            if max_set_size is not None:
+                size = 1 + next(read) % k
+                while mask.bit_count() < size:
+                    mask |= 1 << next(read) % m
+            else:
+                while not mask:
+                    for shift in shifts:  # word j fills bits 64j and up
+                        mask |= next(read) << shift
+                    mask &= full
+            masks.append(mask)
+            unread = left()
+    return masks, len(words) - unread
 
-    With a size cap: draw size = 1 + (word mod min(cap, m)), then draw that
-    many distinct indices as word mod m, redrawing collisions.  Without a
-    cap: draw ceil(m / 64) words, the k-th filling bits 64k and up, truncate
-    to m bits, redraw an empty mask.
-    """
-    full = (1 << m) - 1
-    masks = []
-    for _ in range(count):
-        mask = 0
-        if max_set_size is not None:
-            size = 1 + next(words) % min(max_set_size, m)
-            while mask.bit_count() < size:
-                mask |= 1 << next(words) % m
-        else:
-            while not mask:
-                for chunk in range((m + 63) // 64):
-                    mask |= next(words) << (64 * chunk)
-                mask &= full
-        masks.append(mask)
-    return masks
+
+def _parse_capped(words: np.ndarray, m: int, k: int, count: int, window: int) -> tuple[np.ndarray, int]:
+    """`_read_draws` for capped draws, m < 64, by array passes: pass t ORs in
+    bit (word i + t) mod m for every offset i, so a draw with size word i that
+    lacks bits in t - 1 of `window` passes ends at word i + t.  One walk follows
+    the ends from offset 0; a draw unsettled in the window goes on word by word."""
+    n, dtype = len(words), np.uint32 if m <= 32 else np.uint64
+    bits = np.concatenate([np.left_shift(dtype(1), (words % np.uint64(m)).astype(dtype)), np.zeros(window, dtype)])
+    sizes, acc, short = (words % np.uint64(k)).astype(np.uint8) + 1, np.zeros(n, dtype), np.zeros(n, np.uint8)
+    for t in range(1, window + 1):
+        acc |= bits[t:t + n]
+        short += np.bitwise_count(acc) < sizes
+    ends, starts, pos = memoryview(np.where(short < window, np.arange(2, n + 2, dtype=np.int32) + short, 0)), [], 0
+    with contextlib.suppress(IndexError):  # the walk or a draw runs past the words
+        for _ in range(count):
+            end = ends[pos]
+            if not end:
+                mask, end, size = int(acc[pos]), pos + 1 + window, int(sizes[pos])
+                while mask.bit_count() < size:
+                    mask |= 1 << int(words[end]) % m
+                    end += 1
+            starts.append(pos)
+            pos = end
+    starts = np.array(starts, dtype=np.intp)
+    bits[starts] = 0  # a draw's index words run from its size word to the next draw's
+    return np.bitwise_or.reduceat(bits[:pos], starts + 1) if len(starts) else bits[:0], pos
+
+
+def _draw_masks(rng: SplitMix64, m: int, max_set_size: int | None, count: int):
+    """`count` random nonempty subset masks from `rng`, in the documented
+    draw order for replay: an array of `_masks_upto`'s dtype while m < 64, a
+    list of ints beyond.  With a size cap: draw size = 1 + (word mod
+    min(cap, m)), then draw that many distinct indices as word mod m,
+    redrawing collisions.  Without a cap: draw ceil(m / 64) words, the k-th
+    filling bits 64k and up, truncate to m bits, redraw an empty mask.
+
+    Up to `_BLOCK` words are fetched at a time; unread ones go back.  While
+    m < 64 arrays parse the draws: uncapped, the nonzero words; capped
+    (`_parse_capped`), in a window of the mean plus two deviations of the
+    index words of a cap-sized draw, if at most 64.  The rest are read word
+    by word (`_read_draws`)."""
+    k, dtype = min(max_set_size or m, m), np.uint32 if m <= 32 else np.uint64
+    window, expected = 0, (m + 63) // 64 / (1 - 2.0 ** -m)
+    if max_set_size is not None:
+        new = 1 - np.arange(k) / m  # the chance that an index word is new after j distinct
+        window = math.ceil(np.sum(1 / new) + 2 * np.sqrt(np.sum((1 - new) / new ** 2)))
+        window, expected = window if window <= 64 else 0, 1 + np.mean(np.cumsum(1 / new))
+    arrays, parts, floor = m < 64 and (window > 0 or max_set_size is None), [], 1
+    while count:
+        n = max(floor, min(math.ceil(count * expected * 1.05) + 4 * window + 16, _BLOCK))
+        words = rng.next_words(n)
+        if not arrays:
+            masks, read = _read_draws(words.tolist(), m, max_set_size, count)
+        elif window:
+            masks, read = _parse_capped(words, m, k, count, window)
+        else:  # the nonzero words, truncated to m bits
+            masks = words & np.uint64((1 << m) - 1)
+            kept = np.flatnonzero(masks)[:count]
+            masks, read = masks[kept], int(kept[-1]) + 1 if len(kept) else 0
+        rng.unread(n - read)
+        floor = 1 if len(masks) else 2 * n  # a draw longer than the fetch doubles the next
+        parts.append(masks if m >= 64 else np.asarray(masks, dtype))
+        count -= len(masks)
+    return list(itertools.chain.from_iterable(parts)) if m >= 64 else np.concatenate([np.zeros(0, dtype), *parts])
 
 
 def hunt_counterexample(config: SweepConfig) -> Report:
     """Sampled version of the sweep: seeded, reproducible, same checks.
 
-    Draws are counted a block of `_BLOCK` at a time by the exhaustive
-    sweeps' worker (`_partition`), as arrays of `_masks_upto`'s dtype while
-    masks fit in 63 bits and as lists of Python ints beyond.
+    Draws (`_draw_masks`: one word stream for all primes, parsed with array
+    passes or, past 63 bits and for caps too wide for them, word by word) are
+    counted a block of `_BLOCK` at a time by the exhaustive sweeps' worker
+    (`_partition`), as arrays of `_masks_upto`'s dtype, ints past 63 bits.
     """
     if config.samples is None:
         raise ValueError("hunt_counterexample needs a sample count")
     config.validate()
     theorem = config.theorem
     is_pair = THEOREMS[theorem].pair
-    words = SplitMix64(config.seed).words()
+    rng = SplitMix64(config.seed)
 
     def blocks(m: int):
         for done in range(0, config.samples, _BLOCK):
             count = min(_BLOCK, config.samples - done)
-            masks = _draw_masks(words, m, config.max_set_size, 2 * count if is_pair else count)
-            if m < 64:
-                masks = np.array(masks, dtype=np.uint32 if m <= 32 else np.uint64)
+            masks = _draw_masks(rng, m, config.max_set_size, 2 * count if is_pair else count)
             # a pair theorem draws A and B alternately
             yield (masks[::2], masks[1::2], 1) if is_pair else (masks, masks, 1)
 

@@ -2,8 +2,8 @@
 
 Everything here works on plain Python ints and dicts so that test
 expectations never route through the code under test.  The sampling and
-counting oracles use only `SplitMix64.next_word` and the fields of
-`PrimeStats`.
+counting oracles use only their own splitmix64 (`SplitMix64Oracle`) and the
+fields of `PrimeStats`.
 """
 
 from __future__ import annotations
@@ -150,7 +150,25 @@ def nonempty_subsets(universe) -> list[tuple[int, ...]]:
     return out
 
 
-def sample_mask_oracle(rng, m: int, max_set_size: int | None) -> int:
+class SplitMix64Oracle:
+    """splitmix64 one word at a time on Python ints: the state steps by the
+    golden constant, and each word is the state mixed by two xor-shift
+    multiplies and a final xor-shift."""
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = seed
+
+    def next_word(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+
+def sample_mask_oracle(rng: SplitMix64Oracle, m: int, max_set_size: int | None) -> int:
     """One random nonempty subset mask, drawing one word at a time.
 
     With a size cap: size = 1 + (word mod min(cap, m)), then that many

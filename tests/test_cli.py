@@ -141,6 +141,31 @@ def test_sized_sweep_reports_match_recorded_digests(key, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIZED_GOLDEN[key]
 
 
+# sampled hunts whose draws stress the word parse: uint64 masks, size caps at
+# or near m (coupon-collector draws), an uncapped hunt, and one word stream
+# across primes either side of the 63-bit line; recorded at the commit before
+# the draws were parsed from the words as arrays
+HUNT_GOLDEN = {
+    "verify --theorem mult --prime 61 --samples 20000 --seed 3 --max-size 8":
+        "33ba4a5195e1db8b40ea098e5176a39d6a1f1ce84a8cdcc627a939b81ea10d4a",
+    "verify --theorem additive --prime 61 --samples 4000 --seed 3 --max-size 61":
+        "9258485ccf03e220e14adf1120fcff73e781b31ab3ab8ba1b28021c06f4e880b",
+    "verify --theorem main --prime 37 --samples 20000 --seed 3 --max-size 36":
+        "53b9b9114f0d29ff3ac02dc9b28e454540db3ece3a34fc5519b6317d8f5fb151",
+    "verify --theorem cover --prime 31 --samples 20000 --seed 3":
+        "f07e37d6f0099362e8a54a797b19aacb428ca6c23bcbfe9fe14eb3e0b80fab83",
+    "verify --theorem mult --prime 31,67,13 --samples 3000 --seed 7 --max-size 6":
+        "9ddb51020fc9936aa50238483f0fcb3770f1331328d74710f018eba2cf3b71e3",
+}
+
+
+@pytest.mark.parametrize("key", HUNT_GOLDEN)
+def test_hunt_reports_match_recorded_digests(key, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(key.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HUNT_GOLDEN[key]
+
+
 # sweeps whose mask lists span several kernel blocks (`search._BLOCK`), which
 # the golden.json sweeps (p <= 13) never do; recorded at the commit before
 # the pair kernel and the orbit search ran one block at a time

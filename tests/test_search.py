@@ -28,6 +28,7 @@ from nullcert.sets import ElementSet, GroupMode
 
 from conftest import (
     OFFSETS,
+    SplitMix64Oracle,
     count_instance_oracle,
     group_elements_oracle,
     instance_oracle,
@@ -693,31 +694,52 @@ def test_ks_add_tight_count_follows_vosper(p):
 # ------------------------------------------ sampled hunts vs the reference
 
 
+def _assert_draws_match_oracle(seed, m, cap, count):
+    oracle = SplitMix64Oracle(seed)
+    expected = [sample_mask_oracle(oracle, m, cap) for _ in range(count)]
+    rng = SplitMix64(seed)
+    masks = search._draw_masks(rng, m, cap, count)
+    assert getattr(masks, "dtype", list) == (np.uint32 if m <= 32 else np.uint64 if m < 64 else list)
+    assert [int(mask) for mask in masks] == expected
+    # the generator stands at the word a word-by-word draw reads next
+    assert rng.state == oracle.state
+
+
 @settings(max_examples=150)
 @given(
     seed=st.integers(0, (1 << 64) - 1),
     m=st.one_of(st.sampled_from([63, 64, 65]), st.integers(1, 130)),
     cap=st.none() | st.integers(1, 133),
     count=st.integers(0, 40),
-    block=st.sampled_from([1, 2, 3, 7, search._BLOCK]),
+    block=st.sampled_from([1, 2, 3, 7, 64, search._BLOCK]),
 )
 def test_draw_masks_match_sequential_sampler(seed, m, cap, count, block):
     cap = None if cap is None else min(cap, m + 3)
-    oracle = SplitMix64(seed)
-    expected = [sample_mask_oracle(oracle, m, cap) for _ in range(count)]
-    # a small word block makes every draw cross a buffer boundary
+    # a fetch of a few words makes draws cross the end of the words fetched
     with mock.patch.object(search, "_BLOCK", block):
-        words = SplitMix64(seed).words()
-        assert search._draw_masks(words, m, cap, count) == expected
-        # the stream goes on with the word a word-by-word draw reads next
-        assert next(words) == oracle.next_word()
+        _assert_draws_match_oracle(seed, m, cap, count)
+
+
+@pytest.mark.parametrize("m,cap,count,block", [
+    # coupon-collector draws, settled in array windows of up to 40 index words
+    *((m, cap, 300, block) for m in range(1, 9) for cap in (m, m + 2) for block in (7, 64, search._BLOCK)),
+    # the widest draws, one word at a time, some longer than a whole fetch
+    *((63, 63, 200, block) for block in (7, 64, search._BLOCK)),
+    # counts that cross one fetch of `_BLOCK` words
+    *((m, cap, search._BLOCK + 5, search._BLOCK)
+      for m, cap in ((1, None), (30, None), (30, 6), (60, 8), (8, 8), (70, 6))),
+])
+def test_draw_masks_match_sequential_sampler_on_wide_and_long_draws(m, cap, count, block):
+    with mock.patch.object(search, "_BLOCK", block):
+        for seed in (0, 3, (1 << 64) - 1):
+            _assert_draws_match_oracle(seed, m, cap, count)
 
 
 def _reference_hunt(config):
     """The per-draw loop: sequential sampler, set oracles and counter."""
     pair = THEOREMS[config.theorem].pair
     mode_tag = _mode_tag(config.theorem, config.group_mode)
-    rng = SplitMix64(config.seed)
+    rng = SplitMix64Oracle(config.seed)
     per_prime = []
     for p in config.primes:
         elements = group_elements_oracle(mode_tag, p)
@@ -1015,14 +1037,16 @@ def test_hunt_large_prime_sampled():
 
 
 def test_splitmix64_known_stream():
+    oracle = SplitMix64Oracle(42)
     rng = SplitMix64(42)
-    first = [rng.next_word() for _ in range(3)]
     # frozen reference stream: any reimplementation must reproduce it
-    assert first == [
+    assert [oracle.next_word() for _ in range(3)] == rng.next_words(3).tolist() == [
         13679457532755275413,
         2949826092126892291,
         5139283748462763858,
     ]
+    rng.unread(2)
+    assert rng.next_words(2).tolist() == [2949826092126892291, 5139283748462763858]
 
 
 # ----------------------------------------------------------- validation
