@@ -4,24 +4,19 @@ The sweeps enumerate subsets of the additive group Z_p or of the
 multiplicative group GF(p)* (mapped to exponents of the smallest primitive
 root, which turns products into index sums), filter by each bound's
 hypothesis, and check the claimed inequality.  Subsets live in integer
-bitmasks over group indices (`_Universe`).  One kernel, `_eval`, evaluates
-every bound by counting, with an arithmetic cyclic rotate, the pairs that
-represent each element, each pair once ((a, b) for a pair bound, {a, b} for a
-single-set bound) in one walk, on one mask as a Python int or on a numpy array
-of masks; for `main` a pair whose (n-2)-th powers agree counts twice, so its
-sum is never a target.  Every sweep counts through one worker, `_partition`,
-whose blocks (amasks, bmasks, weight) are a run of A-masks of a single-set
-sweep (B = A), one A with every B of a pair sweep, or a block of a hunt's
-draws; it hands them to one step, `_count`, `_BLOCK` rows at a time, as arrays
-while masks fit in 63 bits and one draw at a time as ints beyond.  No array
-pass, `_orbits` included, holds more than `_BLOCK` masks.  An exhaustive sweep
-reads one list per prime, the masks within the size cap (`_masks_upto`), built
-at the cost of its length; an unsized single-set sweep holds none and reads
-`range`s of masks.  Report entries are the kernel rows that the sweep
-counted, (amask, bmask, size, bound, targets), formatted without a second
-kernel pass and without a Python loop over the bits of a listed mask
-(`_Universe.masks_to_values`).  The `main` certificate is replayed only where
-the bound fails, the one case in which it can raise.
+bitmasks over group indices (`_Universe`).  A bound is read from the
+elements that one, and that two or more, of its pairs represent ((a, b) for
+a pair bound, {a, b} for a single-set bound; for `main` a pair whose
+(n-2)-th powers agree counts twice).  `_eval` walks the pairs of A with an
+arithmetic cyclic rotate, on one mask as a Python int or on a numpy array of
+masks, for hunts, sweeps with a size cap and `main`; the unsized sweeps
+build each mask's state from a smaller mask's with bit tables (`_passes`),
+`_eval` being their oracle.  Every sweep counts through one worker,
+`_partition`, `_BLOCK` rows at a time (`_count`), as arrays while masks fit
+in 63 bits, as ints beyond; no array pass, table or temporary holds more
+than `_BLOCK` masks.  Report entries are the rows that the sweep counted,
+(amask, bmask, size, bound, targets), formatted without a second kernel
+pass.  The `main` certificate is replayed only where the bound fails.
 
 An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
@@ -504,27 +499,118 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
     return size, bound, once & ~twice
 
 
+def _doubled(shape: tuple, state, added, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(once, twice) tables of `shape` from `state`, entry 0 of the last axis,
+    by doubling: entry l + 2^j, l < 2^j, is entry l plus bit j's sums, `added(j, k)` for l < k."""
+    once, twice = np.empty(shape, dtype), np.empty(shape, dtype)
+    once[..., 0], twice[..., 0] = state
+    for j in range((shape[-1] - 1).bit_length()):
+        half, k = 1 << j, min(1 << j, shape[-1] - (1 << j))
+        sums = added(j, k)
+        np.bitwise_or(twice[..., :k], once[..., :k] & sums, out=twice[..., half:half + k])
+        np.bitwise_or(once[..., :k], sums, out=once[..., half:half + k])
+    return once, twice
+
+
+def _pair_passes(m: int, theorem: str, blocks: list, dtype):
+    """`_passes` of an unsized pair sweep's blocks (A, every B, weight): (once,
+    twice) tables of B's low and high bits, a row per A of a run, are doubled
+    up and broadcast against each other; c is a target if one half has it once
+    and the other not.  For `cover` the a with 2a in `once` stand in for `twice`."""
+    spec, low = THEOREMS[theorem], (m + 1) // 2
+    sizes, per_run, width = _popcount(np.arange(1 << low, dtype=dtype)), _BLOCK >> low, 1 << low
+    for first in range(0, len(blocks), per_run):
+        run, b = blocks[first:first + per_run], np.arange(m, dtype=dtype)
+        steps = _cyclic_shift(np.array([[a] for a, _, _ in run], dtype) & ~(dtype(spec.restricted) << b), b, m)
+        tables = [_doubled((len(run), 1 << bits), (0, 0), lambda j, k, at=at: steps[:, at + j, None], dtype)
+                  for at, bits in ((0, low), (low, m - low))]
+        (low_once, low_free), (high_once, high_free) = (  # `free`: in neither half's `twice`
+            (once, ~(sum((once >> (2 * a % m) & 1) << a for a in range(m)) if theorem == "cover" else twice))
+            for once, twice in tables)
+        for r, (amask, bmasks, weight) in enumerate(run):
+            high_size = sizes[:1 << m - low] + (amask.bit_count() - spec.offset)
+            for lo in range(bmasks.start, bmasks.stop, _BLOCK):
+                rows = np.arange(lo, hi := min(lo + _BLOCK, bmasks.stop), dtype=dtype)
+                (once, alone, free), bound = (np.empty_like(rows) for _ in range(3)), np.empty(hi - lo, np.int16)
+                # the part rows at either end and the whole rows between
+                cuts = sorted({lo, hi, min(hi, -(-lo // width) * width), max(lo, hi // width * width)})
+                for start, stop in zip(cuts, cuts[1:]):
+                    (r0, c0), span = divmod(start, width), stop - start
+                    high, cols = (r, slice(r0, r0 + max(1, span // width)), None), (r, slice(c0, c0 + min(span, width)))
+                    o, a, f, t = (column[start - lo:stop - lo].reshape(high[1].stop - r0, -1)
+                                  for column in (once, alone, free, bound))
+                    np.bitwise_or(high_once[high], low_once[cols], out=o)
+                    np.bitwise_and(high_free[high], low_free[cols], out=f)
+                    np.add(high_size[high[1:]], sizes[cols[1]], out=t)
+                    if theorem != "cover":  # `cover` reads no targets from `alone`
+                        np.bitwise_xor(high_once[high], low_once[cols], out=a)
+                size = _popcount(once)  # `cover`: N, as in `_eval`, is A & B whose squares are free
+                yield amask, rows, weight, ((size, bound, alone & free) if theorem != "cover" else
+                                            (size, bound - _popcount(n_mask := amask & rows & free) // 2, n_mask))
+
+
+def _passes(m: int, theorem: str, blocks: Iterable[tuple]):
+    """Each `_BLOCK`-row pass of a partition's blocks (a run of A-masks of a
+    single-set sweep as A and B, one canonical A with every B of a pair
+    sweep, `range`s if unsized, or a hunt's draws) as (amasks, bmasks,
+    weight, row): `row` is None for `_eval`, or the incremental kernel's
+    (size, bound, targets) for an unsized sweep but `main` (its power filter
+    needs the final size) and pairs past 2 log2 `_BLOCK` bits (28 by default,
+    past any budget).  Adding b to B adds the sums S_b (A rotated by b, less
+    b for a restricted bound), each once: once(B + b) = once(B) | S_b,
+    twice(B + b) = twice(B) | (once(B) & S_b) (`_pair_passes`); adding t to a
+    single set X adds X rotated by t, in windows of 2^w <= `_BLOCK` sets
+    doubled over their low bits from the state of their high bits."""
+    spec, dtype = THEOREMS[theorem], np.uint32 if m <= 32 else np.uint64
+    width = 1 << min(m, _BLOCK.bit_length() - 1)
+    fast = theorem != "main" and (not spec.pair or m <= 2 * (_BLOCK.bit_length() - 1))
+    for incremental, group in itertools.groupby(blocks, lambda block: fast and isinstance(block[1], range)):
+        if incremental and spec.pair:
+            yield from _pair_passes(m, theorem, list(group), dtype)
+            continue
+        for amasks, bmasks, weight in group:
+            if isinstance(bmasks, range):
+                lo, bmasks = bmasks.start, np.arange(bmasks.start, bmasks.stop, dtype=dtype)
+                amasks = amasks if spec.pair else bmasks
+            if not incremental:
+                for at in range(0, len(bmasks), _BLOCK):
+                    run = amasks if isinstance(amasks, int) else amasks[at:at + _BLOCK]
+                    yield run, bmasks[at:at + _BLOCK], weight, None
+                continue
+            once, twice = np.empty_like(bmasks), np.empty_like(bmasks)  # a block of sets is one pass
+            for base in range(lo - lo % width, lo + len(bmasks), width):
+                start, stop, state, seen = max(lo - base, 0), min(lo + len(bmasks) - base, width), (0, 0), 0
+                for t in _mask_bits(base):
+                    added, seen = _cyclic_shift(seen, t, m), seen | 1 << t
+                    state = state[0] | added, state[1] | state[0] & added
+                sets, at = np.arange(base, base + stop, dtype=dtype), slice(base + start - lo, base + stop - lo)
+                window = _doubled((stop,), state, lambda j, k: _cyclic_shift(sets[:k], j, m), dtype)
+                once[at], twice[at] = window[0][start:], window[1][start:]
+            yield bmasks, bmasks, weight, (_popcount(once), 2 * _popcount(bmasks) - spec.offset, once & ~twice)
+
+
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
-           tight_cap: int, weight: int = 1) -> None:
-    """Evaluate the rows of `amasks` and `bmasks` (`_eval`) and count them
-    into `stats`, each `weight` times, recording the tight and violated rows,
-    up to their caps, as (amask, bmask, size, bound, targets) of Python ints,
-    taken with one index and one `tolist` per column.  `amasks` is
-    one A (an int) or the A of each row, `bmasks` the B of each row, the A
-    itself for single sets.  A target is one hypothesis unit, except that a
-    `cover` pair counts once when N is nonempty.  A violated `main` bound
-    replays the certificate for each target: only there can it raise."""
-    size, bound, targets = _eval(theorem, universe.m, amasks, bmasks)
-    units = targets != 0 if theorem == "cover" else _popcount(targets)
-    ok = size >= bound
-    has_c = units > 0
-    tight = has_c & ok & (size == bound)
-    violated = has_c & ~ok
+           tight_cap: int, weight: int = 1, row: tuple | None = None) -> None:
+    """Count the rows of `amasks` and `bmasks` into `stats`, each `weight`
+    times, from their (size, bound, targets), `row` or else `_eval`'s,
+    recording the tight and violated rows, up to their caps, as (amask,
+    bmask, size, bound, targets) of Python ints, taken with one index and one
+    `tolist` per column.  `amasks` is one A (an int) or the A of each row,
+    `bmasks` the B of each row, the A itself for single sets.  A target is
+    one hypothesis unit (a `cover` pair counts once when N is nonempty); the
+    bound holds for all units but the violated rows'.  A violated `main`
+    bound replays the certificate for each target: only there can it raise."""
+    size, bound, targets = _eval(theorem, universe.m, amasks, bmasks) if row is None else row
+    has_c = targets != 0
+    units = has_c if theorem == "cover" else _popcount(targets)
+    tight = has_c & (size == bound)
+    violated = has_c & (size < bound)
+    hypothesis, bad = int(units.sum()), int(np.count_nonzero(violated))
     stats.examined += weight * len(size)
-    stats.hypothesis_satisfying += weight * int(units.sum())
-    stats.bound_holding += weight * int(units[ok].sum())
-    stats.tight_count += weight * int(tight.sum())
-    stats.counterexample_count += weight * int(violated.sum())
+    stats.hypothesis_satisfying += weight * hypothesis
+    stats.bound_holding += weight * (hypothesis - (int(units[violated].sum()) if bad else 0))
+    stats.tight_count += weight * int(np.count_nonzero(tight))
+    stats.counterexample_count += weight * bad
     if isinstance(bmasks, list):  # a hunt's draws past 63 bits
         amasks, bmasks = np.array(amasks, dtype=object), np.array(bmasks, dtype=object)
     for rows, flags, cap in ((stats.tight, tight, tight_cap),
@@ -550,17 +636,10 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
 
 
 def _partition(universe: _Universe, theorem: str, blocks: Iterable[tuple], tight_cap: int) -> PrimeStats:
-    """Count each block (amasks, bmasks, weight) of `blocks`, `_BLOCK` rows
-    at a time (`_count`); returns partial stats.  A block is a run of A-masks
-    of a single-set sweep, as both A and B (a `range` of them if unsized), one
-    canonical A with every B of a pair sweep, or a block of a hunt's draws."""
+    """Count each pass of `blocks` (`_passes`, `_count`); returns partial stats."""
     stats = PrimeStats(universe.field.p)
-    for amasks, bmasks, weight in blocks:
-        if isinstance(bmasks, range):
-            amasks = bmasks = np.arange(bmasks.start, bmasks.stop, dtype=np.uint32 if universe.m <= 32 else np.uint64)
-        for lo in range(0, len(bmasks), _BLOCK):
-            run = amasks if isinstance(amasks, int) else amasks[lo:lo + _BLOCK]
-            _count(stats, universe, theorem, run, bmasks[lo:lo + _BLOCK], tight_cap, weight)
+    for amasks, bmasks, weight, row in _passes(universe.m, theorem, blocks):
+        _count(stats, universe, theorem, amasks, bmasks, tight_cap, weight, row)
     return stats
 
 
@@ -686,7 +765,8 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
         if is_pair:
             canon, reps, weights = _orbits(m, masks)
             _check_budget(p, len(reps) * len(masks), "checks", config.budget)
-            blocks = [(rep, masks, weight) for rep, weight in zip(reps.tolist(), weights.tolist())]
+            blocks = [(rep, range(1, 1 << m) if max_size is None else masks, weight)
+                      for rep, weight in zip(reps.tolist(), weights.tolist())]
         else:
             blocks = [(block, block, 1) for block in (masks[lo:lo + _BLOCK] for lo in range(0, len(masks), _BLOCK))]
         tasks = [(universe, theorem, blocks[lo:hi], config.tight_cap)

@@ -178,6 +178,18 @@ MULTI_BLOCK_GOLDEN = {
         "96ad53f6c219b4f75cc8ed63d8f48fd3beb7b6cca03e8f6b7bd6d5e73c7ed94d",
     "verify --theorem corollary-add --prime 19 --exhaustive":
         "c70ef6f2a30dc70466d5f61c518e2cd84212c572327da6abeb1158f9dbe352dd",
+    # unsized sweeps past one block of every kind that the incremental kernel
+    # counts, recorded at the commit before it
+    "verify --theorem additive --prime 17 --exhaustive --budget 134217728":
+        "76cc4079215eb8a6dc3ee72d5d3c3acd44f61008bf22d627fda96c2e95ef735d",
+    "verify --theorem ks --mode add --prime 17 --exhaustive --budget 134217728":
+        "dae6b05cb24304f02c11bb3e0e379e7d2482890fab15932263b278138fc32119",
+    "verify --theorem ks --mode mult --prime 17 --exhaustive":
+        "edd3e1b7ab7835c1e38b32f4da231be81d3a7e61a18fa44bd6c266097885fe9f",
+    "verify --theorem corollary-mult --prime 19 --exhaustive":
+        "dc5dc9c6d6f0f1a7cc8bfd185a6c5aa7ef21ed3ebe93103ba31abf0f68240d82",
+    "verify --theorem corollary-add --prime 23 --exhaustive":
+        "811bfc593e3d6a745cc9b3094af8124a2cea0590face97fd2e96e4a58326192a",
 }
 
 

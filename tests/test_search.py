@@ -1000,6 +1000,69 @@ def test_unsized_single_set_sweep_holds_no_mask_list(monkeypatch, theorem, p):
         assert json_text([s.to_json_dict() for s in report.per_prime]) == expected, (partitions, jobs)
 
 
+# ------------------------------------- the incremental kernel vs `_eval`
+
+_INCREMENTAL = [theorem for theorem in ALL_THEOREMS if theorem != "main"]
+
+
+@settings(max_examples=300)
+@given(
+    theorem=st.sampled_from(_INCREMENTAL),
+    # m = 1 and 2 leave the high table one bit or none; pairs past 2 log2
+    # `_BLOCK` bits (10 for 37, 12 for 100) are left to `_eval`
+    m=st.integers(1, 14),
+    # not powers of two: passes sit off the tables' 2^k grid, and single-set
+    # blocks, which start at mask 1, one off it too
+    block=st.sampled_from([100, 37, search._BLOCK]),
+    data=st.data(),
+)
+def test_incremental_kernel_matches_eval(theorem, m, block, data):
+    # every row of every pass that `_passes` hands `_count` for an unsized
+    # block equals `_eval`'s: for a pair bound a list of A's, several runs of
+    # them when `_BLOCK` is small, each against every B; for a single-set
+    # bound one block of the sets as `exhaustive_verify` cuts them.  Pairs
+    # past 2 log2 `_BLOCK` bits, whose tables would not fit, are left to `_eval`
+    served = not THEOREMS[theorem].pair or m <= 2 * (block.bit_length() - 1)
+    every = range(1, 1 << m)
+    with mock.patch.object(search, "_BLOCK", block):
+        if THEOREMS[theorem].pair:
+            amasks = data.draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=12))
+            blocks = [(amask, every, weight) for weight, amask in enumerate(amasks, 1)]
+        else:
+            lo = block * data.draw(st.integers(0, (len(every) - 1) // block))
+            blocks = [(every[lo:lo + block], every[lo:lo + block], 1)]
+        passes = list(search._passes(m, theorem, blocks))
+    for amask, bmasks, weight in blocks:
+        rows = [passes.pop(0) for _ in range(-(-len(bmasks) // block))]
+        lengths = [min(block, len(bmasks) - lo) for lo in range(0, len(bmasks), block)]
+        assert [len(run) for _, run, _, _ in rows] == lengths
+        assert all(got_weight == weight and (row is not None) == served for _, _, got_weight, row in rows)
+        assert np.concatenate([run for _, run, _, _ in rows]).tolist() == list(bmasks)
+        dtype = rows[0][1].dtype
+        expected = search._eval(theorem, m, amask if isinstance(amask, int) else np.array(amask, dtype),
+                                np.array(bmasks, dtype))
+        got_rows = [row or search._eval(theorem, m, a, run) for a, run, _, row in rows]
+        for got, want in zip(zip(*got_rows), expected):
+            assert np.concatenate(got).tolist() == want.tolist()
+    assert not passes
+
+
+@pytest.mark.parametrize("theorem", _INCREMENTAL)
+@pytest.mark.parametrize("block", [100, 37])
+def test_incremental_sweeps_match_listed_sweeps(monkeypatch, theorem, block):
+    # an unsized sweep counts through the incremental kernel, the same sweep
+    # with a size cap that admits every set through `_eval`: per-prime stats
+    # are equal, entries included, at 1 and 3 partitions
+    monkeypatch.setattr(search, "_BLOCK", block)
+    mode = GroupMode.MULTIPLICATIVE if theorem == "ks" else None
+    primes = (2, 3, 5, 7, 11) if THEOREMS[theorem].pair else (2, 3, 5, 7, 11, 13)
+    listed = SweepConfig(theorem=theorem, primes=primes, group_mode=mode, max_set_size=13, tight_cap=50)
+    expected = json_text([s.to_json_dict() for s in exhaustive_verify(listed).per_prime])
+    for partitions in (1, 3):
+        config = dataclasses.replace(listed, max_set_size=None, partitions=partitions)
+        assert json_text([s.to_json_dict() for s in exhaustive_verify(config).per_prime]) == expected, partitions
+
+
 def test_hunt_is_deterministic_and_reports_prng():
     config = SweepConfig(
         theorem="cover", primes=(7,), samples=500, seed=42
