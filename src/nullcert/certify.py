@@ -31,11 +31,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import FieldElement, PrimeField, json_text
-from .poly import _array, difference_product
+from .field import FieldElement, PrimeField, _array, json_text
+from .poly import difference_product
 from .sets import (
     ElementSet,
     GroupMode,
+    _one_table,
     exceptional_square_set,
     inverse_set,
     representations,
@@ -166,6 +167,8 @@ def _int(value, what: str, optional: bool = False) -> int | None:
 def _ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
     if not isinstance(value, list) or (length is not None and len(value) != length):
         raise _malformed(f"{what} must be a list of {length or 'any number of'} integers")
+    if set(map(type, value)) <= {int}:  # plain ints, checked at C speed
+        return tuple(value)
     return tuple(_int(v, what) for v in value)
 
 
@@ -209,7 +212,7 @@ def _covered(
     row x = t solves for its zeros: a*x + b*y + g at y = -(a*t + g)/b when
     b != 0, on the whole row or nowhere when b = 0; x*y - 1 at y = 1/t.  The
     zeros of all rows are one array, (A outer slopes + intercepts) mod p, in
-    the exact dtype of `poly._array`, beside a column of 1/t (p, matching
+    the exact dtype of `field._array`, beside a column of 1/t (p, matching
     no residue, at t = 0) and a column of p that ends every row; one sort of
     the keys row * (p + 1) + zero and one `searchsorted` of the grid's keys
     test every grid point against its row's zeros, in O(|A| (lines + |grid|))
@@ -259,9 +262,11 @@ def _covered(
     return cert
 
 
+@_one_table()
 def _unique_cover(theorem: str, A: ElementSet, B: ElementSet, c, reps=None) -> Certificate:
     """The cover argument from the restricted representations `reps` of c,
-    by default its unique one (HypothesisUnmet when it has another number).
+    by default its unique one (HypothesisUnmet when it has another number),
+    and the restricted combine, both read from one combine table.
 
     One line through every other restricted combine value g lies on the grid
     A x B, as x + y = g, or on A x B^-1, as x = g*y; the restriction a != b
@@ -349,14 +354,16 @@ def _summand(a: int, b: int, A: ElementSet, c: int, products: ElementSet) -> int
     return num * pow(den, -1, p) % p
 
 
+@_one_table()
 def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
     """Certify |restricted self-product| >= 2n - 3 under the pair hypothesis.
 
     The hypothesis: c has exactly two restricted representations in A * A,
     necessarily (a, b) and (b, a).  When the inequality already holds it is
     recorded as DirectlySatisfied together with the two closed-form summands,
-    both from the one product set P it builds.  When it fails but
-    a^(n-2) = b^(n-2), the improved bound makes no claim: HypothesisUnmet.
+    both from the one product set P it builds; the representations and P
+    are read from one combine table.  When it fails but a^(n-2) = b^(n-2),
+    the improved bound makes no claim: HypothesisUnmet.
     Any remaining case would force a nonzero value for a coefficient that
     degree counting proves to be zero: the `mult` cover (`_unique_cover`)
     through both representations leaves (a, b^-1) and (b, a^-1) of A x A^-1
@@ -391,16 +398,18 @@ def symmetric_pair_certificate(A: ElementSet, c) -> Certificate:
     return _unique_cover("main", A, A, c, [(a, b), (b, a)])
 
 
+@_one_table()
 def hyperbola_cover_certificate(A: ElementSet, B: ElementSet) -> Certificate:
     """Certify |restricted product set| >= |A| + |B| - 2 - floor(|N|/2).
 
     N is the exceptional square set {a in A n B : a*a not in the restricted
-    product set}.  The lines x = g*y (g over the restricted products) cover
-    every grid point of A x B^-1 except the |N| hyperbola points (a, a^-1),
-    a in N.  The smallest residue in N is designated to stay uncovered; the
-    remaining points are taken in sorted order and covered two at a time by
-    secants, with a leftover point (when |N| is even) covered by the vertical
-    line through it alone: floor(|N|/2) added lines.  A secant through
+    product set}; N and the product set are read from one combine table.
+    The lines x = g*y (g over the restricted products) cover every grid
+    point of A x B^-1 except the |N| hyperbola points (a, a^-1), a in N.
+    The smallest residue in N is designated to stay uncovered; the remaining
+    points are taken in sorted order and covered two at a time by secants,
+    with a leftover point (when |N| is even) covered by the vertical line
+    through it alone: floor(|N|/2) added lines.  A secant through
     hyperbola points (u, 1/u) and (v, 1/v) meets the hyperbola nowhere else,
     and a vertical line meets it once.  The whole-grid profile check catches
     any other outcome: a secant that missed its points would leave them in

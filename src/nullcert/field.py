@@ -7,7 +7,12 @@ operation is pure.
 
 `json_text` writes the package's JSON files (reports, certificates, tight
 examples) by column, one template per list of records and one join per list
-of ints; it lives here, in the module every other one imports.
+of ints, and `_array` holds the one dtype rule of the package's exact array
+kernels (`sets`' combine table, `poly`'s grids, `certify`'s cover check):
+int64 when p < 2**31, so that a product of two residues stays below 2**62
+and no sum or difference the kernels form can wrap; an object array of
+Python ints otherwise.  Both dtypes run the same statements, and both are
+exact.  Both live here, in the module every other one imports.
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ import json
 from json.encoder import encode_basestring_ascii
 import operator
 
+import numpy as np
+
 PRIMALITY_CAP = 1 << 20
+
+
+def _array(values, p: int) -> np.ndarray:
+    """`values` (reduced residues, nested lists for a matrix) as an exact array."""
+    return np.array(values, dtype=np.int64 if p < 1 << 31 else object)
 
 
 def is_prime(n: int) -> bool:

@@ -22,11 +22,10 @@ The three nontrivial operations:
 The grid kernels here and `certify`'s cover check run as whole-block numpy
 operations on reduced residues.  Each dense matrix here (the line product's
 coefficients, the grid rows, the system `_echelon` eliminates) stays one
-`_array` until its answer is read back in Python ints.  `_array` holds the
-one dtype rule: int64 when p < 2**31, so that a product of two residues
-stays below 2**62 and no sum or difference the kernels form can wrap; an
-object array of Python ints otherwise.  Both dtypes run the same
-statements, and both are exact.
+`_array` until its answer is read back in Python ints.  `_array`, from
+`field`, holds the package's one dtype rule: int64 when p < 2**31, an
+object array of Python ints otherwise; both dtypes run the same statements,
+and both are exact.
 """
 
 from __future__ import annotations
@@ -37,12 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .field import FieldElement, PrimeField
-
-
-def _array(values, p: int) -> np.ndarray:
-    """`values` (reduced residues, nested lists for a matrix) as an exact array."""
-    return np.array(values, dtype=np.int64 if p < 1 << 31 else object)
+from .field import FieldElement, PrimeField, _array
 
 
 def _linear_form(field: PrimeField, alpha, beta, gamma) -> tuple[int, int, int]:

@@ -635,8 +635,14 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
 # --------------------------------------------------------------------------
 
 
-def _partition(universe: _Universe, theorem: str, blocks: Iterable[tuple], tight_cap: int) -> PrimeStats:
-    """Count each pass of `blocks` (`_passes`, `_count`); returns partial stats."""
+def _partition(universe: _Universe, theorem: str, blocks, tight_cap: int) -> PrimeStats:
+    """Count each pass of `blocks` (`_passes`, `_count`); returns partial stats.
+    `blocks` is an iterable of (amasks, bmasks, weight), or a single-set
+    sweep's run of masks (a `range` or an array), cut here into blocks of
+    `_BLOCK` sets, each A and B, as the passes reach them."""
+    if isinstance(blocks, (range, np.ndarray)):
+        masks = blocks
+        blocks = ((run, run, 1) for run in (masks[lo:lo + _BLOCK] for lo in range(0, len(masks), _BLOCK)))
     stats = PrimeStats(universe.field.p)
     for amasks, bmasks, weight, row in _passes(universe.m, theorem, blocks):
         _count(stats, universe, theorem, amasks, bmasks, tight_cap, weight, row)
@@ -767,10 +773,12 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
             _check_budget(p, len(reps) * len(masks), "checks", config.budget)
             blocks = [(rep, range(1, 1 << m) if max_size is None else masks, weight)
                       for rep, weight in zip(reps.tolist(), weights.tolist())]
-        else:
-            blocks = [(block, block, 1) for block in (masks[lo:lo + _BLOCK] for lo in range(0, len(masks), _BLOCK))]
-        tasks = [(universe, theorem, blocks[lo:hi], config.tight_cap)
-                 for lo, hi in _runs(len(blocks), min(config.partitions, len(blocks)))]
+            tasks = [(universe, theorem, blocks[lo:hi], config.tight_cap)
+                     for lo, hi in _runs(len(blocks), min(config.partitions, len(blocks)))]
+        else:  # each partition a run of whole blocks of masks, which it cuts itself
+            count = -(-len(masks) // _BLOCK)
+            tasks = [(universe, theorem, masks[lo * _BLOCK:hi * _BLOCK], config.tight_cap)
+                     for lo, hi in _runs(count, min(config.partitions, count))]
         stats = PrimeStats.merge(p, starmap(_partition, tasks), config.tight_cap)
         if is_pair:
             _first_entries(universe, theorem, stats, masks, canon, config.tight_cap)

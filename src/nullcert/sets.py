@@ -5,20 +5,33 @@ additive mode and a * b in multiplicative mode, with the *restricted* variants
 dropping every pair with a = b.  Mode or field mismatch is always a hard
 error, never a coercion.
 
-Sets keep a sorted tuple of residues (ints).  The search sweeps index
-subsets by bitmasks over group indices (`search._Universe`) and build
-ElementSets only to replay or attach certificates.
+Sets keep a sorted tuple of residues (ints).  Every construction on a pair
+(A, B) reads its *combine table* (`_table`): the |A| x |B| array of a o b
+mod p, one `np.add.outer` or `np.multiply.outer` of the two residue tuples
+as `field._array`s (the package's one dtype rule: int64 when p < 2**31,
+Python-int objects otherwise), with the mask of its pairs a != b.  Read row
+by row, the table lists the pairs in lexicographic (a, b) order.  Distinct
+values come from one sort and a neighbour compare, multiplicities from the
+lengths of the runs, and the representations of c from the cells that hold
+c.  Within `_one_table` (each certificate build) the constructions on one
+(A, B) read one table.
+
+The search sweeps index subsets by bitmasks over group indices
+(`search._Universe`) and build ElementSets only to replay or attach
+certificates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import operator
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .field import FieldElement, PrimeField
+import numpy as np
+
+from .field import FieldElement, PrimeField, _array
 
 
 class GroupMode(enum.Enum):
@@ -56,6 +69,14 @@ class ElementSet:
         self.field = field
         self.mode = mode
         self.values = tuple(values)
+
+    @classmethod
+    def _of(cls, field: PrimeField, mode: GroupMode, values: np.ndarray) -> "ElementSet":
+        """The set of `values`, residues already sorted, distinct and reduced
+        (never 0 in multiplicative mode), without the constructor's pass."""
+        out = cls.__new__(cls)
+        out.field, out.mode, out.values = field, mode, tuple(values.tolist())
+        return out
 
     @property
     def elements(self) -> tuple[FieldElement, ...]:
@@ -115,23 +136,80 @@ def group_identity(field: PrimeField, mode: GroupMode) -> FieldElement:
     return field.zero() if mode is GroupMode.ADDITIVE else field.one()
 
 
-def _combos(A: ElementSet, B: ElementSet, restricted: bool) -> list[tuple[int, int, int]]:
-    """(a, b, a o b) for a in A, b in B, with a != b if `restricted`, in
-    lexicographic (a, b) order."""
+class _Table(NamedTuple):
+    """The combine table of (A, B): residues `a` and `b` as arrays, g[i, j] =
+    a[i] o b[j] mod p, and `off`, the mask of the cells with a[i] != b[j]."""
+
+    a: np.ndarray
+    b: np.ndarray
+    g: np.ndarray
+    off: np.ndarray
+
+
+# the tables built so far inside `_one_table`, by (p, mode, A, B); None outside
+_shared: dict | None = None
+
+
+@contextlib.contextmanager
+def _one_table():
+    """Within the block (or the function it decorates), the constructions on
+    one (A, B) read one combine table; the outermost block drops them."""
+    global _shared
+    if _shared is not None:
+        yield
+        return
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def _table(A: ElementSet, B: ElementSet) -> _Table:
+    """The combine table of (A, B), built once per (A, B) inside `_one_table`."""
     _require_compatible(A, B)
-    p, op = A.field.p, _operation(A.mode)
-    return [(a, b, op(a, b) % p)
-            for a in A.values for b in B.values if not (restricted and a == b)]
+    key = None if _shared is None else (A.field.p, A.mode, A.values, B.values)
+    table = None if key is None else _shared.get(key)
+    if table is None:
+        p = A.field.p
+        a, b = _array(A.values, p), _array(B.values, p)
+        outer = np.add.outer if A.mode is GroupMode.ADDITIVE else np.multiply.outer
+        table = _Table(a, b, outer(a, b) % p, a[:, None] != b)
+        if key is not None:
+            _shared[key] = table
+    return table
+
+
+def _combined(A: ElementSet, B: ElementSet, restricted: bool) -> np.ndarray:
+    """a o b for a in A, b in B, with a != b if `restricted`, in
+    lexicographic (a, b) order."""
+    table = _table(A, B)
+    return table.g[table.off] if restricted else table.g.ravel()
+
+
+def _edges(values: np.ndarray) -> np.ndarray:
+    """The len(values) + 1 run edges of the sorted `values`: edge i is set
+    where a run of equal values starts at i or ends before it, so a run of
+    length k is an edge, k - 1 clear entries and the next edge."""
+    edges = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=edges[1:-1])
+    return edges
+
+
+def _distinct(A: ElementSet, values: np.ndarray) -> ElementSet:
+    """The set of `values` in A's field and mode."""
+    values = np.sort(values)
+    return ElementSet._of(A.field, A.mode, values[_edges(values)[:-1]])
 
 
 def full_combine(A: ElementSet, B: ElementSet) -> ElementSet:
     """{a o b : a in A, b in B} under the shared group operation."""
-    return ElementSet(A.field, A.mode, {g for _, _, g in _combos(A, B, False)})
+    return _distinct(A, _combined(A, B, False))
 
 
 def restricted_combine(A: ElementSet, B: ElementSet) -> ElementSet:
     """{a o b : a in A, b in B, a != b}."""
-    return ElementSet(A.field, A.mode, {g for _, _, g in _combos(A, B, True)})
+    return _distinct(A, _combined(A, B, True))
 
 
 def representations(
@@ -142,19 +220,24 @@ def representations(
     With `restricted` set, pairs with a = b are excluded.  An empty list is a
     normal outcome, not an error.
     """
-    combos = _combos(A, B, restricted)
+    table = _table(A, B)
     c = A.field.element(c)
+    hits = table.g == c.value
+    if restricted:
+        hits &= table.off
+    rows, cols = np.nonzero(hits)
+    field = A.field
     return [
-        Representation(FieldElement(a, A.field), FieldElement(b, A.field), c)
-        for a, b, g in combos
-        if g == c.value
+        Representation(FieldElement(A.values[i], field), FieldElement(B.values[j], field), c)
+        for i, j in zip(rows.tolist(), cols.tolist())
     ]
 
 
 def unique_rep_elements(A: ElementSet, B: ElementSet, restricted: bool = True) -> ElementSet:
     """All c with exactly one representation c = a o b (a != b if restricted)."""
-    counts = Counter(g for _, _, g in _combos(A, B, restricted))
-    return ElementSet(A.field, A.mode, [c for c, k in counts.items() if k == 1])
+    values = np.sort(_combined(A, B, restricted))
+    edges = _edges(values)
+    return ElementSet._of(A.field, A.mode, values[edges[:-1] & edges[1:]])
 
 
 def symmetric_pair_elements(A: ElementSet, B: ElementSet) -> ElementSet:
@@ -165,15 +248,17 @@ def symmetric_pair_elements(A: ElementSet, B: ElementSet) -> ElementSet:
     bounds; for A = B any c with exactly two restricted representations
     qualifies automatically.
     """
-    pairs: dict[int, list[tuple[int, int]]] = {}
-    for a, b, c in _combos(A, B, True):
-        pairs.setdefault(c, []).append((a, b))
-    selected = [
-        c
-        for c, ps in pairs.items()
-        if len(ps) == 2 and ps[0] == (ps[1][1], ps[1][0])
-    ]
-    return ElementSet(A.field, A.mode, selected)
+    table = _table(A, B)
+    rows, cols = np.nonzero(table.off)
+    kept = table.g[table.off]
+    order = np.argsort(kept, kind="stable")  # each run of one c in (a, b) order
+    values = kept[order]
+    edges = _edges(values)
+    two = np.flatnonzero(edges[:-2] & ~edges[1:-1] & edges[2:])  # the runs of length 2
+    first, second = order[two], order[two + 1]
+    # (a, b) then (a', b') with a o b = a' o b': b = a' forces a = b'
+    mirrored = table.b[cols[first]] == table.a[rows[second]]
+    return ElementSet._of(A.field, A.mode, values[two[mirrored]])
 
 
 def inverse_set(B: ElementSet) -> ElementSet:
@@ -224,7 +309,10 @@ def exceptional_square_set(A: ElementSet, B: ElementSet) -> ElementSet:
     _require_compatible(A, B)
     if A.mode is not GroupMode.MULTIPLICATIVE:
         raise ValueError("exceptional_square_set is a multiplicative-mode construction")
-    p = A.field.p
-    products = set(restricted_combine(A, B).values)
-    out = [a for a in set(A.values) & set(B.values) if a * a % p not in products]
-    return ElementSet(A.field, A.mode, out)
+    table = _table(A, B)
+    products = np.sort(table.g[table.off])
+    # the cells off the mask are the (a, a), a in A n B, ascending; they hold a*a
+    squares = table.g[~table.off]
+    ends = np.append(products, A.field.p)  # p: a sentinel past every residue
+    missing = ends[np.searchsorted(ends, squares)] != squares
+    return ElementSet._of(A.field, A.mode, table.a[np.nonzero(~table.off)[0][missing]])

@@ -22,7 +22,7 @@ from nullcert.certify import (
     symmetric_pair_summand,
     verify_certificate,
 )
-from nullcert import certify, field as field_module
+from nullcert import certify, field as field_module, sets
 from nullcert.field import PrimeField
 from nullcert.poly import (
     BivariatePolynomial,
@@ -484,6 +484,35 @@ def test_certificate_bytes_are_pinned():
     )
 
 
+def test_each_build_makes_one_combine_table(monkeypatch):
+    # a builder reads c's representations, the restricted combine and N from
+    # one table of (A, B), a `main` build from one table of (A, A); a rebuild
+    # makes its own, and so does each set-level call outside a build
+    tables = []
+    real = sets._Table
+    monkeypatch.setattr(sets, "_Table", lambda *args: tables.append(args) or real(*args))
+    A, B = mk(13, MULT, [1, 2, 4, 5]), mk(13, MULT, [2, 3, 4])
+    for build in (
+        lambda: additive_cover_certificate(mk(13, ADD, [0, 1, 3]), mk(13, ADD, [1, 5]), 1),
+        lambda: multiplicative_cover_certificate(A, B, 3),
+        lambda: hyperbola_cover_certificate(mk(7, MULT, [1, 2, 5]), mk(7, MULT, [1, 2, 5])),
+        lambda: symmetric_pair_certificate(mk(7, MULT, [2, 3]), 6),
+    ):
+        tables.clear()
+        cert = build()
+        assert cert.verdict != HYPOTHESIS_UNMET and len(tables) == 1, cert
+        tables.clear()
+        assert verify_certificate(cert) == (True, []) and len(tables) == 1
+    # with the main offset lowered to 2 the `main` build raises the contradiction
+    monkeypatch.setitem(THEOREMS, "main", dataclasses.replace(THEOREMS["main"], offset=2))
+    tables.clear()
+    with pytest.raises(TheoremContradictionError):
+        symmetric_pair_certificate(mk(13, MULT, [1, 2, 4]), 2)
+    assert len(tables) == 1
+    tables.clear()
+    assert restricted_combine(A, B) == restricted_combine(A, B) and len(tables) == 2
+
+
 # ------------------------------------------------------- cover check failures
 
 
@@ -828,6 +857,24 @@ def test_deeply_nested_json_is_a_malformed_certificate(text):
     # the decoder gives up past the recursion limit; that is malformed input too
     with pytest.raises(ValueError, match=r"^malformed certificate: JSON nested too deeply$"):
         Certificate.from_json(text)
+
+
+def test_int_lists_keep_every_check_of_the_element_loop():
+    # a list of plain ints passes whole; any other goes element by element,
+    # so a bool or a float is still refused with the element's message, and an
+    # int subclass is still accepted as the int it is
+    class Residue(int):
+        pass
+
+    data = _VALID[0]
+    for key, bad in (("A", [1, True]), ("B", [2.0]), ("lines", [[1, 1, False]]), ("summands", [1, "2"])):
+        what = {"lines": "line", "summands": "summands"}.get(key, key)
+        with pytest.raises(ValueError, match=rf"^malformed certificate: {what} must be an integer$"):
+            Certificate.from_json_dict({**data, key: bad})
+    parsed = Certificate.from_json_dict({**data, "A": [Residue(v) for v in data["A"]]})
+    assert parsed == Certificate.from_json_dict(data)
+    assert all(type(v) is Residue for v in parsed.A)
+    assert all(type(v) is int for v in Certificate.from_json_dict(data).A)
 
 
 # The inputs fix the canonical certificate; the remaining fields record the proof.

@@ -1,5 +1,9 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, strategies as st
+
+from nullcert import field as field_module
 from nullcert.field import PrimeField
 from nullcert.sets import (
     ElementSet,
@@ -279,3 +283,84 @@ def test_exceptional_set_detects_proper_containment(p):
                 full_combine(A, B).values
             )
             assert (len(n_set) > 0) == proper
+
+
+# the set layer's oracle: the plain double loop over A x B, in lexicographic
+# (a, b) order.  2**31 - 1 and 2**31 + 11 sit on either side of the combine
+# table's int64 limit; the larger primes run it on Python-int objects, and
+# past 2**32 - 5 an int64 product of two residues would wrap.
+_TABLE_PRIMES = (2, 3, 5, 257, (1 << 31) - 1, (1 << 31) + 11, (1 << 32) - 5, (1 << 89) - 1)
+
+
+def _combos(mode, p, A, B, restricted):
+    op = (lambda a, b: (a + b) % p) if mode is ADD else (lambda a, b: a * b % p)
+    return [(a, b, op(a, b)) for a in A for b in B if not (restricted and a == b)]
+
+
+@st.composite
+def _set_pairs(draw):
+    p, mode = draw(st.sampled_from(_TABLE_PRIMES)), draw(st.sampled_from([ADD, MULT]))
+    low = 0 if mode is ADD else 1
+    # a few residues, some that collide under + or * (1, -1, 2, 1/2, -2), so
+    # that repeated values, symmetric pairs and missing squares come up
+    special = [v % p for v in (0, 1, p - 1, 2, (p + 1) // 2, p - 2) if low <= v % p]
+    pool = draw(st.lists(st.sampled_from(special) | st.integers(low, p - 1), max_size=8))
+    A = sorted(set(draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []))
+    same = draw(st.booleans())
+    B = A if same else sorted(set(draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []))
+    return p, mode, A, B
+
+
+@given(_set_pairs(), st.integers())
+def test_every_construction_matches_the_double_loop(case, extra):
+    p, mode, A_vals, B_vals = case
+    with mock.patch.object(field_module, "is_prime", lambda n: n in _TABLE_PRIMES):
+        field = PrimeField(p)
+    A, B = ElementSet(field, mode, A_vals), ElementSet(field, mode, B_vals)
+    out = []
+    for restricted in (False, True):
+        combos = _combos(mode, p, A_vals, B_vals, restricted)
+        counts = {}
+        for _, _, g in combos:
+            counts[g] = counts.get(g, 0) + 1
+        combine = restricted_combine(A, B) if restricted else full_combine(A, B)
+        assert combine.values == tuple(sorted(counts))
+        unique = unique_rep_elements(A, B, restricted=restricted)
+        assert unique.values == tuple(sorted(g for g, k in counts.items() if k == 1))
+        for c in [*counts, extra]:
+            reps = representations(A, B, c, restricted=restricted)
+            assert [(r.a.value, r.b.value) for r in reps] == [(a, b) for a, b, g in combos if g == c % p]
+            assert all(r.product == field.element(c) for r in reps)
+            out += [r.a.value for r in reps] + [r.b.value for r in reps]
+        out += combine.values + unique.values
+    pairs = {}
+    for a, b, g in _combos(mode, p, A_vals, B_vals, True):
+        pairs.setdefault(g, []).append((a, b))
+    symmetric = symmetric_pair_elements(A, B)
+    assert symmetric.values == tuple(sorted(
+        g for g, ps in pairs.items() if len(ps) == 2 and ps[0] == ps[1][::-1]))
+    out += symmetric.values
+    if mode is MULT:
+        squares = exceptional_square_set(A, B)
+        assert squares.values == tuple(a for a in A_vals if a in B_vals and a * a % p not in pairs)
+        out += squares.values
+    else:
+        with pytest.raises(ValueError, match="multiplicative-mode construction"):
+            exceptional_square_set(A, B)
+    # no numpy scalar escapes the table
+    assert all(type(v) is int for v in out)
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 31) + 11, (1 << 32) - 5, (1 << 89) - 1])
+def test_combine_table_is_exact_at_the_largest_residues(p):
+    # (p - 1)**2 is the largest product the table forms: just below 2**62 at
+    # p = 2**31 - 1, past 2**64 at p = 2**32 - 5, where only objects hold it
+    with mock.patch.object(field_module, "is_prime", lambda n: n == p):
+        field = PrimeField(p)
+    top = [p - 2, p - 1]
+    A = ElementSet(field, MULT, top)
+    assert full_combine(A, A).values == (1, 2, 4)
+    assert restricted_combine(A, A).values == symmetric_pair_elements(A, A).values == (2,)
+    assert [(r.a.value, r.b.value) for r in representations(A, A, 1)] == [(p - 1, p - 1)]
+    assert exceptional_square_set(A, A).values == tuple(top)
+    assert full_combine(ElementSet(field, ADD, top), ElementSet(field, ADD, top)).values == (p - 4, p - 3, p - 2)
