@@ -24,6 +24,7 @@ can count (and must count zero) occurrences.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -112,7 +113,7 @@ class Certificate:
         elif isinstance(raw_exc, list) and raw_exc and isinstance(raw_exc[0], list):
             if len(raw_exc) < 2:
                 raise _malformed("a single exceptional point is written [t, s]")
-            exceptional = tuple(_ints(pt, "exceptional point", 2) for pt in raw_exc)
+            exceptional = _int_rows(raw_exc, "exceptional point", 2)
         else:
             exceptional = (_ints(raw_exc, "exceptional", 2),)
         if not isinstance(data["lines"], list):
@@ -130,7 +131,7 @@ class Certificate:
             A=_ints(data["A"], "A"),
             B=_ints(data["B"], "B"),
             c=_int(data["c"], "c", optional=True),
-            lines=tuple(_ints(line, "line", 3) for line in data["lines"]),
+            lines=_int_rows(data["lines"], "line", 3),
             exceptional=exceptional,
             degree=_int(data["degree"], "degree", optional=True),
             top_coefficient=_int(data["top_coefficient"], "top_coefficient", optional=True),
@@ -170,6 +171,15 @@ def _ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
     if set(map(type, value)) <= {int}:  # plain ints, checked at C speed
         return tuple(value)
     return tuple(_int(v, what) for v in value)
+
+
+def _int_rows(rows: list, what: str, length: int) -> tuple[tuple[int, ...], ...]:
+    """`_ints` of each row: rows that are all lists of `length` plain ints
+    pass in one check, any others go row by row, so a bad row keeps its message."""
+    flat = itertools.chain.from_iterable(rows)
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {length} and set(map(type, flat)) <= {int}:
+        return tuple(map(tuple, rows))
+    return tuple(_ints(row, what, length) for row in rows)
 
 
 class TheoremContradictionError(RuntimeError):

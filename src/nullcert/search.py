@@ -22,16 +22,17 @@ An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
 weighted by the orbit size.  Every pair bound is invariant under g applied to
 A and B together, so sum_B f(gA, B) = sum_B f(A, B): the counts are exact.
-The first entries, in direct (amask, bmask) order, are the rows of the
-canonical A's mapped onto the members of their orbits (`_first_entries`):
-one array pass per index map finds the members' maps, and their rows are
-mapped all at once.
+`_images` is the one walk over the maps.  `_orbits` takes from it each mask's
+least image, run by run; `_first_entries` takes the members of the listed
+orbits and the first map onto each, and maps the canonical A's rows onto them
+at once: the first entries, in direct (amask, bmask) order.
 
 The CLI hands every `nullcert verify`, sampled runs too, to
 `exhaustive_verify`, which forwards a sampled config to `hunt_counterexample`.
 Both run one per-prime loop (`_sweep`).  Each prime's set-up (its
-`_Universe`, its mask list) is built once and its blocks split into
-partitions, which share one worker pool per command.
+`_Universe`, and with a size cap its mask list; an unsized sweep reads
+`range`s) is built once and its blocks split into partitions, which share
+one worker pool per command.
 
 Instance accounting, used consistently by reports:
 
@@ -354,13 +355,17 @@ def _mask_count(m: int, max_set_size: int | None) -> int:
     return sum(math.comb(m, j) for j in range(k + 1))
 
 
+def _dtype(m: int):
+    """The dtype of m-bit mask arrays: uint32 up to m = 32, uint64 up to 63."""
+    return np.uint32 if m <= 32 else np.uint64
+
+
 def _masks_upto(m: int, max_set_size: int | None) -> np.ndarray:
     """Every nonempty m-bit mask with at most `max_set_size` bits, ascending,
     built at the cost of its length: the masks with top bit b are those below
-    2^b with fewer than k bits, with bit b set, and follow all of them.
-    uint32 up to m = 32, uint64 up to m = 63."""
+    2^b with fewer than k bits, with bit b set, and follow all of them."""
     k = m if max_set_size is None else min(max_set_size, m)
-    masks = np.zeros(_mask_count(m, k), dtype=np.uint32 if m <= 32 else np.uint64)
+    masks = np.zeros(_mask_count(m, k), dtype=_dtype(m))
     n = 1  # masks[:n] holds the empty mask and the masks below 2^b
     for b in range(m):
         below = masks[:n] if b < k else masks[:n][np.bitwise_count(masks[:n]) < k]
@@ -369,21 +374,36 @@ def _masks_upto(m: int, max_set_size: int | None) -> np.ndarray:
     return masks[1:]
 
 
-def _orbits(m: int, masks: np.ndarray) -> tuple:
-    """(canon, reps, weights) for the index maps k -> u*k + mu (mod m) on an
-    ascending list of masks closed under them (`_masks_upto`): canon[i] is
-    the least image of masks[i], found with one array pass per map over each
-    run of `_BLOCK` masks; reps are the canonical masks, ascending, and
-    weights their orbit sizes."""
-    canon = masks.copy()
+def _images(masks, m: int):
+    """Yield (u, mu, image of `masks`) for each index map k -> u*k + mu
+    (mod m), units ascending and then shifts, the identity first: one array
+    pass per map."""
+    for u in _units(m):
+        # scale the masks, never an image: that would compound the units
+        scaled = _scale(masks, u, m)
+        for mu in range(m):
+            yield u, mu, _cyclic_shift(scaled, mu, m)
+
+
+def _orbits(m: int, masks) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, weights) for the index maps on an ascending list of masks
+    closed under them (`range(1, 2^m)` or `_masks_upto`'s array): the
+    canonical masks, each the least of its orbit, ascending, and their orbit
+    sizes, found one run of `_BLOCK` masks at a time.  A mask's least image
+    is never larger than the mask, so its canonical mask is in `reps` by the
+    time its run is reached."""
+    reps, weights = np.zeros(0, _dtype(m)), np.zeros(0, np.intp)
     for lo in range(0, len(masks), _BLOCK):
-        run, least = masks[lo:lo + _BLOCK], canon[lo:lo + _BLOCK]
-        for u in _units(m):
-            # scale the masks, not `least`: that would compound the units
-            image = _scale(run, u, m)
-            for mu in range(m):
-                np.minimum(least, _cyclic_shift(image, mu, m), out=least)
-    return (canon, *np.unique(canon, return_counts=True))
+        run = masks[lo:lo + _BLOCK]
+        run = np.arange(run.start, run.stop, dtype=_dtype(m)) if isinstance(run, range) else run
+        least = run.copy()
+        for _, _, image in _images(run, m):
+            np.minimum(least, image, out=least)
+        reps = np.concatenate([reps, run[least == run]])
+        values, counts = np.unique(least, return_counts=True)
+        weights = np.pad(weights, (0, len(reps) - len(weights)))
+        weights[np.searchsorted(reps, values)] += counts
+    return reps, weights
 
 
 def _scale(mask, u, m: int):
@@ -394,22 +414,6 @@ def _scale(mask, u, m: int):
     for k in _mask_bits(mask):
         image |= (mask >> k & 1) << (u * k % m)
     return image
-
-
-def _index_maps(m: int, reps: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, mu) per member: the first index map k -> u*k + mu (mod m), units
-    and then shifts ascending, that carries reps[i] onto members[i], a member
-    of its orbit; one array pass per map, as in `_orbits`, until every
-    member has its map."""
-    u, mu, open_ = np.zeros_like(members), np.zeros_like(members), np.ones(len(members), dtype=bool)
-    for unit in _units(m):
-        if not open_.any():
-            break
-        image = _scale(reps, unit, m)
-        for shift in range(m):
-            hit = open_ & (_cyclic_shift(image, shift, m) == members)
-            u[hit], mu[hit], open_[hit] = unit, shift, False
-    return u, mu
 
 
 def _mask_bits(mask) -> list[int]:
@@ -430,7 +434,8 @@ def _mask_bits(mask) -> list[int]:
 # --------------------------------------------------------------------------
 
 # Masks per array pass (the rows of a `_count` call, a run of `_orbits`, a
-# hunt's block of draws, a PRNG fetch); bounds every pass's temporaries.
+# hunt's block of draws, a PRNG fetch); a range of masks is cut into runs of
+# this many before any becomes an array, so it bounds every pass's temporaries.
 _BLOCK = 16384
 
 
@@ -550,18 +555,18 @@ def _pair_passes(m: int, theorem: str, blocks: list, dtype):
 
 
 def _passes(m: int, theorem: str, blocks: Iterable[tuple]):
-    """Each `_BLOCK`-row pass of a partition's blocks (a run of A-masks of a
+    """Each `_BLOCK`-row pass of a partition's blocks (a run of masks of a
     single-set sweep as A and B, one canonical A with every B of a pair
-    sweep, `range`s if unsized, or a hunt's draws) as (amasks, bmasks,
-    weight, row): `row` is None for `_eval`, or the incremental kernel's
-    (size, bound, targets) for an unsized sweep but `main` (its power filter
-    needs the final size) and pairs past 2 log2 `_BLOCK` bits (28 by default,
-    past any budget).  Adding b to B adds the sums S_b (A rotated by b, less
+    sweep, `range`s if unsized, cut into `_BLOCK` runs before any becomes an
+    array, or a hunt's draws) as (amasks, bmasks, weight, row): `row` is None
+    for `_eval`, or the incremental kernel's (size, bound, targets) for an
+    unsized sweep but `main` (its power filter needs the final size) and
+    pairs past 2 log2 `_BLOCK` bits (28 by default).  Adding b to B adds the sums S_b (A rotated by b, less
     b for a restricted bound), each once: once(B + b) = once(B) | S_b,
     twice(B + b) = twice(B) | (once(B) & S_b) (`_pair_passes`); adding t to a
     single set X adds X rotated by t, in windows of 2^w <= `_BLOCK` sets
     doubled over their low bits from the state of their high bits."""
-    spec, dtype = THEOREMS[theorem], np.uint32 if m <= 32 else np.uint64
+    spec, dtype = THEOREMS[theorem], _dtype(m)
     width = 1 << min(m, _BLOCK.bit_length() - 1)
     fast = theorem != "main" and (not spec.pair or m <= 2 * (_BLOCK.bit_length() - 1))
     for incremental, group in itertools.groupby(blocks, lambda block: fast and isinstance(block[1], range)):
@@ -569,24 +574,24 @@ def _passes(m: int, theorem: str, blocks: Iterable[tuple]):
             yield from _pair_passes(m, theorem, list(group), dtype)
             continue
         for amasks, bmasks, weight in group:
-            if isinstance(bmasks, range):
-                lo, bmasks = bmasks.start, np.arange(bmasks.start, bmasks.stop, dtype=dtype)
-                amasks = amasks if spec.pair else bmasks
-            if not incremental:
-                for at in range(0, len(bmasks), _BLOCK):
-                    run = amasks if isinstance(amasks, int) else amasks[at:at + _BLOCK]
-                    yield run, bmasks[at:at + _BLOCK], weight, None
-                continue
-            once, twice = np.empty_like(bmasks), np.empty_like(bmasks)  # a block of sets is one pass
-            for base in range(lo - lo % width, lo + len(bmasks), width):
-                start, stop, state, seen = max(lo - base, 0), min(lo + len(bmasks) - base, width), (0, 0), 0
-                for t in _mask_bits(base):
-                    added, seen = _cyclic_shift(seen, t, m), seen | 1 << t
-                    state = state[0] | added, state[1] | state[0] & added
-                sets, at = np.arange(base, base + stop, dtype=dtype), slice(base + start - lo, base + stop - lo)
-                window = _doubled((stop,), state, lambda j, k: _cyclic_shift(sets[:k], j, m), dtype)
-                once[at], twice[at] = window[0][start:], window[1][start:]
-            yield bmasks, bmasks, weight, (_popcount(once), 2 * _popcount(bmasks) - spec.offset, once & ~twice)
+            for at in range(0, len(bmasks), _BLOCK):
+                rows = bmasks[at:at + _BLOCK]
+                if isinstance(rows, range):
+                    lo, rows = rows.start, np.arange(rows.start, rows.stop, dtype=dtype)
+                if not incremental:
+                    run = amasks if isinstance(amasks, int) else amasks[at:at + _BLOCK] if spec.pair else rows
+                    yield run, rows, weight, None
+                    continue
+                once, twice = np.empty_like(rows), np.empty_like(rows)
+                for base in range(lo - lo % width, lo + len(rows), width):
+                    start, stop, state, seen = max(lo - base, 0), min(lo + len(rows) - base, width), (0, 0), 0
+                    for t in _mask_bits(base):
+                        added, seen = _cyclic_shift(seen, t, m), seen | 1 << t
+                        state = state[0] | added, state[1] | state[0] & added
+                    sets, part = np.arange(base, base + stop, dtype=dtype), slice(base + start - lo, base + stop - lo)
+                    window = _doubled((stop,), state, lambda j, k: _cyclic_shift(sets[:k], j, m), dtype)
+                    once[part], twice[part] = window[0][start:], window[1][start:]
+                yield rows, rows, weight, (_popcount(once), 2 * _popcount(rows) - spec.offset, once & ~twice)
 
 
 def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
@@ -636,21 +641,15 @@ def _count(stats: PrimeStats, universe: _Universe, theorem: str, amasks, bmasks,
 
 
 def _partition(universe: _Universe, theorem: str, blocks, tight_cap: int) -> PrimeStats:
-    """Count each pass of `blocks` (`_passes`, `_count`); returns partial stats.
-    `blocks` is an iterable of (amasks, bmasks, weight), or a single-set
-    sweep's run of masks (a `range` or an array), cut here into blocks of
-    `_BLOCK` sets, each A and B, as the passes reach them."""
-    if isinstance(blocks, (range, np.ndarray)):
-        masks = blocks
-        blocks = ((run, run, 1) for run in (masks[lo:lo + _BLOCK] for lo in range(0, len(masks), _BLOCK)))
+    """Count each pass of `blocks`, an iterable of (amasks, bmasks, weight)
+    (`_passes`, `_count`); returns partial stats."""
     stats = PrimeStats(universe.field.p)
     for amasks, bmasks, weight, row in _passes(universe.m, theorem, blocks):
         _count(stats, universe, theorem, amasks, bmasks, tight_cap, weight, row)
     return stats
 
 
-def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: np.ndarray,
-                   canon: np.ndarray, tight_cap: int) -> None:
+def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, tight_cap: int) -> None:
     """Replace the rows of canonical A's in merged pair stats by the first
     rows in direct (amask, bmask) order, min(cap, count) per list, without a
     kernel pass.
@@ -664,28 +663,29 @@ def _first_entries(universe: _Universe, theorem: str, stats: PrimeStats, masks: 
     orbit, all larger, comes up.  An A whose orbit has no listed row comes
     after cap rows in direct order, as every member of an orbit has as many
     rows as its canonical A, the least.  So the members of the listed orbits
-    are picked, ascending, until their rows cover the list; `_index_maps`
-    finds their maps, every picked row is mapped at once, and one lexsort on
-    (member, gB) puts the rows in direct order."""
-    m = universe.m
+    are picked, ascending, until their rows cover the list: one `np.unique`
+    over the `_images` of the listed A's gives the members, and with each
+    its first map in `_images`' order; every picked row is mapped at once,
+    and one lexsort on (member, gB) puts the rows in direct order."""
+    m, dtype = universe.m, _dtype(universe.m)
     for name, cap, count in (("tight", tight_cap, stats.tight_count),
                              ("counterexamples", COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)):
         rows = getattr(stats, name)
         if not rows:
             continue
-        amasks, bmasks, size, bound, targets = (np.array(column, dtype=masks.dtype) for column in zip(*rows))
+        amasks, bmasks, size, bound, targets = (np.array(column, dtype=dtype) for column in zip(*rows))
         # the rows of each listed canonical A are a run of `rows`, ascending in B
         reps, starts, lengths = np.unique(amasks, return_index=True, return_counts=True)
-        listed, want = np.isin(canon, reps), min(cap, count)
-        members, of = masks[listed], np.searchsorted(reps, canon[listed])
+        units, shifts, images = zip(*_images(reps, m))
+        members, first = np.unique(np.concatenate(images), return_index=True)
+        want, of = min(cap, count), first % len(reps)
         picked = np.searchsorted(np.cumsum(lengths[of]), want) + 1
-        members, of = members[:picked], of[:picked]
-        u, mu = _index_maps(m, reps[of], members)
+        members, of, at = members[:picked], of[:picked], first[:picked] // len(reps)
         # the picked rows, member by member: the run of each one's canonical A
         runs = lengths[of]
         owner = np.repeat(np.arange(picked), runs)
         row = np.arange(len(owner)) + np.repeat(starts[of] - (np.cumsum(runs) - runs), runs)
-        u, mu = u[owner], mu[owner]
+        u, mu = (np.array(column, dtype)[at][owner] for column in (units, shifts))
         nu = mu if theorem == "cover" else 2 * mu % m
         mapped_b = _cyclic_shift(_scale(bmasks[row], u, m), mu, m)
         mapped_targets = _cyclic_shift(_scale(targets[row], u, m), nu, m)
@@ -767,21 +767,20 @@ def exhaustive_verify(config: SweepConfig, jobs: int = 1) -> Report:
 
     def prime_stats(universe: _Universe) -> PrimeStats:
         p, m = universe.field.p, universe.m
-        masks = range(1, 1 << m) if max_size is None and not is_pair else _masks_upto(m, max_size)
+        masks = range(1, 1 << m) if max_size is None else _masks_upto(m, max_size)
         if is_pair:
-            canon, reps, weights = _orbits(m, masks)
+            reps, weights = _orbits(m, masks)
             _check_budget(p, len(reps) * len(masks), "checks", config.budget)
-            blocks = [(rep, range(1, 1 << m) if max_size is None else masks, weight)
-                      for rep, weight in zip(reps.tolist(), weights.tolist())]
+            blocks = [(rep, masks, weight) for rep, weight in zip(reps.tolist(), weights.tolist())]
             tasks = [(universe, theorem, blocks[lo:hi], config.tight_cap)
                      for lo, hi in _runs(len(blocks), min(config.partitions, len(blocks)))]
-        else:  # each partition a run of whole blocks of masks, which it cuts itself
+        else:  # each partition one run of whole blocks of masks, as A and B, that `_passes` cuts
             count = -(-len(masks) // _BLOCK)
-            tasks = [(universe, theorem, masks[lo * _BLOCK:hi * _BLOCK], config.tight_cap)
-                     for lo, hi in _runs(count, min(config.partitions, count))]
+            runs = (masks[lo * _BLOCK:hi * _BLOCK] for lo, hi in _runs(count, min(config.partitions, count)))
+            tasks = [(universe, theorem, [(run, run, 1)], config.tight_cap) for run in runs]
         stats = PrimeStats.merge(p, starmap(_partition, tasks), config.tight_cap)
         if is_pair:
-            _first_entries(universe, theorem, stats, masks, canon, config.tight_cap)
+            _first_entries(universe, theorem, stats, config.tight_cap)
         return stats
 
     with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
@@ -816,7 +815,7 @@ def _parse_capped(words: np.ndarray, m: int, k: int, count: int, window: int) ->
     bit (word i + t) mod m for every offset i, so a draw with size word i that
     lacks bits in t - 1 of `window` passes ends at word i + t.  One walk follows
     the ends from offset 0; a draw unsettled in the window goes on word by word."""
-    n, dtype = len(words), np.uint32 if m <= 32 else np.uint64
+    n, dtype = len(words), _dtype(m)
     bits = np.concatenate([np.left_shift(dtype(1), (words % np.uint64(m)).astype(dtype)), np.zeros(window, dtype)])
     sizes, acc, short = (words % np.uint64(k)).astype(np.uint8) + 1, np.zeros(n, dtype), np.zeros(n, np.uint8)
     for t in range(1, window + 1):
@@ -840,7 +839,7 @@ def _parse_capped(words: np.ndarray, m: int, k: int, count: int, window: int) ->
 
 def _draw_masks(rng: SplitMix64, m: int, max_set_size: int | None, count: int):
     """`count` random nonempty subset masks from `rng`, in the documented
-    draw order for replay: an array of `_masks_upto`'s dtype while m < 64, a
+    draw order for replay: a `_dtype(m)` array while m < 64, a
     list of ints beyond.  With a size cap: draw size = 1 + (word mod
     min(cap, m)), then draw that many distinct indices as word mod m,
     redrawing collisions.  Without a cap: draw ceil(m / 64) words, the k-th
@@ -851,7 +850,7 @@ def _draw_masks(rng: SplitMix64, m: int, max_set_size: int | None, count: int):
     (`_parse_capped`), in a window of the mean plus two deviations of the
     index words of a cap-sized draw, if at most 64.  The rest are read word
     by word (`_read_draws`)."""
-    k, dtype = min(max_set_size or m, m), np.uint32 if m <= 32 else np.uint64
+    k, dtype = min(max_set_size or m, m), _dtype(m)
     window, expected = 0, (m + 63) // 64 / (1 - 2.0 ** -m)
     if max_set_size is not None:
         new = 1 - np.arange(k) / m  # the chance that an index word is new after j distinct
@@ -882,7 +881,7 @@ def hunt_counterexample(config: SweepConfig) -> Report:
     Draws (`_draw_masks`: one word stream for all primes, parsed with array
     passes or, past 63 bits and for caps too wide for them, word by word) are
     counted a block of `_BLOCK` at a time by the exhaustive sweeps' worker
-    (`_partition`), as arrays of `_masks_upto`'s dtype, ints past 63 bits.
+    (`_partition`), as `_dtype(m)` arrays, ints past 63 bits.
     """
     if config.samples is None:
         raise ValueError("hunt_counterexample needs a sample count")

@@ -871,6 +871,17 @@ def test_int_lists_keep_every_check_of_the_element_loop():
         what = {"lines": "line", "summands": "summands"}.get(key, key)
         with pytest.raises(ValueError, match=rf"^malformed certificate: {what} must be an integer$"):
             Certificate.from_json_dict({**data, key: bad})
+    # the lines, and the exceptional points, pass in one check while every row
+    # is a list of plain ints; a bad row after good ones keeps its own message
+    good = [1, 1, 0]
+    for bad, why in (([1, True, 0], "must be an integer"), ([1, 1.0, 0], "must be an integer"),
+                     ([1, 1], "must be a list of 3 integers"), ("1, 1, 0", "must be a list of 3 integers")):
+        with pytest.raises(ValueError, match=rf"^malformed certificate: line {why}$"):
+            Certificate.from_json_dict({**data, "lines": [good, good, bad]})
+    with pytest.raises(ValueError, match=r"^malformed certificate: exceptional point must be an integer$"):
+        Certificate.from_json_dict({**data, "exceptional": [[1, 2], [3, False]]})
+    lines = Certificate.from_json_dict({**data, "lines": [good, [Residue(1), 2, 3]]}).lines
+    assert lines == ((1, 1, 0), (1, 2, 3)) and type(lines[1][0]) is Residue
     parsed = Certificate.from_json_dict({**data, "A": [Residue(v) for v in data["A"]]})
     assert parsed == Certificate.from_json_dict(data)
     assert all(type(v) is Residue for v in parsed.A)

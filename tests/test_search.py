@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import multiprocessing
@@ -276,6 +277,20 @@ def _unit_list(m):
     return [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
 
 
+@functools.cache
+def _first_maps(m):
+    """Brute force over the index maps: {member: (canonical A, u, mu)} for
+    every nonempty m-bit mask, with the first map k -> u*k + mu, units and
+    then shifts ascending, that carries its canonical A, the least member of
+    its orbit, onto it."""
+    found = {}
+    for mask in range(1, 1 << m):
+        if mask not in found:  # the least member of an orbit not yet seen
+            for u, mu in itertools.product([u for u in range(m) if math.gcd(u, m) == 1], range(m)):
+                found.setdefault(_image(mask, u, mu, m), (mask, u, mu))
+    return found
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 63).flatmap(lambda m: st.tuples(
     st.just(m),
@@ -284,8 +299,8 @@ def _unit_list(m):
              min_size=1, max_size=20),
 )))
 def test_scale_on_an_array_is_scale_on_each_mask(case):
-    # `_orbits` scales runs of the mask list by one unit; `_first_entries`
-    # maps its rows with one unit and one shift per row
+    # `_images` scales runs of masks by one unit; `_first_entries` maps its
+    # rows with one unit and one shift per row
     m, u, rows = case
     masks, units, shifts = (list(column) for column in zip(*rows))
     array = np.array(masks, dtype=np.uint32 if m <= 32 else np.uint64)
@@ -383,9 +398,26 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     m = 11 if (THEOREMS[theorem].mode or mode) is GroupMode.ADDITIVE else 10
     if THEOREMS[theorem].pair:
         # a pair sweep's blocks are its canonical A's
-        assert len(calls) <= len(search._orbits(m, search._masks_upto(m, None))[1])
+        assert len(calls) <= len(search._orbits(m, range(1, 1 << m))[0])
     else:
         assert len(calls) <= -(-((1 << m) - 1) // 100)
+
+
+@pytest.mark.parametrize("m", [10, 11, 12])
+def test_unsized_pair_passes_build_no_array_past_the_block(monkeypatch, m):
+    # with `_BLOCK` = 37 the incremental pair kernel takes B's of at most 10
+    # bits, and `_eval` the wider ones; either way the B range is cut into
+    # runs of 37 before any becomes an array, and the runs cover it in order
+    monkeypatch.setattr(search, "_BLOCK", 37)
+    built, arange = [], np.arange
+    monkeypatch.setattr(np, "arange", lambda *args, **kwargs: built.append(len(out := arange(*args, **kwargs))) or out)
+    for theorem in _PAIR:
+        built.clear()
+        passes = list(search._passes(m, theorem, [(5, range(1, 1 << m), 3)]))
+        rows = [bmasks for _, bmasks, _, _ in passes]
+        assert max(built + list(map(len, rows))) <= 37, theorem
+        assert np.concatenate(rows).tolist() == list(range(1, 1 << m)), theorem
+        assert all(int(amask) == 5 and weight == 3 for amask, _, weight, _ in passes), theorem
 
 
 # ---------------------------------- orbit-reduced pair sweeps vs the direct sweep
@@ -484,16 +516,19 @@ def test_orbit_sweep_counterexamples_match_direct_sweep(weakened_additive, parti
     assert direct.counterexample_count > 7
 
 
-def _first_rows_member_by_member(universe, theorem, stats, masks, canon, tight_cap):
+def _first_rows_member_by_member(universe, theorem, stats, tight_cap, max_set_size):
     """The first rows of merged pair stats from a kernel pass on each member
     of the listed orbits, ascending, until both lists are full."""
+    canon = {mask: rep for mask, (rep, _, _) in _first_maps(universe.m).items()
+             if max_set_size is None or mask.bit_count() <= max_set_size}
+    masks = np.array(sorted(canon), dtype=np.uint32)
     listed = {row[0] for row in stats.tight + stats.counterexamples}
     wanted = min(tight_cap, stats.tight_count), min(search.COUNTEREXAMPLE_LIST_CAP, stats.counterexample_count)
     found = PrimeStats(stats.p)
-    for amask, rep in zip(masks.tolist(), canon.tolist()):
+    for amask in masks.tolist():
         if len(found.tight) >= wanted[0] and len(found.counterexamples) >= wanted[1]:
             break
-        if rep in listed:
+        if canon[amask] in listed:
             search._count(found, universe, theorem, amask, masks, tight_cap)
     return found.tight[:wanted[0]], found.counterexamples[:wanted[1]]
 
@@ -506,10 +541,10 @@ def _first_entries_without_kernel(config):
     def refuse(*args):
         raise AssertionError("_first_entries ran a kernel pass")
 
-    def checked(universe, theorem, stats, masks, canon, tight_cap):
-        expected = _first_rows_member_by_member(universe, theorem, stats, masks, canon, tight_cap)
+    def checked(universe, theorem, stats, tight_cap):
+        expected = _first_rows_member_by_member(universe, theorem, stats, tight_cap, config.max_set_size)
         with mock.patch.object(search, "_count", refuse):
-            first_entries(universe, theorem, stats, masks, canon, tight_cap)
+            first_entries(universe, theorem, stats, tight_cap)
         assert (stats.tight, stats.counterexamples) == expected
         lengths.append((len(stats.tight), len(stats.counterexamples)))
 
@@ -523,11 +558,10 @@ def _caps_inside_mapped_members(config):
     orbit's canonical A: the first two such members with two rows or more
     among the first 8,192 rows of `config`."""
     (m, rows), = _recorded_rows(dataclasses.replace(config, tight_cap=8192)).values()
-    canon = search._orbits(m, search._masks_upto(m, None))[0]  # canon[mask - 1]
     runs = {}
     for i, (amask, *_) in enumerate(rows):
         runs.setdefault(amask, []).append(i)
-    caps = [run[0] + len(run) // 2 for amask, run in runs.items() if canon[amask - 1] != amask and len(run) > 1]
+    caps = [run[0] + len(run) // 2 for amask, run in runs.items() if _first_maps(m)[amask][0] != amask and len(run) > 1]
     assert caps
     return caps[:2]
 
@@ -573,12 +607,18 @@ def test_masks_to_values_unpacks_each_mask_as_mask_to_values(universe, block, da
 # every m of both modes up to p = 13: additive m = p, multiplicative m = p - 1
 @pytest.mark.parametrize("m", range(1, 14))
 def test_index_maps_carry_each_canonical_a_onto_its_members(m):
-    masks = search._masks_upto(m, None)
-    canon = search._orbits(m, masks)[0]
-    u, mu = search._index_maps(m, canon, masks)
-    assert set(u.tolist()) <= set(search._units(m)) and set(mu.tolist()) <= set(range(m))
-    images = [_image(rep, ui, mui, m) for rep, ui, mui in zip(canon.tolist(), u.tolist(), mu.tolist())]
-    assert images == masks.tolist()
+    # one `cover` row per canonical A, with B = {0} and N = {1 mod m}: a
+    # member's mapped row has B = {mu} and N = {u + mu}, so it shows the map
+    # that `_first_entries` took, which must be the first, units and then
+    # shifts ascending, that carries the canonical A onto the member
+    first = _first_maps(m)
+    reps = sorted({rep for rep, _, _ in first.values()})
+    stats = PrimeStats(0, tight_count=len(first), tight=[(rep, 1, 0, 0, 1 << 1 % m) for rep in reps])
+    search._first_entries(types.SimpleNamespace(m=m), "cover", stats, len(first))
+    assert [row[0] for row in stats.tight] == sorted(first)
+    maps = {member: ((n_mask.bit_length() - b.bit_length()) % m, b.bit_length() - 1)
+            for member, b, _, _, n_mask in stats.tight}
+    assert maps == {member: (u, mu) for member, (_, u, mu) in first.items()}
 
 
 @pytest.mark.parametrize("partitions", [1, 3])
@@ -633,9 +673,8 @@ def test_masks_upto_past_31_bits(m, dtype):
 def test_orbit_weights_count_every_mask(m):
     # every m up to 18: m = p (additive) and m = p - 1 (multiplicative) for
     # each p <= 19 among them
-    for k in (None, 2):
-        masks = search._masks_upto(m, k)
-        _, _, weights = search._orbits(m, masks)
+    for masks in (range(1, 1 << m), search._masks_upto(m, None), search._masks_upto(m, 2)):
+        _, weights = search._orbits(m, masks)
         assert int(weights.sum()) == len(masks)
 
 
@@ -648,16 +687,17 @@ def test_orbits_match_brute_force(monkeypatch, m):
     for mask in range(1, 1 << m):
         bits = [k for k in range(m) if mask >> k & 1]
         orbit_of[mask] = {sum(1 << (u * k + mu) % m for k in bits) for u in units for mu in range(m)}
-    # a block of 7 masks splits the lists past 7 masks into runs
-    for k, block in itertools.product((None, 1, 2, m // 2), (7, search._BLOCK)):
+    # the unsized range and the lists of `_masks_upto`; a block of 7 masks
+    # splits those past 7 masks into runs, whose canonical masks and weights
+    # are then found across runs
+    inputs = [("range", range(1, 1 << m))] + [(k, search._masks_upto(m, k)) for k in (None, 1, 2, m // 2)]
+    for (k, masks), block in itertools.product(inputs, (7, search._BLOCK)):
         monkeypatch.setattr(search, "_BLOCK", block)
-        masks = search._masks_upto(m, k)
-        canon, reps, weights = search._orbits(m, masks)
-        # canon is aligned with the list: canon[i] is the least image of masks[i]
-        assert canon.tolist() == [min(orbit_of[mask]) for mask in masks.tolist()], k
-        expected = {min(orbit_of[mask]): len(orbit_of[mask]) for mask in masks.tolist()}
-        assert reps.tolist() == sorted(expected)
-        assert weights.tolist() == [expected[rep] for rep in sorted(expected)]
+        reps, weights = search._orbits(m, masks)
+        assert reps.dtype == np.uint32, k
+        expected = {min(orbit_of[mask]): len(orbit_of[mask]) for mask in map(int, masks)}
+        assert reps.tolist() == sorted(expected), k
+        assert weights.tolist() == [expected[rep] for rep in sorted(expected)], k
 
 
 @pytest.mark.parametrize("p", [23, 29, 31])
@@ -800,7 +840,7 @@ def test_hunt_report_matches_reference_loop(monkeypatch, theorem, mode):
 
 @pytest.mark.parametrize("theorem", ["cover", "main"])
 def test_hunts_count_masks_of_the_mask_list_dtype(monkeypatch, theorem):
-    # one mask convention (`_masks_upto`): uint32 up to 32 bits, uint64 up
+    # one mask convention (`_dtype`): uint32 up to 32 bits, uint64 up
     # to 63, Python ints beyond
     kinds = []
     count = search._count
@@ -959,7 +999,8 @@ def test_parallel_jobs_match_serial():
 @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1)])
 def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools, theorem):
     # one universe per prime, one pool per command, and one mask list per
-    # prime of a pair sweep; an unsized single-set sweep reads a range instead
+    # prime of a sized sweep; an unsized sweep, of pairs or single sets,
+    # reads a range instead
     counts = {"universe": 0, "masks": 0, "pool": 0}
     init, masks_upto = search._Universe.__init__, search._masks_upto
 
@@ -983,14 +1024,20 @@ def test_sweep_set_up_is_built_once(monkeypatch, jobs, pools, theorem):
     monkeypatch.setattr(search._Universe, "__init__", counted_init)
     monkeypatch.setattr(search, "_masks_upto", counted_masks)
     monkeypatch.setattr(search, "multiprocessing", types.SimpleNamespace(get_context=get_context))
-    exhaustive_verify(SweepConfig(theorem=theorem, primes=(5, 7, 11), partitions=3), jobs=jobs)
-    assert counts == {"universe": 3, "masks": 3 if THEOREMS[theorem].pair else 0, "pool": pools}
+    for max_set_size, masks in ((None, 0), (3, 3)):
+        counts.update(dict.fromkeys(counts, 0))
+        config = SweepConfig(theorem=theorem, primes=(5, 7, 11), max_set_size=max_set_size, partitions=3)
+        exhaustive_verify(config, jobs=jobs)
+        assert counts == {"universe": 3, "masks": masks, "pool": pools}, max_set_size
 
 
-@pytest.mark.parametrize("theorem,p", [("main", 13), ("corollary-add", 13), ("corollary-mult", 17)])
+@pytest.mark.parametrize("theorem,p", [("main", 13), ("corollary-add", 13), ("corollary-mult", 17),
+                                       ("mult", 13), ("cover", 13)])
 def test_unsized_single_set_sweep_holds_no_mask_list(monkeypatch, theorem, p):
-    # its blocks are ranges of masks; its per-prime stats equal those of the
-    # same sweep read from the mask list, with a size cap that admits every set
+    # its blocks are ranges of masks, and so are the B lists of an unsized
+    # pair sweep, whose orbits are found from the range too; the per-prime
+    # stats equal those of the same sweep read from the mask list, with a
+    # size cap that admits every set
     listed = SweepConfig(theorem=theorem, primes=(p,), max_set_size=p, tight_cap=50)
     expected = json_text([s.to_json_dict() for s in exhaustive_verify(listed).per_prime])
     monkeypatch.setattr(search, "_masks_upto", lambda *args: pytest.fail("unsized sweep built a mask list"))
