@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -410,7 +411,12 @@ def test_unsized_pair_passes_build_no_array_past_the_block(monkeypatch, m):
     # runs of 37 before any becomes an array, and the runs cover it in order
     monkeypatch.setattr(search, "_BLOCK", 37)
     built, arange = [], np.arange
-    monkeypatch.setattr(np, "arange", lambda *args, **kwargs: built.append(len(out := arange(*args, **kwargs))) or out)
+
+    def recorded(*args, **kwargs):
+        built.append(len(out := arange(*args, **kwargs)))
+        return out
+
+    monkeypatch.setattr(np, "arange", recorded)
     for theorem in _PAIR:
         built.clear()
         passes = list(search._passes(m, theorem, [(5, range(1, 1 << m), 3)]))
@@ -561,7 +567,8 @@ def _caps_inside_mapped_members(config):
     runs = {}
     for i, (amask, *_) in enumerate(rows):
         runs.setdefault(amask, []).append(i)
-    caps = [run[0] + len(run) // 2 for amask, run in runs.items() if _first_maps(m)[amask][0] != amask and len(run) > 1]
+    mapped = [run for amask, run in runs.items() if _first_maps(m)[amask][0] != amask and len(run) > 1]
+    caps = [run[0] + len(run) // 2 for run in mapped]
     assert caps
     return caps[:2]
 
@@ -682,11 +689,7 @@ def test_orbit_weights_count_every_mask(m):
 # the masks would compound the units and miss some images
 @pytest.mark.parametrize("m", range(1, 12))
 def test_orbits_match_brute_force(monkeypatch, m):
-    units = [u for u in range(m) if math.gcd(u, m) == 1]
-    orbit_of = {}
-    for mask in range(1, 1 << m):
-        bits = [k for k in range(m) if mask >> k & 1]
-        orbit_of[mask] = {sum(1 << (u * k + mu) % m for k in bits) for u in units for mu in range(m)}
+    canon = {mask: rep for mask, (rep, _, _) in _first_maps(m).items()}
     # the unsized range and the lists of `_masks_upto`; a block of 7 masks
     # splits those past 7 masks into runs, whose canonical masks and weights
     # are then found across runs
@@ -695,7 +698,7 @@ def test_orbits_match_brute_force(monkeypatch, m):
         monkeypatch.setattr(search, "_BLOCK", block)
         reps, weights = search._orbits(m, masks)
         assert reps.dtype == np.uint32, k
-        expected = {min(orbit_of[mask]): len(orbit_of[mask]) for mask in map(int, masks)}
+        expected = collections.Counter(canon[mask] for mask in map(int, masks))
         assert reps.tolist() == sorted(expected), k
         assert weights.tolist() == [expected[rep] for rep in sorted(expected)], k
 
