@@ -12,11 +12,13 @@ arithmetic cyclic rotate, on one mask as a Python int or on a numpy array of
 masks, for hunts, sweeps with a size cap and `main`; the unsized sweeps
 build each mask's state from a smaller mask's with bit tables (`_passes`),
 `_eval` being their oracle.  Every sweep counts through one worker,
-`_partition`, `_BLOCK` rows at a time (`_count`), as arrays while masks fit
-in 63 bits, as ints beyond; no array pass, table or temporary holds more
-than `_BLOCK` masks.  Report entries are the rows that the sweep counted,
-(amask, bmask, size, bound, targets), formatted without a second kernel
-pass.  The `main` certificate is replayed only where the bound fails.
+`_partition`, at most `_BLOCK` rows at a time (`_count`), as arrays while
+masks fit in 63 bits, as ints beyond: a range of masks in aligned windows of
+2^min(m, log2 `_BLOCK`) (`_windows`), a list in runs of `_BLOCK`; no array
+pass, table or temporary holds more than `_BLOCK` masks.  Report entries are
+the rows that the sweep counted, (amask, bmask, size, bound, targets),
+formatted without a second kernel pass.  The `main` certificate is replayed
+only where the bound fails.
 
 An exhaustive pair sweep evaluates one canonical A per orbit of the index
 maps g: k -> u*k + mu (mod m), u a unit, against every B, with its counts
@@ -434,8 +436,9 @@ def _mask_bits(mask) -> list[int]:
 # --------------------------------------------------------------------------
 
 # Masks per array pass (the rows of a `_count` call, a run of `_orbits`, a
-# hunt's block of draws, a PRNG fetch); a range of masks is cut into runs of
-# this many before any becomes an array, so it bounds every pass's temporaries.
+# hunt's block of draws, a PRNG fetch); a range of masks that `_passes` reads
+# is cut into aligned windows of the largest power of two not above it before
+# any becomes an array, so it bounds every pass's temporaries.
 _BLOCK = 16384
 
 
@@ -504,93 +507,87 @@ def _eval(theorem: str, m: int, amask, bmasks) -> tuple:
     return size, bound, once & ~twice
 
 
+def _windows(masks: range, width: int):
+    """(base, the slice of the window covered) for each aligned window [base,
+    base + width), base a multiple of `width`, that meets the nonempty range `masks`."""
+    for base in range(masks.start & -width, masks.stop, width):
+        yield base, slice(max(masks.start - base, 0), min(masks.stop - base, width))
+
+
 def _doubled(shape: tuple, state, added, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(once, twice) tables of `shape` from `state`, entry 0 of the last axis,
-    by doubling: entry l + 2^j, l < 2^j, is entry l plus bit j's sums, `added(j, k)` for l < k."""
+    """(once, twice) tables of `shape`, last axis a power of two, from `state`,
+    its entry 0, by doubling: entry l + 2^j, l < 2^j, is entry l plus bit j's sums `added(j)`."""
     once, twice = np.empty(shape, dtype), np.empty(shape, dtype)
     once[..., 0], twice[..., 0] = state
-    for j in range((shape[-1] - 1).bit_length()):
-        half, k = 1 << j, min(1 << j, shape[-1] - (1 << j))
-        sums = added(j, k)
-        np.bitwise_or(twice[..., :k], once[..., :k] & sums, out=twice[..., half:half + k])
-        np.bitwise_or(once[..., :k], sums, out=once[..., half:half + k])
+    for j in range(shape[-1].bit_length() - 1):
+        half, sums = 1 << j, added(j)
+        np.bitwise_or(twice[..., :half], once[..., :half] & sums, out=twice[..., half:2 * half])
+        np.bitwise_or(once[..., :half], sums, out=once[..., half:2 * half])
     return once, twice
 
 
-def _pair_passes(m: int, theorem: str, blocks: list, dtype):
+def _pair_passes(m: int, theorem: str, blocks: list, width: int, dtype):
     """`_passes` of an unsized pair sweep's blocks (A, every B, weight): (once,
-    twice) tables of B's low and high bits, a row per A of a run, are doubled
-    up and broadcast against each other; c is a target if one half has it once
-    and the other not.  For `cover` the a with 2a in `once` stand in for `twice`."""
-    spec, low = THEOREMS[theorem], (m + 1) // 2
-    sizes, per_run, width = _popcount(np.arange(1 << low, dtype=dtype)), _BLOCK >> low, 1 << low
-    for first in range(0, len(blocks), per_run):
-        run, b = blocks[first:first + per_run], np.arange(m, dtype=dtype)
+    twice) tables of B's low and high bits, a row per A of a run, are doubled up;
+    a window is whole high rows broadcast against the low table.  c is a target if
+    one half has it once and the other not; for `cover` the a with 2a in `once` stand in for `twice`."""
+    spec, low, b = THEOREMS[theorem], (m + 1) // 2, np.arange(m, dtype=dtype)
+    for first in range(0, len(blocks), _BLOCK >> low):
+        run = blocks[first:first + (_BLOCK >> low)]
         steps = _cyclic_shift(np.array([[a] for a, _, _ in run], dtype) & ~(dtype(spec.restricted) << b), b, m)
-        tables = [_doubled((len(run), 1 << bits), (0, 0), lambda j, k, at=at: steps[:, at + j, None], dtype)
+        tables = [_doubled((len(run), 1 << bits), (0, 0), lambda j, at=at: steps[:, at + j, None], dtype)
                   for at, bits in ((0, low), (low, m - low))]
         (low_once, low_free), (high_once, high_free) = (  # `free`: in neither half's `twice`
             (once, ~(sum((once >> (2 * a % m) & 1) << a for a in range(m)) if theorem == "cover" else twice))
             for once, twice in tables)
         for r, (amask, bmasks, weight) in enumerate(run):
-            high_size = sizes[:1 << m - low] + (amask.bit_count() - spec.offset)
-            for lo in range(bmasks.start, bmasks.stop, _BLOCK):
-                rows = np.arange(lo, hi := min(lo + _BLOCK, bmasks.stop), dtype=dtype)
-                (once, alone, free), bound = (np.empty_like(rows) for _ in range(3)), np.empty(hi - lo, np.int16)
-                # the part rows at either end and the whole rows between
-                cuts = sorted({lo, hi, min(hi, -(-lo // width) * width), max(lo, hi // width * width)})
-                for start, stop in zip(cuts, cuts[1:]):
-                    (r0, c0), span = divmod(start, width), stop - start
-                    high, cols = (r, slice(r0, r0 + max(1, span // width)), None), (r, slice(c0, c0 + min(span, width)))
-                    o, a, f, t = (column[start - lo:stop - lo].reshape(high[1].stop - r0, -1)
-                                  for column in (once, alone, free, bound))
-                    np.bitwise_or(high_once[high], low_once[cols], out=o)
-                    np.bitwise_and(high_free[high], low_free[cols], out=f)
-                    np.add(high_size[high[1:]], sizes[cols[1]], out=t)
-                    if theorem != "cover":  # `cover` reads no targets from `alone`
-                        np.bitwise_xor(high_once[high], low_once[cols], out=a)
-                size = _popcount(once)  # `cover`: N, as in `_eval`, is A & B whose squares are free
-                yield amask, rows, weight, ((size, bound, alone & free) if theorem != "cover" else
+            for base, part in _windows(bmasks, width):
+                high = r, slice(base >> low, (base + width) >> low), None  # whole rows of the high tables
+                rows = np.arange(base, base + width, dtype=dtype)[part]
+                once = (high_once[high] | low_once[r]).ravel()[part]
+                free = (high_free[high] & low_free[r]).ravel()[part]
+                size, bound = _popcount(once), _popcount(rows) + (amask.bit_count() - spec.offset)
+                yield amask, rows, weight, ((size, bound, (high_once[high] ^ low_once[r]).ravel()[part] & free)
+                                            if theorem != "cover" else  # N, as in `_eval`: A & B with free squares
                                             (size, bound - _popcount(n_mask := amask & rows & free) // 2, n_mask))
 
 
 def _passes(m: int, theorem: str, blocks: Iterable[tuple]):
-    """Each `_BLOCK`-row pass of a partition's blocks (a run of masks of a
-    single-set sweep as A and B, one canonical A with every B of a pair
-    sweep, `range`s if unsized, cut into `_BLOCK` runs before any becomes an
-    array, or a hunt's draws) as (amasks, bmasks, weight, row): `row` is None
-    for `_eval`, or the incremental kernel's (size, bound, targets) for an
-    unsized sweep but `main` (its power filter needs the final size) and
-    pairs past 2 log2 `_BLOCK` bits (28 by default).  Adding b to B adds the sums S_b (A rotated by b, less
-    b for a restricted bound), each once: once(B + b) = once(B) | S_b,
-    twice(B + b) = twice(B) | (once(B) & S_b) (`_pair_passes`); adding t to a
-    single set X adds X rotated by t, in windows of 2^w <= `_BLOCK` sets
-    doubled over their low bits from the state of their high bits."""
+    """Each pass of a partition's blocks (a run of masks of a single-set sweep
+    as A and B, one canonical A with every B of a pair sweep, or a hunt's draws)
+    as (amasks, bmasks, weight, row): a `range`, as unsized sweeps read them, cut
+    into aligned windows (`_windows`), a list into runs of `_BLOCK`.  `row` is
+    None for `_eval`, or the incremental kernel's (size, bound, targets) for an
+    unsized sweep but `main` (its power filter needs the final size) and pairs
+    past 2 log2 `_BLOCK` bits (28 by default).  Adding b to B adds the sums S_b
+    (A rotated by b, less b for a restricted bound), each once: once(B + b) =
+    once(B) | S_b, twice(B + b) = twice(B) | (once(B) & S_b) (`_pair_passes`);
+    adding t to a single set X adds X rotated by t, so a window is doubled over
+    its low bits from its high bits' state, by each partition that it meets."""
     spec, dtype = THEOREMS[theorem], _dtype(m)
     width = 1 << min(m, _BLOCK.bit_length() - 1)
     fast = theorem != "main" and (not spec.pair or m <= 2 * (_BLOCK.bit_length() - 1))
     for incremental, group in itertools.groupby(blocks, lambda block: fast and isinstance(block[1], range)):
         if incremental and spec.pair:
-            yield from _pair_passes(m, theorem, list(group), dtype)
+            yield from _pair_passes(m, theorem, list(group), width, dtype)
             continue
         for amasks, bmasks, weight in group:
-            for at in range(0, len(bmasks), _BLOCK):
-                rows = bmasks[at:at + _BLOCK]
-                if isinstance(rows, range):
-                    lo, rows = rows.start, np.arange(rows.start, rows.stop, dtype=dtype)
+            if not isinstance(bmasks, range):  # a mask list or a hunt's draws
+                for at in range(0, len(bmasks), _BLOCK):
+                    run = amasks if isinstance(amasks, int) else amasks[at:at + _BLOCK]
+                    yield run, bmasks[at:at + _BLOCK], weight, None
+                continue
+            for base, part in _windows(bmasks, width):
+                rows = (sets := np.arange(base, base + width, dtype=dtype))[part]
                 if not incremental:
-                    run = amasks if isinstance(amasks, int) else amasks[at:at + _BLOCK] if spec.pair else rows
-                    yield run, rows, weight, None
+                    yield amasks if isinstance(amasks, int) else rows, rows, weight, None
                     continue
-                once, twice = np.empty_like(rows), np.empty_like(rows)
-                for base in range(lo - lo % width, lo + len(rows), width):
-                    start, stop, state, seen = max(lo - base, 0), min(lo + len(rows) - base, width), (0, 0), 0
-                    for t in _mask_bits(base):
-                        added, seen = _cyclic_shift(seen, t, m), seen | 1 << t
-                        state = state[0] | added, state[1] | state[0] & added
-                    sets, part = np.arange(base, base + stop, dtype=dtype), slice(base + start - lo, base + stop - lo)
-                    window = _doubled((stop,), state, lambda j, k: _cyclic_shift(sets[:k], j, m), dtype)
-                    once[part], twice[part] = window[0][start:], window[1][start:]
+                state, seen = (0, 0), 0
+                for t in _mask_bits(base):
+                    added, seen = _cyclic_shift(seen, t, m), seen | 1 << t
+                    state = state[0] | added, state[1] | state[0] & added
+                once, twice = _doubled((width,), state, lambda j: _cyclic_shift(sets[:1 << j], j, m), dtype)
+                once, twice = once[part], twice[part]
                 yield rows, rows, weight, (_popcount(once), 2 * _popcount(rows) - spec.offset, once & ~twice)
 
 

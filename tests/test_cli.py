@@ -190,6 +190,10 @@ MULTI_BLOCK_GOLDEN = {
         "dc5dc9c6d6f0f1a7cc8bfd185a6c5aa7ef21ed3ebe93103ba31abf0f68240d82",
     "verify --theorem corollary-add --prime 23 --exhaustive":
         "811bfc593e3d6a745cc9b3094af8124a2cea0590face97fd2e96e4a58326192a",
+    # the frontier record's form of the `cover` p = 17 sweep: each canonical
+    # A's B range spans four windows of the pair kernel
+    "verify --theorem cover --prime 17 --exhaustive --jobs 1 --budget 4294967296":
+        "8341f6813b0ffd31cdcf0ee2afe7d16e22b460b5ff4e06b8f65b7d14e7eb0730",
 }
 
 

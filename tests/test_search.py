@@ -369,7 +369,8 @@ def test_counterexample_path_matches_reference_loop(weakened_main, partitions):
 def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     # with `_BLOCK` = 100 every array pass at p = 11 spans several runs: the
     # single-set blocks, the orbit search and every B-list of a pair sweep
-    # (`ks` in its multiplicative mode)
+    # (`ks` in its multiplicative mode); every range pass, `main`'s `_eval`
+    # passes too, is an aligned window of 64 masks
     mode = GroupMode.MULTIPLICATIVE if theorem == "ks" else None
 
     def run(partitions, jobs=1):
@@ -385,7 +386,7 @@ def test_partition_and_block_boundaries_keep_report(monkeypatch, theorem):
     count = search._count
     monkeypatch.setattr(search, "_count", lambda *args: rows.append(len(args[4])) or count(*args))
     assert run(1) == reference
-    assert max(rows) == 100
+    assert max(rows) == 64
     assert run(3) == reference
     assert run(3, jobs=2) == reference
     # more partitions than blocks (21 at p = 11 for corollary-add): one
@@ -424,6 +425,21 @@ def test_unsized_pair_passes_build_no_array_past_the_block(monkeypatch, m):
         assert max(built + list(map(len, rows))) <= 37, theorem
         assert np.concatenate(rows).tolist() == list(range(1, 1 << m)), theorem
         assert all(int(amask) == 5 and weight == 3 for amask, _, weight, _ in passes), theorem
+
+
+@given(
+    start=st.integers(0, (1 << 20) - 1),
+    length=st.integers(1, 1 << 16),
+    w=st.integers(0, 20),
+)
+def test_windows_cut_a_range_at_multiples_of_the_width(start, length, w):
+    # the parts, read from their bases, are the range in order; each base is
+    # a multiple of the width and each part a nonempty piece of its window
+    masks, width = range(start, min(start + length, 1 << 20)), 1 << w
+    windows = list(search._windows(masks, width))
+    assert [base + k for base, part in windows for k in range(width)[part]] == list(masks)
+    assert all(base % width == 0 for base, _ in windows)
+    assert all(0 <= part.start < part.stop <= width for _, part in windows)
 
 
 # ---------------------------------- orbit-reduced pair sweeps vs the direct sweep
@@ -1061,8 +1077,9 @@ _INCREMENTAL = [theorem for theorem in ALL_THEOREMS if theorem != "main"]
     # m = 1 and 2 leave the high table one bit or none; pairs past 2 log2
     # `_BLOCK` bits (10 for 37, 12 for 100) are left to `_eval`
     m=st.integers(1, 14),
-    # not powers of two: passes sit off the tables' 2^k grid, and single-set
-    # blocks, which start at mask 1, one off it too
+    # not powers of two: a single-set block, cut at multiples of `_BLOCK`
+    # masks from mask 1, starts and ends inside a window, as does every B
+    # range, which starts at mask 1
     block=st.sampled_from([100, 37, search._BLOCK]),
     data=st.data(),
 )
@@ -1070,10 +1087,12 @@ def test_incremental_kernel_matches_eval(theorem, m, block, data):
     # every row of every pass that `_passes` hands `_count` for an unsized
     # block equals `_eval`'s: for a pair bound a list of A's, several runs of
     # them when `_BLOCK` is small, each against every B; for a single-set
-    # bound one block of the sets as `exhaustive_verify` cuts them.  Pairs
-    # past 2 log2 `_BLOCK` bits, whose tables would not fit, are left to `_eval`
+    # bound one block of the sets as `exhaustive_verify` cuts them.  Each
+    # pass is the part of the range in one aligned window of
+    # 2^min(m, log2 `_BLOCK`) masks.  Pairs past 2 log2 `_BLOCK` bits, whose
+    # tables would not fit, are left to `_eval`
     served = not THEOREMS[theorem].pair or m <= 2 * (block.bit_length() - 1)
-    every = range(1, 1 << m)
+    every, width = range(1, 1 << m), 1 << min(m, block.bit_length() - 1)
     with mock.patch.object(search, "_BLOCK", block):
         if THEOREMS[theorem].pair:
             amasks = data.draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=12))
@@ -1083,8 +1102,9 @@ def test_incremental_kernel_matches_eval(theorem, m, block, data):
             blocks = [(every[lo:lo + block], every[lo:lo + block], 1)]
         passes = list(search._passes(m, theorem, blocks))
     for amask, bmasks, weight in blocks:
-        rows = [passes.pop(0) for _ in range(-(-len(bmasks) // block))]
-        lengths = [min(block, len(bmasks) - lo) for lo in range(0, len(bmasks), block)]
+        edges = sorted({bmasks.start, bmasks.stop, *range(-(-bmasks.start // width) * width, bmasks.stop, width)})
+        lengths = np.diff(edges).tolist()
+        rows = [passes.pop(0) for _ in lengths]
         assert [len(run) for _, run, _, _ in rows] == lengths
         assert all(got_weight == weight and (row is not None) == served for _, _, got_weight, row in rows)
         assert np.concatenate([run for _, run, _, _ in rows]).tolist() == list(bmasks)
